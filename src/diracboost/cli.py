@@ -176,7 +176,7 @@ def _build_parser() -> argparse.ArgumentParser:
         dest="boost_dir",
         help="fixed unit boost direction nx,ny,nz (custom scenario, single-point theta grid)",
     )
-    sweep.add_argument("--workers", help="parallel worker processes (default 1)")
+    sweep.add_argument("--workers", help="accepted (>= 1) but changes neither speed nor output")
     sweep.add_argument("--config", help="key=value config file; flags override it")
 
     verify = sub.add_parser("verify", help="run the built-in verification suite")

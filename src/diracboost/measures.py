@@ -34,6 +34,11 @@ _TRACE_TOL = 1e-8
 _ROUNDING_CLAMP = 1e-12
 
 
+def _clamp_residue(values):
+    """Snap values in [-1e-12, 0), rounding residue on pure or separable states, to 0."""
+    return np.where((values >= -_ROUNDING_CLAMP) & (values < 0.0), 0.0, values)
+
+
 @dataclass(frozen=True)
 class BlochVector:
     """Components a_n = Tr[sigma_n rho] of a single-qubit reduced matrix."""
@@ -92,11 +97,7 @@ def linear_entropy(rho: np.ndarray) -> float:
         raise ValueError("linear entropy needs dimension at least 2")
     _check_density(rho, d)
     purity = float(np.real(np.trace(rho @ rho)))
-    value = (d / (d - 1.0)) * (1.0 - purity)
-    if -_ROUNDING_CLAMP <= value < 0.0:
-        # rounding residue on exactly pure inputs
-        return 0.0
-    return value
+    return float(_clamp_residue((d / (d - 1.0)) * (1.0 - purity)))
 
 
 def bloch_vector(rho_qubit: np.ndarray) -> BlochVector:
@@ -144,10 +145,7 @@ def negativity(rho_ss: np.ndarray) -> float:
     """
     rho = _check_density(rho_ss, 4)
     transposed = partial_transpose(rho, SPIN_PAIR_LAYOUT, "SA")
-    value = float(np.sum(np.abs(hermitian_eigenvalues(transposed))) - 1.0)
-    if -_ROUNDING_CLAMP <= value < 0.0:
-        return 0.0
-    return value
+    return float(_clamp_residue(np.sum(np.abs(hermitian_eigenvalues(transposed))) - 1.0))
 
 
 def delta_global(st: TwoParticleState, b: BoostSpec) -> float:

@@ -168,11 +168,10 @@ def make_psi3(omega0: float, mass: float = 1.0) -> TwoParticleState:
     )
 
 
-def chiral_project(st: TwoParticleState, labels: ChiralLabelPair) -> np.ndarray:
-    """Project both slots onto fixed chirality and renormalize.
+def chiral_project_vector(st: TwoParticleState, labels: ChiralLabelPair) -> np.ndarray:
+    """Project both slots onto fixed chirality; returns the normalized 16-vector.
 
-    Returns the pure 16x16 density matrix of the projected state.  Raises if
-    the projector annihilates the superposition.
+    Raises if the projector annihilates the superposition.
     """
     psi = assemble_state_vector(st)
     projector = kron(chiral_projector(labels.f), chiral_projector(labels.g))
@@ -182,7 +181,12 @@ def chiral_project(st: TwoParticleState, labels: ChiralLabelPair) -> np.ndarray:
         raise ValueError(
             f"chiral projection (f={labels.f}, g={labels.g}) annihilates the state"
         )
-    return outer(projected / norm)
+    return projected / norm
+
+
+def chiral_project(st: TwoParticleState, labels: ChiralLabelPair) -> np.ndarray:
+    """Pure 16x16 density matrix of :func:`chiral_project_vector`."""
+    return outer(chiral_project_vector(st, labels))
 
 
 def boost_two_particle(rho: np.ndarray, b: BoostSpec) -> tuple[np.ndarray, float]:

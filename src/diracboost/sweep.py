@@ -1,47 +1,53 @@
 """Scenario registry, deterministic (omega, theta) grid sweeps, and emission.
 
-Rows are produced in row-major order (omega outer, theta inner) and each
-grid point is computed independently, so the output is byte-identical for
-identical configurations regardless of the worker count.
+Rows are produced in row-major order (omega outer, theta inner) by one
+serial kernel that boosts and measures the grid in fixed-size chunks, so the
+output is byte-identical for identical configurations.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .kinematics import E_Z, BoostSpec
-from .measures import (
-    bloch_vector,
-    global_entanglement,
-    negativity,
-    single_qubit_reductions,
-    spin_spin_reduced,
-)
+from .kinematics import E_Z, FourMomentum
+from .measures import _clamp_residue
 from .states import (
+    _ZERO_NORM_TOL,
     ChiralLabelPair,
     SuperpositionTerm,
     TwoParticleState,
-    boost_two_particle,
-    chiral_project,
-    density_matrix,
+    assemble_state_vector,
+    chiral_project_vector,
     make_psi1,
     make_psi2,
     make_psi3,
 )
+from .tensor import ID2, PAULI, PAULI_X, kron, outer
 
 SCENARIOS = ("psi1", "psi2", "psi3", "chiral-psi2", "chiral-psi3", "custom")
 MEASURES = ("eg", "delta_eg", "negativity", "delta_negativity", "bloch")
 DEFAULT_MEASURES = ("eg", "delta_eg", "negativity", "delta_negativity")
 OUTPUT_FORMATS = ("csv", "json")
 
-_BLOCH_TAGS = ("pa", "sa", "pb", "sb")
+_BLOCH_COLUMNS = tuple(f"bloch_{tag}_{axis}" for tag in ("pa", "sa", "pb", "sb") for axis in "xyz")
+
+#: Grid points per kernel call.  A few hundred keeps the working arrays, and
+#: so peak memory, small on any grid while amortizing per-call overhead.
+_CHUNK = 256
+#: sigma_x (x) sigma_k: the boost generator along n is sum_k n_k times these.
+_BOOST_GENERATORS = np.stack([kron(PAULI_X, sigma) for sigma in PAULI])
+#: vec(rho) @ column j is Tr[O_j rho], for O_j = sigma (x) I (parity), then I (x) sigma (spin).
+_LOCAL_PAULI = np.stack(
+    [kron(sigma, ID2).T.ravel() for sigma in PAULI]
+    + [kron(ID2, sigma).T.ravel() for sigma in PAULI],
+    axis=1,
+)
 
 
 class ConfigError(ValueError):
@@ -133,8 +139,6 @@ class CustomTermSpec:
                 raise ConfigError("term", f"{name} must be a nonnegative rapidity, got {w}")
 
     def to_term(self, mass: float) -> SuperpositionTerm:
-        from .kinematics import FourMomentum
-
         pa = FourMomentum.from_rapidity(mass, self.omega0_a, self.dir_a * E_Z)
         pb = FourMomentum.from_rapidity(mass, self.omega0_b, self.dir_b * E_Z)
         return SuperpositionTerm(
@@ -158,6 +162,7 @@ class SweepConfig:
     chiral_labels: tuple[int, int] | None = None
     custom_terms: CustomStateSpec = ()
     boost_direction: tuple[float, float, float] | None = None
+    #: Accepted and validated for compatibility; the sweep runs serially.
     workers: int = 1
 
     def validate(self) -> None:
@@ -233,119 +238,106 @@ class SweepRow:
         return out
 
 
-def scenario_density(cfg: SweepConfig) -> np.ndarray:
-    """Build the configured scenario's unboosted 16x16 density matrix."""
+def scenario_vector(cfg: SweepConfig) -> np.ndarray:
+    """Build the configured scenario's unboosted, normalized 16-component state."""
+    builders = {"psi1": make_psi1, "psi2": make_psi2, "psi3": make_psi3}
     try:
-        if cfg.scenario == "psi1":
-            return density_matrix(make_psi1(cfg.omega0, cfg.mass))
-        if cfg.scenario == "psi2":
-            return density_matrix(make_psi2(cfg.omega0, cfg.mass))
-        if cfg.scenario == "psi3":
-            return density_matrix(make_psi3(cfg.omega0, cfg.mass))
+        if cfg.scenario in builders:
+            return assemble_state_vector(builders[cfg.scenario](cfg.omega0, cfg.mass))
         if cfg.scenario in ("chiral-psi2", "chiral-psi3"):
-            base = make_psi2 if cfg.scenario == "chiral-psi2" else make_psi3
+            base = builders[cfg.scenario.removeprefix("chiral-")]
             labels = ChiralLabelPair(*(cfg.chiral_labels or (0, 0)))
-            return chiral_project(base(cfg.omega0, cfg.mass), labels)
+            return chiral_project_vector(base(cfg.omega0, cfg.mass), labels)
         if cfg.scenario == "custom":
             terms = tuple(t.to_term(cfg.mass) for t in cfg.custom_terms)
-            return density_matrix(TwoParticleState(terms, cfg.mass))
-    except ConfigError:
-        raise
+            return assemble_state_vector(TwoParticleState(terms, cfg.mass))
     except ValueError as exc:
         raise ConfigError("scenario", f"cannot build scenario {cfg.scenario!r}: {exc}") from exc
     raise ConfigError("scenario", f"unknown scenario {cfg.scenario!r}")
 
 
-def _compute_point(
-    rho0: np.ndarray,
-    baseline: tuple[float, float],
-    measures: Sequence[str],
-    boost_direction: tuple[float, float, float] | None,
-    omega: float,
-    theta: float,
-) -> tuple[dict[str, float], float]:
+def scenario_density(cfg: SweepConfig) -> np.ndarray:
+    """Build the configured scenario's unboosted 16x16 density matrix."""
+    return outer(scenario_vector(cfg))
+
+
+def _point_error(omega: float, theta: float, reason) -> SweepError:
+    return SweepError(f"sweep point (omega={omega:.6g}, theta={theta:.6g}) failed: {reason}")
+
+
+def _measure_chunk(psi, omegas, thetas, directions):
+    """Boost the 4x4 coefficient matrix ``psi`` to every point of one chunk.
+
+    With ``S = cosh(w/2) I - sinh(w/2) sigma_x (x) n.sigma``, the pair boost
+    ``(S (x) S) vec(psi)`` is ``S psi S^T``.  Returns ``(nu, eg, negativity,
+    bloch)`` per point, ``bloch`` of shape (n, 4, 3) in PA, SA, PB, SB order.
+    Raises :class:`SweepError` naming the first point that fails; once ``nu``
+    is finite and positive, the normalized amplitudes keep every value finite.
+    """
+    half = (omegas / 2.0)[:, None, None]
+    generator = np.einsum("pk,kij->pij", directions, _BOOST_GENERATORS)
+    with np.errstate(all="ignore"):  # overflow is reported below, with its point
+        s = np.cosh(half) * np.eye(4) - np.sinh(half) * generator
+        boosted = s @ psi @ s.transpose(0, 2, 1)
+        nu = np.sum(boosted.real**2 + boosted.imag**2, axis=(1, 2))
+    # identity boost, exactly: keeps omega = 0 rows free of rounding residue
+    rest = omegas == 0.0
+    boosted[rest], nu[rest] = psi, 1.0
+    bad = ~(np.isfinite(nu) & (nu > _ZERO_NORM_TOL))
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise _point_error(omegas[k], thetas[k], f"boost normalization failed (nu = {nu[k]})")
+
+    amp = boosted / np.sqrt(nu)[:, None, None]
+    # one-particle matrices over (parity, spin): rho_A = Psi Psi^dag, rho_B = Psi^T Psi^*
+    rho_a = amp @ amp.conj().transpose(0, 2, 1)
+    rho_b = amp.transpose(0, 2, 1) @ amp.conj()
+    bloch = (np.stack([rho_a, rho_b], axis=1).reshape(-1, 2, 16) @ _LOCAL_PAULI).real
+    bloch = bloch.reshape(-1, 4, 3)
+    eg = np.sum(_clamp_residue(1.0 - np.sum(bloch**2, axis=2)), axis=1) / 4.0
+
+    # spin-spin reduction (rows of m are pA pB, columns sA sB), transposed on SA
+    m = amp.reshape(-1, 2, 2, 2, 2).transpose(0, 1, 3, 2, 4).reshape(-1, 4, 4)
+    rho_ss = (m.transpose(0, 2, 1) @ m.conj()).reshape(-1, 2, 2, 2, 2)
+    transposed = rho_ss.transpose(0, 3, 2, 1, 4).reshape(-1, 4, 4)
     try:
-        if boost_direction is None:
-            boost = BoostSpec.from_polar_angle(omega, theta)
-        else:
-            boost = BoostSpec(omega, np.asarray(boost_direction, dtype=float))
-        boosted, nu = boost_two_particle(rho0, boost)
-        eg0, neg0 = baseline
-        need_eg = "eg" in measures or "delta_eg" in measures
-        need_neg = "negativity" in measures or "delta_negativity" in measures
-        eg = global_entanglement(boosted) if need_eg else 0.0
-        neg = negativity(spin_spin_reduced(boosted)) if need_neg else 0.0
-        values: dict[str, float] = {}
-        for m in measures:
-            if m == "eg":
-                values["eg"] = eg
-            elif m == "delta_eg":
-                values["delta_eg"] = eg - eg0
-            elif m == "negativity":
-                values["negativity"] = neg
-            elif m == "delta_negativity":
-                values["delta_negativity"] = neg - neg0
-            elif m == "bloch":
-                reductions = single_qubit_reductions(boosted)
-                for tag in ("PA", "SA", "PB", "SB"):
-                    b = bloch_vector(reductions[tag])
-                    low = tag.lower()
-                    values[f"bloch_{low}_x"] = b.x
-                    values[f"bloch_{low}_y"] = b.y
-                    values[f"bloch_{low}_z"] = b.z
-        return values, nu
-    except Exception as exc:
-        raise SweepError(
-            f"sweep point (omega={omega:.6g}, theta={theta:.6g}) failed: {exc}"
-        ) from exc
-
-
-def _compute_chunk(args) -> list[tuple[int, tuple[dict[str, float], float]]]:
-    rho0, baseline, measures, boost_direction, points = args
-    return [
-        (idx, _compute_point(rho0, baseline, measures, boost_direction, om, th))
-        for idx, om, th in points
-    ]
+        eigenvalues = np.linalg.eigvalsh(transposed)
+    except np.linalg.LinAlgError as exc:
+        for k, matrix in enumerate(transposed):
+            try:
+                np.linalg.eigvalsh(matrix)
+            except np.linalg.LinAlgError:
+                raise _point_error(omegas[k], thetas[k], exc) from exc
+        raise
+    # summed in descending order, as the per-point negativity does
+    neg = _clamp_residue(np.sum(np.abs(eigenvalues[:, ::-1]), axis=1) - 1.0)
+    return nu, eg, neg, bloch
 
 
 def run_sweep(cfg: SweepConfig) -> list[SweepRow]:
     """Run the configured sweep; rows come back in row-major grid order."""
     cfg.validate()
-    rho0 = scenario_density(cfg)
-    baseline = (
-        global_entanglement(rho0),
-        negativity(spin_spin_reduced(rho0)),
-    )
-    omegas = cfg.omega_grid.points()
-    thetas = cfg.theta_grid.points()
-    tasks = [
-        (i * len(thetas) + j, float(om), float(th))
-        for i, om in enumerate(omegas)
-        for j, th in enumerate(thetas)
-    ]
-    slots: list[tuple[dict[str, float], float] | None] = [None] * len(tasks)
-    if cfg.workers == 1:
-        for idx, om, th in tasks:
-            slots[idx] = _compute_point(
-                rho0, baseline, cfg.measures, cfg.boost_direction, om, th
-            )
+    psi = scenario_vector(cfg).reshape(4, 4)
+    origin = np.zeros(1)
+    _, (eg0,), (neg0,), _ = _measure_chunk(psi, origin, origin, E_Z[None, :])
+    theta_points = cfg.theta_grid.points()
+    omegas = np.repeat(cfg.omega_grid.points(), len(theta_points))
+    thetas = np.tile(theta_points, cfg.omega_grid.steps)
+    if cfg.boost_direction is None:
+        directions = np.stack([np.sin(thetas), np.zeros_like(thetas), np.cos(thetas)], axis=1)
     else:
-        nchunks = min(cfg.workers * 4, len(tasks)) or 1
-        chunks = [tasks[k::nchunks] for k in range(nchunks)]
-        args = [
-            (rho0, baseline, cfg.measures, cfg.boost_direction, chunk)
-            for chunk in chunks
-            if chunk
-        ]
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            for result in pool.map(_compute_chunk, args):
-                for idx, payload in result:
-                    slots[idx] = payload
+        directions = np.broadcast_to(cfg.boost_direction, (len(omegas), 3))
+
+    names = [n for m in cfg.measures for n in (_BLOCH_COLUMNS if m == "bloch" else (m,))]
     rows: list[SweepRow] = []
-    for (idx, om, th), payload in zip(tasks, slots):
-        assert payload is not None
-        values, nu = payload
-        rows.append(SweepRow(om, th, values, nu))
+    for start in range(0, len(omegas), _CHUNK):
+        part = slice(start, start + _CHUNK)
+        nu, eg, neg, bloch = _measure_chunk(psi, omegas[part], thetas[part], directions[part])
+        measured = dict(zip(_BLOCH_COLUMNS, bloch.reshape(-1, 12).T))
+        measured.update(eg=eg, delta_eg=eg - eg0, negativity=neg, delta_negativity=neg - neg0)
+        table = np.stack([measured[n] for n in names], axis=1).tolist()
+        points = zip(omegas[part].tolist(), thetas[part].tolist(), table, nu.tolist())
+        rows.extend(SweepRow(om, th, dict(zip(names, v)), nu_k) for om, th, v, nu_k in points)
     return rows
 
 

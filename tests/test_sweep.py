@@ -15,7 +15,6 @@ from diracboost.sweep import (
     SweepConfig,
     SweepError,
     SweepRow,
-    _compute_point,
     emit,
     run_sweep,
     scenario_density,
@@ -241,9 +240,15 @@ def test_chiral_scenario_with_equal_labels_is_boost_invariant():
         assert abs(row.values["delta_negativity"]) < 1e-12
 
 
+@pytest.mark.filterwarnings("error")
 def test_failed_point_reports_coordinates():
-    with pytest.raises(SweepError, match=r"omega=1.5.*theta=0.25"):
-        _compute_point(np.eye(16), (0.0, 0.0), DEFAULT_MEASURES, None, 1.5, 0.25)
+    cfg = tiny_config(
+        measures=DEFAULT_MEASURES,
+        omega_grid=GridSpec(0.0, 400.0, 3),
+        theta_grid=GridSpec(0.25, 0.25, 1),
+    )
+    with pytest.raises(SweepError, match=r"omega=400.*theta=0.25"):
+        run_sweep(cfg)
 
 
 def test_sweep_row_rejects_non_finite():
