@@ -1,12 +1,12 @@
 """Entanglement measures and the closed-form boosted Bloch vectors.
 
-Two independent routes to the same physics live here.  The numeric route
-boosts the 16x16 density matrix and reduces it (``global_entanglement``,
-``spin_spin_reduced`` + ``negativity``).  The analytic route
-(``analytic_boosted_bloch``) evaluates closed-form expressions for the
-transformed single-qubit Bloch vectors directly from the superposition data,
-without ever building the 16x16 matrix; the two must agree and the test
-suite holds them to each other.
+Two independent routes to the same physics meet here.  The numeric route
+reduces a boosted state: the functions below take one 16x16 density matrix,
+and the sweep kernel (``sweep._measure_chunk``) boosts whole grids as
+``S Psi S^T``.  The analytic route (``analytic_boosted_bloch``, batched in
+``_analytic_bloch_batch``) evaluates closed-form transformed Bloch vectors
+from the superposition data without boosting any state; verify check c09
+and the test suite hold the two routes to each other.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .kinematics import BoostSpec, helicity_spinor, sigma_dot
+from .kinematics import BoostSpec, helicity_spinor
 from .states import (
     TWO_PARTICLE_LAYOUT,
     TwoParticleState,
@@ -48,6 +48,8 @@ class BlochVector:
     z: float
 
     def __post_init__(self) -> None:
+        if not all(math.isfinite(c) for c in (self.x, self.y, self.z)):
+            raise ValueError(f"Bloch vector components must be finite: {self!r}")
         if self.norm_sq > 1.0 + 1e-10:
             raise ValueError(f"Bloch vector lies outside the unit ball: {self!r}")
 
@@ -196,14 +198,15 @@ def _common_slot_momentum(st: TwoParticleState, slot: str):
     return first
 
 
-def _slot_tables(st: TwoParticleState, slot: str, b: BoostSpec):
-    """Per-term-pair traces of the boosted single-slot blocks.
+def _slot_tables(st: TwoParticleState, slot: str, rapidities, directions):
+    """Per-term-pair traces of the boosted single-slot blocks, for N boosts.
 
     For one slot with common momentum K and terms carrying helicity spinors
-    chi_i, the boosted block of the pair (i, j) has closed-form parity and
-    spin traces built from Tr[Xi], Tr[(n.sigma) Xi] and friends, where
-    Xi = chi_i chi_j^dagger.  Returns (mu, t_spin, t_parity) with shapes
-    (M, M), (M, M, 3), (M, M, 3).
+    chi_i, the boosted block of the pair (i, j) has parity and spin traces
+    linear in the boost-independent Tr[Xi], Tr[sigma_k Xi] and
+    Tr[sigma_a sigma_k Xi sigma_l], where Xi = chi_i chi_j^dagger.  Returns
+    (gram, mu, t_spin, t_parity) with shapes (M, M), (N, M, M), (N, M, M, 3)
+    and (N, M, M, 3); gram, the slot's Gram matrix, is mu at w = 0.
     """
     momentum = _common_slot_momentum(st, slot)
     energy, mass, knorm = momentum.energy, momentum.mass, momentum.p_norm
@@ -211,39 +214,68 @@ def _slot_tables(st: TwoParticleState, slot: str, b: BoostSpec):
     gamma = (energy - mass) / (2.0 * energy)
     beta = knorm / (2.0 * energy)
 
-    terms = st.terms
-    labels = [(t.slot_a if slot == "A" else t.slot_b)[1] for t in terms]
-    chis = [helicity_spinor(momentum, s) for s in labels]
-    hsigns = [3 - 2 * s for s in labels]
+    labels = [(t.slot_a if slot == "A" else t.slot_b)[1] for t in st.terms]
+    chis = np.array([helicity_spinor(momentum, s) for s in labels])
+    h = np.array([3.0 - 2.0 * s for s in labels])
+    hh = np.outer(h, h)
+    diag_w = alpha + gamma * hh
+    beta_hsum = beta * (h[:, None] + h[None, :])
 
-    ch, sh = math.cosh(b.rapidity), math.sinh(b.rapidity)
-    c2 = math.cosh(b.rapidity / 2.0) ** 2
-    s2 = math.sinh(b.rapidity / 2.0) ** 2
-    nsig = sigma_dot(b.direction)
-    ncomp = b.direction
+    # xi[i, j] = chi_i chi_j^dagger; its traces, with sigma_k and sandwiched
+    xi = np.einsum("ip,jq->ijpq", chis, chis.conj())
+    tr = np.einsum("ijpp->ij", xi)
+    tr_sigma = np.einsum("kqp,ijpq->ijk", PAULI, xi)
+    tr_sandwich = np.einsum("aqr,krs,ijst,ltq->ijakl", PAULI, PAULI, xi, PAULI)
 
-    m = len(terms)
-    mu = np.zeros((m, m), dtype=complex)
-    t_spin = np.zeros((m, m, 3), dtype=complex)
-    t_parity = np.zeros((m, m, 3), dtype=complex)
-    for i in range(m):
-        for j in range(m):
-            xi = np.outer(chis[i], chis[j].conj())
-            tr = np.trace(xi)
-            tr_n = np.trace(nsig @ xi)
-            hh = hsigns[i] * hsigns[j]
-            hsum = hsigns[i] + hsigns[j]
-            diag_w = alpha + gamma * hh
-            mu[i, j] = ch * diag_w * tr - sh * beta * hsum * tr_n
-            sandwich = nsig @ xi @ nsig
-            for a in range(3):
-                t_spin[i, j, a] = diag_w * (
-                    c2 * np.trace(PAULI[a] @ xi) + s2 * np.trace(PAULI[a] @ sandwich)
-                ) - sh * beta * hsum * ncomp[a] * tr
-            t_parity[i, j, 0] = ch * beta * hsum * tr - sh * diag_w * tr_n
-            t_parity[i, j, 1] = beta * (hsigns[j] - hsigns[i]) * tr
-            t_parity[i, j, 2] = (alpha - gamma * hh) * tr
-    return mu, t_spin, t_parity
+    w, n = rapidities[:, None, None], directions
+    ch, sh = np.cosh(w), np.sinh(w)
+    c2, s2 = np.cosh(w / 2.0) ** 2, np.sinh(w / 2.0) ** 2
+    tr_n = np.einsum("ijk,nk->nij", tr_sigma, n)
+    sandwich_n = np.einsum("ijakl,nk,nl->nija", tr_sandwich, n, n)
+
+    mu = ch * diag_w * tr - sh * beta_hsum * tr_n
+    t_spin = diag_w[..., None] * (
+        c2[..., None] * tr_sigma + s2[..., None] * sandwich_n
+    ) - (sh * beta_hsum * tr)[..., None] * n[:, None, None, :]
+    t_parity = np.empty_like(t_spin)
+    t_parity[..., 0] = ch * beta_hsum * tr - sh * diag_w * tr_n
+    t_parity[..., 1] = beta * (h[None, :] - h[:, None]) * tr
+    t_parity[..., 2] = (alpha - gamma * hh) * tr
+    return diag_w * tr, mu, t_spin, t_parity
+
+
+def _analytic_bloch_batch(st: TwoParticleState, rapidities, directions) -> np.ndarray:
+    """Closed-form Bloch vectors for boosts ``rapidities`` (N,) along ``directions`` (N, 3).
+
+    Returns (N, 4, 3) in PA, SA, PB, SB order, as the sweep kernel's
+    ``bloch``.  Raises ValueError naming the first rapidity whose boost
+    normalization overflows or collapses.
+    """
+    with np.errstate(all="ignore"):  # overflow is reported below, with its rapidity
+        gram_a, mu_a, ts_a, tp_a = _slot_tables(st, "A", rapidities, directions)
+        gram_b, mu_b, ts_b, tp_b = _slot_tables(st, "B", rapidities, directions)
+
+        coeffs = np.array([t.coefficient for t in st.terms], dtype=complex)
+        weights = np.outer(coeffs, coeffs.conj())
+        # Term overlaps factorize over slots; the Gram matrices normalize the
+        # raw coefficients.
+        norm_sq = float(np.real(np.sum(weights * gram_a * gram_b)))
+        if norm_sq < 1e-28:
+            raise ValueError("superposition cancels to the zero vector")
+        weights = weights / norm_sq
+
+        nu = np.real(np.sum(weights * mu_a * mu_b, axis=(1, 2)))
+        bad = ~(np.isfinite(nu) & (nu > 0.0))
+        if bad.any():
+            k = int(np.argmax(bad))
+            raise ValueError(
+                f"boost normalization failed at rapidity {rapidities[k]:.6g} (nu = {nu[k]})"
+            )
+        out = [
+            np.sum((weights * partner)[..., None] * tables, axis=(1, 2))
+            for tables, partner in ((tp_a, mu_b), (ts_a, mu_b), (tp_b, mu_a), (ts_b, mu_a))
+        ]
+    return np.real(np.stack(out, axis=1)) / nu[:, None, None]
 
 
 def analytic_boosted_bloch(
@@ -256,31 +288,5 @@ def analytic_boosted_bloch(
     independent oracle for the numeric boost-reduce-measure pipeline; the
     parity y-components vanish identically.
     """
-    mu_a, ts_a, tp_a = _slot_tables(st, "A", b)
-    mu_b, ts_b, tp_b = _slot_tables(st, "B", b)
-
-    coeffs = np.array([t.coefficient for t in st.terms], dtype=complex)
-    weights = np.outer(coeffs, coeffs.conj())
-    # Term overlaps factorize over slots; at w = 0 each mu table is the Gram
-    # matrix of its slot, which normalizes the raw coefficients.
-    gram_a, _, _ = _slot_tables(st, "A", BoostSpec(0.0, b.direction))
-    gram_b, _, _ = _slot_tables(st, "B", BoostSpec(0.0, b.direction))
-    norm_sq = float(np.real(np.sum(weights * gram_a * gram_b)))
-    if norm_sq < 1e-28:
-        raise ValueError("superposition cancels to the zero vector")
-    weights = weights / norm_sq
-
-    nu = float(np.real(np.sum(weights * mu_a * mu_b)))
-    out: dict[str, BlochVector] = {}
-    for tag, tables, partner in (
-        ("PA", tp_a, mu_b),
-        ("SA", ts_a, mu_b),
-        ("PB", tp_b, mu_a),
-        ("SB", ts_b, mu_a),
-    ):
-        components = [
-            float(np.real(np.sum(weights * tables[:, :, a] * partner))) / nu
-            for a in range(3)
-        ]
-        out[tag] = BlochVector(*components)
-    return out
+    bloch = _analytic_bloch_batch(st, np.array([b.rapidity]), b.direction[None, :])
+    return {tag: BlochVector(*row) for tag, row in zip(SUBSYSTEM_TAGS, bloch[0].tolist())}

@@ -8,7 +8,8 @@ acceptance test module both consume :func:`run_verification`.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+import time
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -22,7 +23,7 @@ from .kinematics import (
     boost_four_vector,
 )
 from .measures import (
-    analytic_boosted_bloch,
+    _analytic_bloch_batch,
     bloch_vector,
     global_entanglement,
     negativity,
@@ -32,6 +33,8 @@ from .measures import (
 )
 from .states import (
     ChiralLabelPair,
+    TwoParticleState,
+    assemble_state_vector,
     boost_two_particle,
     chiral_project,
     density_matrix,
@@ -39,6 +42,7 @@ from .states import (
     make_psi2,
     make_psi3,
 )
+from .sweep import _measure_chunk
 
 GRID_OMEGAS = np.linspace(0.0, 5.0, 20)
 GRID_THETAS = np.linspace(0.0, math.pi / 2.0, 10)
@@ -53,6 +57,8 @@ class CheckResult:
     expected: float
     tolerance: float
     detail: str = ""
+    #: Wall time of the check in seconds, filled in by :func:`run_verification`.
+    seconds: float | None = None
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
@@ -67,6 +73,22 @@ class CheckResult:
 
     def to_dict(self) -> dict:
         return asdict(self)
+
+
+def _kernel_grid(st: TwoParticleState, omegas, thetas):
+    """Measure ``st`` boosted to every (omega, theta) pair in one sweep-kernel call.
+
+    Returns the flattened, omega-major rapidities and directions, ``eg`` and
+    ``negativity`` shaped (omegas, thetas), and ``bloch`` shaped (points, 4, 3).
+    Every grid here fits the few hundred points one kernel call is sized for.
+    """
+    w = np.repeat(omegas, len(thetas))
+    th = np.tile(thetas, len(omegas))
+    n = np.stack([np.sin(th), np.zeros_like(th), np.cos(th)], axis=1)
+    psi = assemble_state_vector(st).reshape(4, 4)
+    _, eg, neg, bloch = _measure_chunk(psi, w, th, n)
+    grid = (len(omegas), len(thetas))
+    return w, n, eg.reshape(grid), neg.reshape(grid), bloch
 
 
 def _boosted_measures(rho0: np.ndarray, omega: float, theta: float) -> tuple[float, float]:
@@ -88,12 +110,8 @@ def _check_psi1_rest_eg() -> CheckResult:
 
 
 def _check_psi1_negativity_grid() -> CheckResult:
-    rho0 = density_matrix(make_psi1(1.0))
-    worst = 0.0
-    for om in GRID_OMEGAS:
-        for th in GRID_THETAS:
-            _, neg = _boosted_measures(rho0, float(om), float(th))
-            worst = max(worst, abs(neg))
+    _, _, _, neg, _ = _kernel_grid(make_psi1(1.0), GRID_OMEGAS, GRID_THETAS)
+    worst = float(np.max(np.abs(neg)))
     tol = 1e-10
     return CheckResult(
         "c02",
@@ -107,12 +125,8 @@ def _check_psi1_negativity_grid() -> CheckResult:
 
 
 def _check_psi1_parallel_invariance() -> CheckResult:
-    rho0 = density_matrix(make_psi1(1.0))
-    eg0 = global_entanglement(rho0)
-    worst = 0.0
-    for om in GRID_OMEGAS:
-        eg, _ = _boosted_measures(rho0, float(om), 0.0)
-        worst = max(worst, abs(eg - eg0))
+    _, _, eg, _, _ = _kernel_grid(make_psi1(1.0), GRID_OMEGAS, [0.0])
+    worst = float(np.max(np.abs(eg - eg[0])))  # GRID_OMEGAS[0] = 0: the unboosted state
     tol = 1e-10
     return CheckResult(
         "c03",
@@ -126,19 +140,13 @@ def _check_psi1_parallel_invariance() -> CheckResult:
 
 
 def _check_psi1_saturation() -> CheckResult:
-    rho0 = density_matrix(make_psi1(1.0))
-    measured, _ = _boosted_measures(rho0, 10.0, math.pi / 2.0)
-    monotone = True
-    min_step = math.inf
-    for th in GRID_THETAS:
-        prev = None
-        for om in GRID_OMEGAS:
-            eg, _ = _boosted_measures(rho0, float(om), float(th))
-            if prev is not None:
-                min_step = min(min_step, eg - prev)
-                if eg - prev < -1e-12:
-                    monotone = False
-            prev = eg
+    st = make_psi1(1.0)
+    _, _, saturated, _, _ = _kernel_grid(st, [10.0], [math.pi / 2.0])
+    measured = float(saturated[0, 0])
+    _, _, eg, _, _ = _kernel_grid(st, GRID_OMEGAS, GRID_THETAS)
+    steps = np.diff(eg, axis=0)
+    min_step = float(steps.min())
+    monotone = bool(np.all(steps >= -1e-12))
     passed = measured > 0.99 and monotone
     return CheckResult(
         "c04",
@@ -153,18 +161,10 @@ def _check_psi1_saturation() -> CheckResult:
 
 
 def _check_psi2_angle_independence() -> CheckResult:
-    rho0 = density_matrix(make_psi2(1.0))
     thetas = (0.0, math.pi / 8.0, math.pi / 4.0, math.pi / 2.0)
-    spread_eg = 0.0
-    spread_neg = 0.0
-    for om in GRID_OMEGAS:
-        egs, negs = [], []
-        for th in thetas:
-            eg, neg = _boosted_measures(rho0, float(om), th)
-            egs.append(eg)
-            negs.append(neg)
-        spread_eg = max(spread_eg, max(egs) - min(egs))
-        spread_neg = max(spread_neg, max(negs) - min(negs))
+    _, _, eg, neg, _ = _kernel_grid(make_psi2(1.0), GRID_OMEGAS, thetas)
+    spread_eg = float(np.max(np.ptp(eg, axis=1)))
+    spread_neg = float(np.max(np.ptp(neg, axis=1)))
     measured = max(spread_eg, spread_neg)
     tol = 1e-10
     return CheckResult(
@@ -180,14 +180,13 @@ def _check_psi2_angle_independence() -> CheckResult:
 
 
 def _check_psi2_degradation() -> CheckResult:
-    rho0 = density_matrix(make_psi2(1.0))
     expected = 1.0 / math.cosh(1.0) ** 2
     tol = 1e-9
-    measured = negativity(spin_spin_reduced(rho0))
-    omegas = np.linspace(0.0, 10.0, 41)
-    values = [_boosted_measures(rho0, float(om), 0.0)[1] for om in omegas]
-    nonincreasing = all(b - a <= 1e-12 for a, b in zip(values, values[1:]))
-    tail = values[-1]
+    _, _, _, neg, _ = _kernel_grid(make_psi2(1.0), np.linspace(0.0, 10.0, 41), [0.0])
+    values = neg[:, 0]
+    measured = float(values[0])  # omega = 0: the unboosted state
+    nonincreasing = bool(np.all(np.diff(values) <= 1e-12))
+    tail = float(values[-1])
     passed = abs(measured - expected) <= tol and nonincreasing and tail < 0.01
     return CheckResult(
         "c06",
@@ -269,21 +268,9 @@ def _check_analytic_bloch() -> CheckResult:
     worst = 0.0
     for maker in (make_psi2, make_psi3):
         st = maker(1.0)
-        rho0 = density_matrix(st)
-        for om in GRID_OMEGAS:
-            for th in GRID_THETAS:
-                boost = BoostSpec.from_polar_angle(float(om), float(th))
-                boosted, _ = boost_two_particle(rho0, boost)
-                numeric = {
-                    tag: bloch_vector(r)
-                    for tag, r in single_qubit_reductions(boosted).items()
-                }
-                analytic = analytic_boosted_bloch(st, boost)
-                for tag in numeric:
-                    diff = np.max(
-                        np.abs(numeric[tag].as_array() - analytic[tag].as_array())
-                    )
-                    worst = max(worst, float(diff))
+        w, n, _, _, numeric = _kernel_grid(st, GRID_OMEGAS, GRID_THETAS)
+        analytic = _analytic_bloch_batch(st, w, n)
+        worst = max(worst, float(np.max(np.abs(numeric - analytic))))
     return CheckResult(
         "c09",
         "closed-form boosted Bloch vectors match the numeric pipeline",
@@ -416,5 +403,10 @@ _CHECKS = (
 
 
 def run_verification() -> list[CheckResult]:
-    """Run every acceptance check in order and return the results."""
-    return [check() for check in _CHECKS]
+    """Run every acceptance check in order and return the results, each timed."""
+    results = []
+    for check in _CHECKS:
+        start = time.perf_counter()
+        result = check()
+        results.append(replace(result, seconds=time.perf_counter() - start))
+    return results

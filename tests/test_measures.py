@@ -316,3 +316,23 @@ def test_analytic_bloch_requires_common_axis_momenta():
     )
     with pytest.raises(ValueError, match="z axis"):
         analytic_boosted_bloch(st, BoostSpec(1.0, E_Z))
+
+
+def test_bloch_vector_rejects_non_finite_components():
+    for bad in ((math.nan, 0.0, 0.0), (0.0, math.inf, 0.0), (0.0, 0.0, -math.inf)):
+        with pytest.raises(ValueError, match="finite"):
+            BlochVector(*bad)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("omega", [400.0, 800.0])
+def test_analytic_bloch_overflow_names_the_rapidity(omega):
+    with pytest.raises(ValueError, match=f"rapidity {omega:g} "):
+        analytic_boosted_bloch(make_psi2(1.0), BoostSpec(omega, E_Z))
+
+
+def test_analytic_bloch_rejects_cancelling_superposition():
+    p = FourMomentum.from_rapidity(M, 1.0, E_Z)
+    terms = (SuperpositionTerm(1.0, (p, 1), (p, 2)), SuperpositionTerm(-1.0, (p, 1), (p, 2)))
+    with pytest.raises(ValueError, match="zero vector"):
+        analytic_boosted_bloch(TwoParticleState(terms, M), BoostSpec(1.0, E_Z))
