@@ -69,12 +69,13 @@ class FourMomentum:
             raise ValueError(
                 f"energy {self.energy!r} below mass {self.mass!r}"
             )
-        m2 = self.mass**2
-        residue = abs(self.energy**2 - float(p3 @ p3) - m2)
-        if residue > ONSHELL_RTOL * m2:
+        # rounding in E^2 - p^2 grows as eps E^2, so the tolerance scales with E^2
+        e2 = self.energy**2
+        residue = abs(e2 - float(p3 @ p3) - self.mass**2)
+        if residue > ONSHELL_RTOL * e2:
             raise ValueError(
                 f"four-momentum off shell: |E^2 - p^2 - m^2| = {residue:.3e} "
-                f"exceeds {ONSHELL_RTOL:.0e} relative"
+                f"exceeds {ONSHELL_RTOL:.0e} relative to E^2"
             )
 
     @classmethod

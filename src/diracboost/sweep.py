@@ -227,9 +227,9 @@ class SweepRow:
     nu: float
 
     def __post_init__(self) -> None:
-        for name, v in self.as_mapping().items():
-            if not math.isfinite(v):
-                raise ValueError(f"non-finite value for {name!r}: {v!r}")
+        if not all(map(math.isfinite, (self.omega, self.theta, *self.values.values(), self.nu))):
+            name, v = next((k, v) for k, v in self.as_mapping().items() if not math.isfinite(v))
+            raise ValueError(f"non-finite value for {name!r}: {v!r}")
 
     def as_mapping(self) -> dict[str, float]:
         out = {"omega": self.omega, "theta": self.theta}
@@ -314,18 +314,21 @@ def _measure_chunk(psi, omegas, thetas, directions):
     return nu, eg, neg, bloch
 
 
+def _grid(omega_points, theta_points):
+    """Flatten an (omega, theta) grid omega-major; directions are (sin theta, 0, cos theta)."""
+    omegas = np.repeat(omega_points, len(theta_points))
+    thetas = np.tile(theta_points, len(omega_points))
+    return omegas, thetas, np.stack([np.sin(thetas), np.zeros_like(thetas), np.cos(thetas)], axis=1)
+
+
 def run_sweep(cfg: SweepConfig) -> list[SweepRow]:
     """Run the configured sweep; rows come back in row-major grid order."""
     cfg.validate()
     psi = scenario_vector(cfg).reshape(4, 4)
     origin = np.zeros(1)
     _, (eg0,), (neg0,), _ = _measure_chunk(psi, origin, origin, E_Z[None, :])
-    theta_points = cfg.theta_grid.points()
-    omegas = np.repeat(cfg.omega_grid.points(), len(theta_points))
-    thetas = np.tile(theta_points, cfg.omega_grid.steps)
-    if cfg.boost_direction is None:
-        directions = np.stack([np.sin(thetas), np.zeros_like(thetas), np.cos(thetas)], axis=1)
-    else:
+    omegas, thetas, directions = _grid(cfg.omega_grid.points(), cfg.theta_grid.points())
+    if cfg.boost_direction is not None:
         directions = np.broadcast_to(cfg.boost_direction, (len(omegas), 3))
 
     names = [n for m in cfg.measures for n in (_BLOCH_COLUMNS if m == "bloch" else (m,))]
@@ -341,35 +344,47 @@ def run_sweep(cfg: SweepConfig) -> list[SweepRow]:
     return rows
 
 
-def _fmt(v: float) -> str:
-    return f"{v:.12g}"
-
-
 def emit(rows: Sequence[SweepRow], output_format: str = "csv", destination=None) -> bytes:
     """Serialize rows to CSV or JSON bytes; optionally write them out.
 
-    CSV carries a header `omega,theta,<measures>,nu`, 12 significant digits,
-    LF line endings.  JSON is an array of row objects with identical keys and
-    the same 12-digit rounding.  Identical inputs produce identical bytes.
+    CSV carries a header `omega,theta,<measures>,nu`, 12 significant digits
+    (each token is ``f"{v:.12g}"``), LF line endings.  JSON is an array of row
+    objects with identical keys; each number is ``repr(float(f"{v:.12g}"))``,
+    as ``json.dumps`` writes it.  Identical inputs produce identical bytes.
     """
     rows = list(rows)
     if not rows:
         raise ConfigError("rows", "nothing to emit: empty row list")
-    columns = list(rows[0].as_mapping().keys())
-    for r in rows[1:]:
-        if list(r.as_mapping().keys()) != columns:
-            raise ValueError("rows have inconsistent columns")
+    names = list(rows[0].values)
+    if any(list(r.values) != names for r in rows):
+        raise ValueError("rows have inconsistent columns")
+    columns = list(rows[0].as_mapping())
+    table = ((r.omega, r.theta, *r.values.values(), r.nu) for r in rows)
+    # one template call per row: "%.12g" writes exactly the token f"{v:.12g}" does
+    line = ",".join(["%.12g"] * len(columns))
     if output_format == "csv":
-        lines = [",".join(columns)]
-        lines.extend(",".join(_fmt(v) for v in r.as_mapping().values()) for r in rows)
-        data = ("\n".join(lines) + "\n").encode("ascii")
+        text = "\n".join([",".join(columns), *(line % values for values in table)]) + "\n"
     elif output_format == "json":
-        payload = [
-            {k: float(_fmt(v)) for k, v in r.as_mapping().items()} for r in rows
-        ]
-        data = (json.dumps(payload, separators=(",", ":")) + "\n").encode("ascii")
+        keys = [json.dumps(c).replace("%", "%%") + ":" for c in columns]
+        fast, exact = ("{" + ",".join(k + field for k in keys) + "}" for field in ("%.12g", "%r"))
+        table = list(table)
+        # A 12-digit token differs from repr(float(token)) only when it reads as
+        # an integer (repr appends ".0") or has exponent e+12..e+15 (repr writes
+        # it positionally).  Both imply |v - rint(v)| <= 1e-11 |v|: rows holding
+        # such a nonzero v take the exact route; exact zeros are patched in bulk.
+        array = np.array(table)
+        near_integer = np.abs(array - np.rint(array)) <= 1e-11 * np.abs(array)
+        slow_rows = np.any(near_integer & (array != 0.0), axis=1).tolist()
+        text = ",".join(
+            exact % tuple(map(float, (line % values).split(","))) if slow else fast % values
+            for values, slow in zip(table, slow_rows)
+        )
+        for token in (":0,", ":0}", ":-0,", ":-0}"):
+            text = text.replace(token, token[:-1] + ".0" + token[-1])
+        text = f"[{text}]\n"
     else:
         raise ConfigError("format", f"unknown format {output_format!r}")
+    data = text.encode("ascii")
     if destination is not None:
         if hasattr(destination, "write"):
             destination.write(data)

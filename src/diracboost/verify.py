@@ -42,7 +42,7 @@ from .states import (
     make_psi2,
     make_psi3,
 )
-from .sweep import _measure_chunk
+from .sweep import _grid, _measure_chunk
 
 GRID_OMEGAS = np.linspace(0.0, 5.0, 20)
 GRID_THETAS = np.linspace(0.0, math.pi / 2.0, 10)
@@ -82,9 +82,7 @@ def _kernel_grid(st: TwoParticleState, omegas, thetas):
     ``negativity`` shaped (omegas, thetas), and ``bloch`` shaped (points, 4, 3).
     Every grid here fits the few hundred points one kernel call is sized for.
     """
-    w = np.repeat(omegas, len(thetas))
-    th = np.tile(thetas, len(omegas))
-    n = np.stack([np.sin(th), np.zeros_like(th), np.cos(th)], axis=1)
+    w, th, n = _grid(omegas, thetas)
     psi = assemble_state_vector(st).reshape(4, 4)
     _, eg, neg, bloch = _measure_chunk(psi, w, th, n)
     grid = (len(omegas), len(thetas))

@@ -51,6 +51,15 @@ def test_four_momentum_at_rest_and_roundtrip():
     assert_allclose(p.energy, math.sqrt(2.5**2 + 0.09 + 0.16 + 1.44), atol=1e-15)
 
 
+@pytest.mark.parametrize("w", [7.5, 10.0, 15.0, 20.0])
+def test_four_momentum_from_large_rapidity_is_on_shell(w):
+    # E^2 - p^2 rounds at eps E^2, far above 1e-10 m^2 once w >= 7.5
+    p = FourMomentum.from_rapidity(M, w, E_Z)
+    assert p.energy == M * math.cosh(w)
+    with pytest.raises(ValueError, match="off shell.*relative to E\\^2"):
+        FourMomentum(M, p.energy, p.p3 * (1.0 + 1e-6))
+
+
 def test_four_momentum_validation():
     with pytest.raises(ValueError, match="off shell"):
         FourMomentum(M, 2.0, [0.0, 0.0, 0.1])

@@ -1,4 +1,5 @@
-"""Property tests: the batched sweep kernel against the closed-form Bloch oracle.
+"""Property tests: the batched sweep kernel against the closed-form Bloch oracle,
+boost reversibility, and local-unitary invariance of the measures.
 
 States share one momentum per slot, along +z or -z, and superpose one to
 four helicity-pair terms with random complex coefficients; boosts have random
@@ -10,10 +11,11 @@ import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from diracboost.kinematics import E_Z, BoostSpec, FourMomentum
+from diracboost.kinematics import E_Z, BoostSpec, FourMomentum, bispinor_boost
 from diracboost.measures import _analytic_bloch_batch, analytic_boosted_bloch
 from diracboost.states import SuperpositionTerm, TwoParticleState, assemble_state_vector
 from diracboost.sweep import _measure_chunk
+from diracboost.tensor import kron
 
 TOL = 1e-10
 
@@ -69,3 +71,42 @@ def test_kernel_matches_closed_form_oracle(state, batch):
         np.testing.assert_array_equal(
             np.stack([single[tag].as_array() for tag in ("PA", "SA", "PB", "SB")]), analytic[k]
         )
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(state=shared_momentum_states(), batch=boosts())
+def test_inverse_boost_restores_the_state(state, batch):
+    psi = assemble_state_vector(state).reshape(4, 4)
+    for w, n in zip(*batch):
+        b = BoostSpec(float(w), n)
+        s, s_back = bispinor_boost(b), bispinor_boost(b.reversed())
+        boosted = s @ psi @ s.T
+        boosted /= np.linalg.norm(boosted)
+        restored = s_back @ boosted @ s_back.T
+        assert np.max(np.abs(restored / np.linalg.norm(restored) - psi)) <= 1e-12
+
+
+@st.composite
+def qubit_unitaries(draw):
+    """A random SU(2) element from a unit quaternion."""
+    q = np.array([draw(unit) for _ in range(4)])
+    assume(np.linalg.norm(q) > 0.1)
+    a, b, c, d = q / np.linalg.norm(q)
+    return np.array([[a + 1j * d, c + 1j * b], [-c + 1j * b, a - 1j * d]])
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(state=shared_momentum_states(), batch=boosts(), u_parity=qubit_unitaries(),
+       u_spin=qubit_unitaries())
+def test_measures_are_invariant_under_local_unitaries_on_slot_a(state, batch, u_parity, u_spin):
+    psi = assemble_state_vector(state).reshape(4, 4)
+    local = kron(u_parity, u_spin)  # acts on the rows of psi: parity A (x) spin A
+    rest = np.zeros(1)
+    for w, n in zip(*batch):
+        s = bispinor_boost(BoostSpec(float(w), n))
+        boosted = s @ psi @ s.T
+        boosted /= np.linalg.norm(boosted)
+        _, eg, neg, _ = _measure_chunk(boosted, rest, rest, E_Z[None, :])
+        _, eg_local, neg_local, _ = _measure_chunk(local @ boosted, rest, rest, E_Z[None, :])
+        assert abs(eg_local[0] - eg[0]) <= 1e-12
+        assert abs(neg_local[0] - neg[0]) <= 1e-12

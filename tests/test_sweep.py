@@ -240,6 +240,12 @@ def test_chiral_scenario_with_equal_labels_is_boost_invariant():
         assert abs(row.values["delta_negativity"]) < 1e-12
 
 
+@pytest.mark.parametrize("omega0", [7.5, 10.0, 15.0])
+def test_psi2_rest_negativity_at_large_omega0(omega0):
+    (row,) = run_sweep(tiny_config(scenario="psi2", omega0=omega0))
+    assert abs(row.values["negativity"] - 1.0 / math.cosh(omega0) ** 2) <= 1e-12
+
+
 @pytest.mark.filterwarnings("error")
 def test_failed_point_reports_coordinates():
     cfg = tiny_config(
@@ -254,6 +260,10 @@ def test_failed_point_reports_coordinates():
 def test_sweep_row_rejects_non_finite():
     with pytest.raises(ValueError, match="non-finite"):
         SweepRow(0.0, 0.0, {"eg": math.nan}, 1.0)
+    with pytest.raises(ValueError, match=r"non-finite value for 'negativity': inf"):
+        SweepRow(0.0, 0.0, {"eg": 0.5, "negativity": math.inf, "delta_eg": math.nan}, 1.0)
+    with pytest.raises(ValueError, match=r"non-finite value for 'nu': nan"):
+        SweepRow(0.0, 0.0, {"eg": 0.5}, math.nan)
 
 
 # --------------------------------------------------------------------------
@@ -304,9 +314,11 @@ def test_emit_rejects_bad_input():
     rows = run_sweep(tiny_config())
     with pytest.raises(ConfigError, match="unknown format"):
         emit(rows, "yaml")
-    mismatched = rows + [SweepRow(1.0, 0.0, {"eg": 0.5}, 1.0)]
-    with pytest.raises(ValueError, match="inconsistent columns"):
-        emit(mismatched, "csv")
+    reordered = dict(reversed(rows[0].values.items()))
+    for output_format in ("csv", "json"):
+        for other in ({"eg": 0.5}, reordered):
+            with pytest.raises(ValueError, match="inconsistent columns"):
+                emit(rows + [SweepRow(1.0, 0.0, other, 1.0)], output_format)
 
 
 # --------------------------------------------------------------------------
@@ -356,6 +368,15 @@ def test_cli_sweep_writes_identity_row(tmp_path):
     )
     assert code == 0
     assert out.read_bytes() == IDENTITY_ROW
+
+
+def test_cli_sweep_accepts_large_omega0(tmp_path):
+    out = tmp_path / "rows.csv"
+    code = cli.main(
+        ["sweep", "--omega0", "10", "--omega", "0:5:3", "--theta", "0:1:2", "--out", str(out)]
+    )
+    assert code == 0
+    assert len(out.read_text().splitlines()) == 7
 
 
 def test_cli_flags_override_config_file(tmp_path, capsys):
