@@ -63,7 +63,6 @@ from .tensor import (
     partial_trace,
     partial_transpose,
 )
-from .verify import CheckResult, run_verification
 
 __version__ = "0.1.0"
 
@@ -119,3 +118,11 @@ __all__ = [
     "spin_spin_reduced",
     "__version__",
 ]
+
+
+def __getattr__(name: str):
+    # verify loads on first use, so that a sweep does not pay for importing it
+    if name in ("CheckResult", "run_verification"):
+        from . import verify
+        return getattr(verify, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -19,10 +20,9 @@ from .sweep import (
     GridSpec,
     SweepConfig,
     SweepError,
-    emit,
-    run_sweep,
+    _format_chunks,
+    _sweep_columns,
 )
-from .verify import run_verification
 
 _CONFIG_KEYS = (
     "scenario",
@@ -68,8 +68,6 @@ def load_config_file(path: str) -> dict:
 
 
 def _to_float(value, field: str) -> float:
-    if isinstance(value, float):
-        return value
     try:
         return float(value)
     except (TypeError, ValueError):
@@ -77,8 +75,6 @@ def _to_float(value, field: str) -> float:
 
 
 def _to_int(value, field: str) -> int:
-    if isinstance(value, int):
-        return value
     try:
         return int(value)
     except (TypeError, ValueError):
@@ -88,8 +84,6 @@ def _to_int(value, field: str) -> int:
 def _to_grid(value, field: str, default: GridSpec) -> GridSpec:
     if value is None:
         return default
-    if isinstance(value, GridSpec):
-        return value
     return GridSpec.parse(str(value), field)
 
 
@@ -184,21 +178,38 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _write_out(chunks, out: str) -> None:
+    """Stream ``chunks`` into ``out``; a file is replaced only once every chunk is written."""
+    path = Path(out)
+    if path.exists() and not path.is_file():  # a device or pipe such as /dev/null
+        with open(path, "wb") as fh:
+            fh.writelines(chunks)
+        return
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "xb") as fh:
+            fh.writelines(chunks)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def _cmd_sweep(args: argparse.Namespace) -> int:
     try:
         cfg, out = build_config(args)
-        rows = run_sweep(cfg)
-        emit(rows, cfg.output_format, out if out is not None else sys.stdout.buffer)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (SweepError, ValueError, OSError) as exc:
+        chunks = _format_chunks(*_sweep_columns(cfg), cfg.output_format)
+        if out is None:
+            sys.stdout.buffer.writelines(chunks)
+        else:
+            _write_out(chunks, out)
+    except (SweepError, ValueError, OSError) as exc:  # ConfigError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    from .verify import run_verification  # only this command pays for loading the checks
     results = run_verification()
     passed = sum(1 for r in results if r.passed)
     if args.json:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 from typing import Sequence
 
@@ -321,8 +322,11 @@ def _grid(omega_points, theta_points):
     return omegas, thetas, np.stack([np.sin(thetas), np.zeros_like(thetas), np.cos(thetas)], axis=1)
 
 
-def run_sweep(cfg: SweepConfig) -> list[SweepRow]:
-    """Run the configured sweep; rows come back in row-major grid order."""
+def _sweep_columns(cfg: SweepConfig):
+    """Columns ``omega, theta, <measures>, nu`` and an iterator of one ``(n, k)`` block per chunk.
+
+    Raises :class:`SweepError` naming the first point and column that is not finite.
+    """
     cfg.validate()
     psi = scenario_vector(cfg).reshape(4, 4)
     origin = np.zeros(1)
@@ -330,18 +334,62 @@ def run_sweep(cfg: SweepConfig) -> list[SweepRow]:
     omegas, thetas, directions = _grid(cfg.omega_grid.points(), cfg.theta_grid.points())
     if cfg.boost_direction is not None:
         directions = np.broadcast_to(cfg.boost_direction, (len(omegas), 3))
-
     names = [n for m in cfg.measures for n in (_BLOCH_COLUMNS if m == "bloch" else (m,))]
-    rows: list[SweepRow] = []
-    for start in range(0, len(omegas), _CHUNK):
-        part = slice(start, start + _CHUNK)
-        nu, eg, neg, bloch = _measure_chunk(psi, omegas[part], thetas[part], directions[part])
-        measured = dict(zip(_BLOCH_COLUMNS, bloch.reshape(-1, 12).T))
-        measured.update(eg=eg, delta_eg=eg - eg0, negativity=neg, delta_negativity=neg - neg0)
-        table = np.stack([measured[n] for n in names], axis=1).tolist()
-        points = zip(omegas[part].tolist(), thetas[part].tolist(), table, nu.tolist())
-        rows.extend(SweepRow(om, th, dict(zip(names, v)), nu_k) for om, th, v, nu_k in points)
-    return rows
+    columns = ["omega", "theta", *names, "nu"]
+
+    def blocks():
+        for start in range(0, len(omegas), _CHUNK):
+            part = slice(start, start + _CHUNK)
+            nu, eg, neg, bloch = _measure_chunk(psi, omegas[part], thetas[part], directions[part])
+            measured = dict(zip(_BLOCH_COLUMNS, bloch.reshape(-1, 12).T))
+            measured.update(eg=eg, delta_eg=eg - eg0, negativity=neg, delta_negativity=neg - neg0)
+            block = np.stack([omegas[part], thetas[part], *(measured[n] for n in names), nu], axis=1)
+            if not np.isfinite(block).all():
+                k, j = np.argwhere(~np.isfinite(block))[0]
+                reason = f"non-finite value for {columns[j]!r}: {block[k, j]}"
+                raise _point_error(block[k, 0], block[k, 1], reason)
+            yield block
+
+    return columns, blocks()
+
+
+def run_sweep(cfg: SweepConfig) -> list[SweepRow]:
+    """Run the configured sweep; rows come back in row-major grid order."""
+    columns, blocks = _sweep_columns(cfg)
+    names = columns[2:-1]
+    rows = (row for block in blocks for row in block.tolist())
+    return [SweepRow(om, th, dict(zip(names, v)), nu) for om, th, *v, nu in rows]
+
+
+def _format_chunks(columns: Sequence[str], blocks, output_format: str):
+    """Yield the CSV or JSON bytes of ``blocks`` chunk by chunk; see :func:`emit`."""
+    # "%.12g" writes exactly the token f"{v:.12g}" does
+    line = ",".join(["%.12g"] * len(columns))
+    if output_format == "csv":
+        yield (",".join(columns) + "\n").encode("ascii")
+        for block in blocks:
+            yield ((f"{line}\n" * len(block)) % tuple(block.ravel().tolist())).encode("ascii")
+    elif output_format == "json":
+        keys = [json.dumps(c).replace("%", "%%") + ":" for c in columns]
+        fast, exact = ("{" + ",".join(k + field for k in keys) + "}" for field in ("%.12g", "%r"))
+        yield b"["
+        for i, block in enumerate(blocks):
+            # A 12-digit token differs from repr(float(token)) only when it reads as
+            # an integer (repr appends ".0") or has exponent e+12..e+15 (repr writes
+            # it positionally).  Both imply |v - rint(v)| <= 1e-11 |v|: rows holding
+            # such a nonzero v take the exact route; exact zeros are patched in bulk.
+            near_integer = np.abs(block - np.rint(block)) <= 1e-11 * np.abs(block)
+            table, templates = block.tolist(), [fast] * len(block)
+            for k in np.flatnonzero(np.any(near_integer & (block != 0.0), axis=1)).tolist():
+                table[k] = [float(token) for token in (line % tuple(table[k])).split(",")]
+                templates[k] = exact
+            text = ",".join(templates) % tuple(chain.from_iterable(table))
+            for token in (":0,", ":0}", ":-0,", ":-0}"):
+                text = text.replace(token, token[:-1] + ".0" + token[-1])
+            yield ("," * (i > 0) + text).encode("ascii")
+        yield b"]\n"
+    else:
+        raise ConfigError("format", f"unknown format {output_format!r}")
 
 
 def emit(rows: Sequence[SweepRow], output_format: str = "csv", destination=None) -> bytes:
@@ -358,33 +406,8 @@ def emit(rows: Sequence[SweepRow], output_format: str = "csv", destination=None)
     names = list(rows[0].values)
     if any(list(r.values) != names for r in rows):
         raise ValueError("rows have inconsistent columns")
-    columns = list(rows[0].as_mapping())
-    table = ((r.omega, r.theta, *r.values.values(), r.nu) for r in rows)
-    # one template call per row: "%.12g" writes exactly the token f"{v:.12g}" does
-    line = ",".join(["%.12g"] * len(columns))
-    if output_format == "csv":
-        text = "\n".join([",".join(columns), *(line % values for values in table)]) + "\n"
-    elif output_format == "json":
-        keys = [json.dumps(c).replace("%", "%%") + ":" for c in columns]
-        fast, exact = ("{" + ",".join(k + field for k in keys) + "}" for field in ("%.12g", "%r"))
-        table = list(table)
-        # A 12-digit token differs from repr(float(token)) only when it reads as
-        # an integer (repr appends ".0") or has exponent e+12..e+15 (repr writes
-        # it positionally).  Both imply |v - rint(v)| <= 1e-11 |v|: rows holding
-        # such a nonzero v take the exact route; exact zeros are patched in bulk.
-        array = np.array(table)
-        near_integer = np.abs(array - np.rint(array)) <= 1e-11 * np.abs(array)
-        slow_rows = np.any(near_integer & (array != 0.0), axis=1).tolist()
-        text = ",".join(
-            exact % tuple(map(float, (line % values).split(","))) if slow else fast % values
-            for values, slow in zip(table, slow_rows)
-        )
-        for token in (":0,", ":0}", ":-0,", ":-0}"):
-            text = text.replace(token, token[:-1] + ".0" + token[-1])
-        text = f"[{text}]\n"
-    else:
-        raise ConfigError("format", f"unknown format {output_format!r}")
-    data = text.encode("ascii")
+    block = np.array([(r.omega, r.theta, *r.values.values(), r.nu) for r in rows], dtype=float)
+    data = b"".join(_format_chunks(list(rows[0].as_mapping()), [block], output_format))
     if destination is not None:
         if hasattr(destination, "write"):
             destination.write(data)

@@ -9,7 +9,7 @@ index is ``8*pA + 4*sA + 2*pB + sB``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -28,11 +28,11 @@ HERMITICITY_TOL = 1e-10
 class SubsystemLayout:
     """Ordered qubit register used to address tensor factors by tag.
 
+    Every factor is a qubit (dimension 2), so the tags alone fix the layout.
     The first tag varies slowest in the flat index (most significant bit).
     """
 
     labels: tuple[str, ...]
-    factor_dims: tuple[int, ...] = field(default=())
 
     def __post_init__(self) -> None:
         labels = tuple(self.labels)
@@ -41,10 +41,6 @@ class SubsystemLayout:
             raise ValueError("layout needs at least one subsystem")
         if len(set(labels)) != len(labels):
             raise ValueError(f"subsystem tags must be unique, got {labels!r}")
-        dims = tuple(self.factor_dims) or (2,) * len(labels)
-        if len(dims) != len(labels) or any(d != 2 for d in dims):
-            raise ValueError("all factors must be qubits (dimension 2)")
-        object.__setattr__(self, "factor_dims", dims)
 
     @property
     def dim(self) -> int:

@@ -1,18 +1,24 @@
-"""Byte equality of ``emit`` with a per-value reference formulation.
+"""Byte equality of ``emit`` and the streaming CLI with a per-value reference.
 
 ``reference_emit`` formats every value on its own: ``f"{v:.12g}"`` joined by
 commas for CSV, and ``json.dumps`` of ``float(f"{v:.12g}")`` row dicts for
-JSON.  ``emit`` formats a whole row with one template and patches the few
-tokens whose JSON spelling differs; it must write the same bytes.
+JSON.  ``emit`` and ``diracboost sweep`` format a whole chunk of rows with one
+template and patch the few tokens whose JSON spelling differs; they must
+write the same bytes.
 """
 
 import json
+import os
+import stat
+import threading
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diracboost.sweep import SweepRow, emit, run_sweep
+from diracboost import cli, sweep
+from diracboost.sweep import _CHUNK, SweepError, SweepRow, emit, run_sweep
 from test_golden import CASES
 
 FORMATS = ("csv", "json")
@@ -73,3 +79,101 @@ def test_emit_escapes_percent_in_json_keys():
     rows = [SweepRow(0.0, 1.5, {"a%d": 2.0, "b%%s": -0.0}, 1.0)]
     for output_format in FORMATS:
         assert emit(rows, output_format) == reference_emit(rows, output_format)
+
+
+# --------------------------------------------------------------------------
+# the CLI streams chunk by chunk
+# --------------------------------------------------------------------------
+
+CUSTOM_TERMS = ["--term=1,0,1,1,1,2,1,-1", "--term=0,0.5,2,1.3,-1,1,0.6,1"]
+# 700 and 601 rows: three chunks, the last one partial.  The omega = 0 rows and
+# rows at integer omega (both take JSON's exact route), exact zeros included,
+# fall in the second chunk and beyond.
+STREAMED = {
+    "psi3-bloch": ["--scenario", "psi3", "--omega=-3:3:7", "--theta", "0:3.141592653589793:100",
+                   "--measures", "eg,delta_eg,negativity,delta_negativity,bloch"],
+    "custom-boost-dir": ["--scenario", "custom", *CUSTOM_TERMS, "--boost-dir", "0.48,0.6,0.64",
+                         "--omega=-3:3:601", "--theta", "0:0:1"],
+}
+
+
+def _config(argv):
+    cfg, _ = cli.build_config(cli._build_parser().parse_args(["sweep", *argv]))
+    return cfg
+
+
+@pytest.mark.parametrize("output_format", FORMATS)
+@pytest.mark.parametrize("name", sorted(STREAMED))
+def test_cli_streams_reference_bytes(name, output_format, tmp_path, capsysbinary):
+    argv = [*STREAMED[name], "--format", output_format]
+    cfg = _config(argv)
+    rows = run_sweep(cfg)
+    assert 2 * _CHUNK < len(rows) < 3 * _CHUNK
+    assert {0.0, 1.0, 2.0} <= {r.omega for r in rows[_CHUNK:]}
+    assert any(v == 0.0 for r in rows[_CHUNK:] for v in r.values.values())
+    expected = reference_emit(rows, output_format)
+
+    out = tmp_path / f"rows.{output_format}"
+    assert cli.main(["sweep", *argv, "--out", str(out)]) == 0
+    assert out.read_bytes() == expected
+    assert [p.name for p in tmp_path.iterdir()] == [out.name]
+    capsysbinary.readouterr()
+    assert cli.main(["sweep", *argv]) == 0
+    assert capsysbinary.readouterr().out == expected
+
+
+def test_cli_writes_a_pipe_in_place(tmp_path):
+    argv = ["--scenario", "psi1", "--omega", "0:1:3", "--theta", "0:1:2"]
+    pipe = tmp_path / "pipe"
+    os.mkfifo(pipe)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(pipe.read_bytes()), daemon=True)
+    reader.start()
+    assert cli.main(["sweep", *argv, "--out", str(pipe)]) == 0
+    reader.join(timeout=30)
+    assert not reader.is_alive()
+    assert received == [reference_emit(run_sweep(_config(argv)), "csv")]
+    assert stat.S_ISFIFO(pipe.stat().st_mode)
+
+
+# omega = 400 overflows nu; its first row is row 400, in the second chunk
+FAILING = ["sweep", "--omega", "0:400:3", "--theta", "0:1:200"]
+
+
+@pytest.mark.parametrize("output_format", FORMATS)
+def test_failed_sweep_leaves_out_file_untouched(output_format, tmp_path, capsys):
+    out = tmp_path / "rows.out"
+    out.write_bytes(b"earlier output\n")
+    assert cli.main([*FAILING, "--format", output_format, "--out", str(out)]) == 1
+    assert "sweep point (omega=400, theta=0) failed" in capsys.readouterr().err
+    assert out.read_bytes() == b"earlier output\n"
+    assert [p.name for p in tmp_path.iterdir()] == [out.name]
+    missing = tmp_path / "never.out"
+    assert cli.main([*FAILING, "--format", output_format, "--out", str(missing)]) == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == [out.name]
+
+
+@pytest.mark.parametrize("output_format", FORMATS)
+def test_failed_sweep_on_stdout_exits_1(output_format, capsysbinary):
+    assert cli.main([*FAILING, "--format", output_format]) == 1
+    captured = capsysbinary.readouterr()
+    assert b"omega=400" in captured.err
+    # the first chunk went out before the second one failed
+    written = captured.out.count(b"\n") - 1 if output_format == "csv" else captured.out.count(b"{")
+    assert written == _CHUNK
+
+
+def test_non_finite_measure_names_point_and_column(monkeypatch):
+    kernel = sweep._measure_chunk
+
+    def corrupted(psi, omegas, thetas, directions):
+        nu, eg, neg, bloch = kernel(psi, omegas, thetas, directions)
+        if len(omegas) > 1:
+            bloch[16, 1, 2] = np.nan  # row 16 of the grid: omega = 0.5, theta = 0.5
+        return nu, eg, neg, bloch
+
+    monkeypatch.setattr(sweep, "_measure_chunk", corrupted)
+    cfg = _config(["--scenario", "psi3", "--omega", "0:1:3", "--theta", "0:1:11",
+                   "--measures", "eg,bloch"])
+    with pytest.raises(SweepError, match=r"omega=0\.5, theta=0\.5\).*'bloch_sa_z': nan"):
+        run_sweep(cfg)

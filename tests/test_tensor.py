@@ -111,11 +111,6 @@ def test_layout_rejects_empty():
         SubsystemLayout(())
 
 
-def test_layout_rejects_non_qubit_dims():
-    with pytest.raises(ValueError, match="dimension 2"):
-        SubsystemLayout(("A", "B"), (2, 3))
-
-
 def test_layout_dim_and_axis():
     assert QUAD.dim == 16
     assert QUAD.axis("PA") == 0

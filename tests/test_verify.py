@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import diracboost.measures
 import diracboost.states
@@ -92,3 +96,16 @@ def test_verify_reports_seconds_per_check_in_json_only(capsys):
     assert json_code == text_code == 2
     assert "seconds" not in text
     assert len(text.splitlines()) == 11
+
+
+def test_cli_import_leaves_verify_unloaded():
+    code = "import sys, diracboost.cli; print('diracboost.verify' in sys.modules)"
+    src = str(Path(diracboost.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=60, check=True)
+    assert done.stdout.strip() == "False"
+    assert diracboost.run_verification is run_verification
+    assert diracboost.CheckResult is CheckResult
+    assert "run_verification" in diracboost.__all__
+    with pytest.raises(AttributeError, match="no_such_name"):
+        diracboost.no_such_name
