@@ -36,6 +36,8 @@ UNIT_NORM_TOL = 1e-12
 
 #: Chirality operator in the parity (x) spin ordering.
 GAMMA5 = kron(PAULI_X, ID2)
+#: The boost generators sigma_x (x) sigma_k: a boost along n uses sum_k n_k of them.
+BOOST_GENERATORS = np.stack([kron(PAULI_X, sigma) for sigma in PAULI])
 
 
 def _check_helicity(s: int) -> int:
@@ -231,9 +233,8 @@ def bispinor_boost(b: BoostSpec) -> np.ndarray:
     Hermitian with determinant 1, but not unitary for w != 0.
     """
     half = b.rapidity / 2.0
-    return math.cosh(half) * np.eye(4, dtype=complex) - math.sinh(half) * kron(
-        PAULI_X, sigma_dot(b.direction)
-    )
+    generator = np.tensordot(b.direction, BOOST_GENERATORS, axes=1)
+    return math.cosh(half) * np.eye(4, dtype=complex) - math.sinh(half) * generator
 
 
 def chiral_projector(f: int) -> np.ndarray:

@@ -2,8 +2,8 @@
 
 Two independent routes to the same physics meet here.  The numeric route
 reduces a boosted state: the functions below take one 16x16 density matrix,
-and the sweep kernel (``sweep._measure_chunk``) boosts whole grids as
-``S Psi S^T``.  The analytic route (``analytic_boosted_bloch``, batched in
+and the batched kernel (``kernel._measure_chunk``, also behind ``delta_*``)
+boosts whole grids.  The analytic route (``analytic_boosted_bloch``, batched in
 ``_analytic_bloch_batch``) evaluates closed-form transformed Bloch vectors
 from the superposition data without boosting any state; verify check c09
 and the test suite hold the two routes to each other.
@@ -17,13 +17,9 @@ from typing import Mapping
 
 import numpy as np
 
-from .kinematics import BoostSpec, helicity_spinor
-from .states import (
-    TWO_PARTICLE_LAYOUT,
-    TwoParticleState,
-    boost_two_particle,
-    density_matrix,
-)
+from .kernel import _clamp_residue, _measure_chunk
+from .kinematics import E_Z, BoostSpec, helicity_spinor
+from .states import TWO_PARTICLE_LAYOUT, TwoParticleState, assemble_state_vector
 from .tensor import PAULI, SubsystemLayout, hermitian_eigenvalues, partial_trace, partial_transpose
 
 SUBSYSTEM_TAGS = TWO_PARTICLE_LAYOUT.labels
@@ -31,12 +27,6 @@ SUBSYSTEM_TAGS = TWO_PARTICLE_LAYOUT.labels
 SPIN_PAIR_LAYOUT = SubsystemLayout(("SA", "SB"))
 
 _TRACE_TOL = 1e-8
-_ROUNDING_CLAMP = 1e-12
-
-
-def _clamp_residue(values):
-    """Snap values in [-1e-12, 0), rounding residue on pure or separable states, to 0."""
-    return np.where((values >= -_ROUNDING_CLAMP) & (values < 0.0), 0.0, values)
 
 
 @dataclass(frozen=True)
@@ -150,18 +140,23 @@ def negativity(rho_ss: np.ndarray) -> float:
     return float(_clamp_residue(np.sum(np.abs(hermitian_eigenvalues(transposed))) - 1.0))
 
 
+def _boost_deltas(st: TwoParticleState, b: BoostSpec) -> tuple[float, float]:
+    """(E_G, N) at the boost minus at the origin, from one kernel call, as the sweep's delta_*."""
+    theta = np.arccos(np.clip(b.direction[2], -1.0, 1.0))  # names a failed point
+    psi = assemble_state_vector(st).reshape(4, 4)
+    points = np.array([0.0, b.rapidity]), np.array([0.0, theta]), np.stack([E_Z, b.direction])
+    _, eg, neg, _ = _measure_chunk(psi, *points)
+    return float(eg[1] - eg[0]), float(neg[1] - neg[0])
+
+
 def delta_global(st: TwoParticleState, b: BoostSpec) -> float:
     """Change of global entanglement under a boost (boosted minus original)."""
-    rho = density_matrix(st)
-    boosted, _ = boost_two_particle(rho, b)
-    return global_entanglement(boosted) - global_entanglement(rho)
+    return _boost_deltas(st, b)[0]
 
 
 def delta_negativity(st: TwoParticleState, b: BoostSpec) -> float:
     """Change of spin-spin negativity under a boost (boosted minus original)."""
-    rho = density_matrix(st)
-    boosted, _ = boost_two_particle(rho, b)
-    return negativity(spin_spin_reduced(boosted)) - negativity(spin_spin_reduced(rho))
+    return _boost_deltas(st, b)[1]
 
 
 def entanglement_report(rho: np.ndarray, nu: float | None = None) -> EntanglementReport:

@@ -16,10 +16,9 @@ from typing import Sequence
 
 import numpy as np
 
+from .kernel import SweepError, _grid, _measure_chunk, _point_error
 from .kinematics import E_Z, FourMomentum
-from .measures import _clamp_residue
 from .states import (
-    _ZERO_NORM_TOL,
     ChiralLabelPair,
     SuperpositionTerm,
     TwoParticleState,
@@ -29,7 +28,7 @@ from .states import (
     make_psi2,
     make_psi3,
 )
-from .tensor import ID2, PAULI, PAULI_X, kron, outer
+from .tensor import outer
 
 SCENARIOS = ("psi1", "psi2", "psi3", "chiral-psi2", "chiral-psi3", "custom")
 MEASURES = ("eg", "delta_eg", "negativity", "delta_negativity", "bloch")
@@ -41,14 +40,6 @@ _BLOCH_COLUMNS = tuple(f"bloch_{tag}_{axis}" for tag in ("pa", "sa", "pb", "sb")
 #: Grid points per kernel call.  A few hundred keeps the working arrays, and
 #: so peak memory, small on any grid while amortizing per-call overhead.
 _CHUNK = 256
-#: sigma_x (x) sigma_k: the boost generator along n is sum_k n_k times these.
-_BOOST_GENERATORS = np.stack([kron(PAULI_X, sigma) for sigma in PAULI])
-#: vec(rho) @ column j is Tr[O_j rho], for O_j = sigma (x) I (parity), then I (x) sigma (spin).
-_LOCAL_PAULI = np.stack(
-    [kron(sigma, ID2).T.ravel() for sigma in PAULI]
-    + [kron(ID2, sigma).T.ravel() for sigma in PAULI],
-    axis=1,
-)
 
 
 class ConfigError(ValueError):
@@ -57,10 +48,6 @@ class ConfigError(ValueError):
     def __init__(self, field_name: str, message: str):
         super().__init__(f"{field_name}: {message}")
         self.field = field_name
-
-
-class SweepError(RuntimeError):
-    """A grid point failed; the message carries its (omega, theta) coordinates."""
 
 
 @dataclass(frozen=True)
@@ -262,66 +249,6 @@ def scenario_density(cfg: SweepConfig) -> np.ndarray:
     return outer(scenario_vector(cfg))
 
 
-def _point_error(omega: float, theta: float, reason) -> SweepError:
-    return SweepError(f"sweep point (omega={omega:.6g}, theta={theta:.6g}) failed: {reason}")
-
-
-def _measure_chunk(psi, omegas, thetas, directions):
-    """Boost the 4x4 coefficient matrix ``psi`` to every point of one chunk.
-
-    With ``S = cosh(w/2) I - sinh(w/2) sigma_x (x) n.sigma``, the pair boost
-    ``(S (x) S) vec(psi)`` is ``S psi S^T``.  Returns ``(nu, eg, negativity,
-    bloch)`` per point, ``bloch`` of shape (n, 4, 3) in PA, SA, PB, SB order.
-    Raises :class:`SweepError` naming the first point that fails; once ``nu``
-    is finite and positive, the normalized amplitudes keep every value finite.
-    """
-    half = (omegas / 2.0)[:, None, None]
-    generator = np.einsum("pk,kij->pij", directions, _BOOST_GENERATORS)
-    with np.errstate(all="ignore"):  # overflow is reported below, with its point
-        s = np.cosh(half) * np.eye(4) - np.sinh(half) * generator
-        boosted = s @ psi @ s.transpose(0, 2, 1)
-        nu = np.sum(boosted.real**2 + boosted.imag**2, axis=(1, 2))
-    # identity boost, exactly: keeps omega = 0 rows free of rounding residue
-    rest = omegas == 0.0
-    boosted[rest], nu[rest] = psi, 1.0
-    bad = ~(np.isfinite(nu) & (nu > _ZERO_NORM_TOL))
-    if bad.any():
-        k = int(np.argmax(bad))
-        raise _point_error(omegas[k], thetas[k], f"boost normalization failed (nu = {nu[k]})")
-
-    amp = boosted / np.sqrt(nu)[:, None, None]
-    # one-particle matrices over (parity, spin): rho_A = Psi Psi^dag, rho_B = Psi^T Psi^*
-    rho_a = amp @ amp.conj().transpose(0, 2, 1)
-    rho_b = amp.transpose(0, 2, 1) @ amp.conj()
-    bloch = (np.stack([rho_a, rho_b], axis=1).reshape(-1, 2, 16) @ _LOCAL_PAULI).real
-    bloch = bloch.reshape(-1, 4, 3)
-    eg = np.sum(_clamp_residue(1.0 - np.sum(bloch**2, axis=2)), axis=1) / 4.0
-
-    # spin-spin reduction (rows of m are pA pB, columns sA sB), transposed on SA
-    m = amp.reshape(-1, 2, 2, 2, 2).transpose(0, 1, 3, 2, 4).reshape(-1, 4, 4)
-    rho_ss = (m.transpose(0, 2, 1) @ m.conj()).reshape(-1, 2, 2, 2, 2)
-    transposed = rho_ss.transpose(0, 3, 2, 1, 4).reshape(-1, 4, 4)
-    try:
-        eigenvalues = np.linalg.eigvalsh(transposed)
-    except np.linalg.LinAlgError as exc:
-        for k, matrix in enumerate(transposed):
-            try:
-                np.linalg.eigvalsh(matrix)
-            except np.linalg.LinAlgError:
-                raise _point_error(omegas[k], thetas[k], exc) from exc
-        raise
-    # summed in descending order, as the per-point negativity does
-    neg = _clamp_residue(np.sum(np.abs(eigenvalues[:, ::-1]), axis=1) - 1.0)
-    return nu, eg, neg, bloch
-
-
-def _grid(omega_points, theta_points):
-    """Flatten an (omega, theta) grid omega-major; directions are (sin theta, 0, cos theta)."""
-    omegas = np.repeat(omega_points, len(theta_points))
-    thetas = np.tile(theta_points, len(omega_points))
-    return omegas, thetas, np.stack([np.sin(thetas), np.zeros_like(thetas), np.cos(thetas)], axis=1)
-
-
 def _sweep_columns(cfg: SweepConfig):
     """Columns ``omega, theta, <measures>, nu`` and an iterator of one ``(n, k)`` block per chunk.
 
@@ -331,19 +258,19 @@ def _sweep_columns(cfg: SweepConfig):
     psi = scenario_vector(cfg).reshape(4, 4)
     origin = np.zeros(1)
     _, (eg0,), (neg0,), _ = _measure_chunk(psi, origin, origin, E_Z[None, :])
-    omegas, thetas, directions = _grid(cfg.omega_grid.points(), cfg.theta_grid.points())
-    if cfg.boost_direction is not None:
-        directions = np.broadcast_to(cfg.boost_direction, (len(omegas), 3))
+    omega_points, theta_points = cfg.omega_grid.points(), cfg.theta_grid.points()
     names = [n for m in cfg.measures for n in (_BLOCH_COLUMNS if m == "bloch" else (m,))]
     columns = ["omega", "theta", *names, "nu"]
 
     def blocks():
-        for start in range(0, len(omegas), _CHUNK):
-            part = slice(start, start + _CHUNK)
-            nu, eg, neg, bloch = _measure_chunk(psi, omegas[part], thetas[part], directions[part])
+        for start in range(0, len(omega_points) * len(theta_points), _CHUNK):
+            omegas, thetas, directions = _grid(omega_points, theta_points, start, start + _CHUNK)
+            if cfg.boost_direction is not None:
+                directions = np.broadcast_to(cfg.boost_direction, directions.shape)
+            nu, eg, neg, bloch = _measure_chunk(psi, omegas, thetas, directions)
             measured = dict(zip(_BLOCH_COLUMNS, bloch.reshape(-1, 12).T))
             measured.update(eg=eg, delta_eg=eg - eg0, negativity=neg, delta_negativity=neg - neg0)
-            block = np.stack([omegas[part], thetas[part], *(measured[n] for n in names), nu], axis=1)
+            block = np.stack([omegas, thetas, *(measured[n] for n in names), nu], axis=1)
             if not np.isfinite(block).all():
                 k, j = np.argwhere(~np.isfinite(block))[0]
                 reason = f"non-finite value for {columns[j]!r}: {block[k, j]}"

@@ -13,6 +13,7 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
+from .kernel import _grid, _measure_chunk
 from .kinematics import (
     GAMMA5,
     BoostSpec,
@@ -42,7 +43,6 @@ from .states import (
     make_psi2,
     make_psi3,
 )
-from .sweep import _grid, _measure_chunk
 
 GRID_OMEGAS = np.linspace(0.0, 5.0, 20)
 GRID_THETAS = np.linspace(0.0, math.pi / 2.0, 10)
@@ -87,11 +87,6 @@ def _kernel_grid(st: TwoParticleState, omegas, thetas):
     _, eg, neg, bloch = _measure_chunk(psi, w, th, n)
     grid = (len(omegas), len(thetas))
     return w, n, eg.reshape(grid), neg.reshape(grid), bloch
-
-
-def _boosted_measures(rho0: np.ndarray, omega: float, theta: float) -> tuple[float, float]:
-    boosted, _ = boost_two_particle(rho0, BoostSpec.from_polar_angle(omega, theta))
-    return global_entanglement(boosted), negativity(spin_spin_reduced(boosted))
 
 
 def _check_psi1_rest_eg() -> CheckResult:
@@ -201,10 +196,10 @@ def _check_psi3_extremum() -> CheckResult:
     rho0 = density_matrix(make_psi3(1.0))
     omegas = np.linspace(0.0, 3.0, 61)
     egs, negs = [], []
-    for om in omegas:
-        eg, neg = _boosted_measures(rho0, float(om), 0.0)
-        egs.append(eg)
-        negs.append(neg)
+    for om in omegas:  # on the public per-point API, as c08
+        boosted, _ = boost_two_particle(rho0, BoostSpec.from_polar_angle(float(om), 0.0))
+        egs.append(global_entanglement(boosted))
+        negs.append(negativity(spin_spin_reduced(boosted)))
     i_min = int(np.argmin(egs))
     i_rest = 20  # omega = 1.00 on the 0.05-spaced grid
     measured = egs[i_rest]

@@ -18,6 +18,7 @@ from diracboost.kinematics import (
     helicity_spinor,
     sigma_dot,
 )
+from diracboost.tensor import PAULI_X, kron
 
 M = 1.0
 
@@ -292,6 +293,19 @@ def test_boost_four_vector_invertible_and_isometric():
 
 def test_bispinor_boost_identity():
     assert_allclose(bispinor_boost(BoostSpec(0.0, E_Z)), np.eye(4), atol=0)
+
+
+def test_bispinor_boost_is_bit_identical_to_the_sigma_dot_formula():
+    """The shared generators reproduce cosh(w/2) I - sinh(w/2) sigma_x (x) n.sigma exactly."""
+    rng = np.random.default_rng(134)
+    directions = [E_Z, -E_Z, np.array([1.0, 0.0, 0.0])] + [random_direction(rng) for _ in range(5)]
+    for n in directions:
+        for w in (-3.7, -0.2, 0.0, 0.5, 1.3, 6.0, 24.0):
+            half = w / 2.0
+            formula = math.cosh(half) * np.eye(4, dtype=complex) - math.sinh(half) * kron(
+                PAULI_X, sigma_dot(n)
+            )
+            assert np.array_equal(bispinor_boost(BoostSpec(w, n)), formula), (w, n)
 
 
 def test_bispinor_boost_matrix_properties():

@@ -29,6 +29,7 @@ from diracboost.states import (
     make_psi2,
     make_psi3,
 )
+from diracboost.sweep import GridSpec, SweepConfig, SweepError, run_sweep
 from diracboost.tensor import kron, outer
 
 M = 1.0
@@ -209,6 +210,28 @@ def test_deltas_vanish_for_identity_boost():
     b = BoostSpec(0.0, E_Z)
     assert delta_global(st, b) == 0.0
     assert delta_negativity(st, b) == 0.0
+
+
+@pytest.mark.parametrize("scenario", ["psi1", "psi2", "psi3"])
+def test_deltas_match_the_sweep_delta_columns(scenario):
+    cfg = SweepConfig(
+        scenario=scenario,
+        omega0=1.3,
+        omega_grid=GridSpec(0.0, 3.0, 7),
+        theta_grid=GridSpec(0.0, math.pi, 5),
+        measures=("delta_eg", "delta_negativity"),
+    )
+    st = {"psi1": make_psi1, "psi2": make_psi2, "psi3": make_psi3}[scenario](cfg.omega0)
+    for row in run_sweep(cfg):
+        b = BoostSpec.from_polar_angle(row.omega, row.theta)
+        assert abs(delta_global(st, b) - row.values["delta_eg"]) <= 1e-12
+        assert abs(delta_negativity(st, b) - row.values["delta_negativity"]) <= 1e-12
+
+
+@pytest.mark.filterwarnings("error")
+def test_delta_overflow_names_the_boost():
+    with pytest.raises(SweepError, match=r"omega=400, theta=0\).*nu = inf"):
+        delta_global(make_psi2(1.0), BoostSpec(400.0, E_Z))
 
 
 def test_psi1_parallel_boost_leaves_measures_alone():

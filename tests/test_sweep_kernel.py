@@ -3,15 +3,19 @@
 The sweep evaluates its grid in chunks of ``sweep._CHUNK`` points.  These
 tests run grids that span several chunks, evenly and unevenly, and compare
 every row with ``boost_two_particle`` followed by the per-point measures.
+Within a chunk each row takes the quadratic-form route or, where the boost
+cancels the state (large ``kappa``), the amplitude route; the route tests
+mix both in one chunk.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from diracboost import sweep
-from diracboost.kinematics import BoostSpec
+from diracboost import kernel, sweep
+from diracboost.kinematics import E_Z, BoostSpec
 from diracboost.measures import (
     bloch_vector,
     global_entanglement,
@@ -19,8 +23,15 @@ from diracboost.measures import (
     single_qubit_reductions,
     spin_spin_reduced,
 )
-from diracboost.states import boost_two_particle
-from diracboost.sweep import GridSpec, SweepConfig, SweepError, run_sweep, scenario_density
+from diracboost.states import assemble_state_vector, boost_two_particle, make_psi1
+from diracboost.sweep import (
+    GridSpec,
+    SweepConfig,
+    SweepError,
+    run_sweep,
+    scenario_density,
+    scenario_vector,
+)
 
 ALL_MEASURES = ("eg", "delta_eg", "negativity", "delta_negativity", "bloch")
 TOL = 1e-12
@@ -72,6 +83,24 @@ def test_chunked_sweep_matches_per_point_pipeline(
             assert abs(value - want[name]) <= TOL, (row.omega, row.theta, name)
 
 
+def test_first_block_of_a_large_grid_builds_only_its_chunk():
+    """Grid coordinates come from the flat index chunk by chunk, so memory stays flat."""
+    cfg = SweepConfig(
+        scenario="psi2",
+        omega_grid=GridSpec(0.0, 5.0, 2000),
+        theta_grid=GridSpec(0.0, math.pi, 2000),
+    )
+    tracemalloc.start()
+    try:
+        columns, blocks = sweep._sweep_columns(cfg)
+        block = next(blocks)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert block.shape == (sweep._CHUNK, len(columns))
+    assert peak < 4 * 2**20, peak
+
+
 def test_rest_rows_are_exact_in_every_chunk():
     cfg = SweepConfig(
         scenario="chiral-psi2",
@@ -110,3 +139,78 @@ def test_eigensolver_failure_names_its_point(monkeypatch):
     )
     with pytest.raises(SweepError, match=r"omega=0\.5, theta=0\.25.*did not converge"):
         run_sweep(cfg)
+
+
+# --------------------------------------------------------------------------
+# quadratic and amplitude routes
+# --------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("scenario,labels", [("psi1", None), ("chiral-psi3", (0, 0))])
+def test_one_chunk_mixes_both_routes_in_row_order(scenario, labels):
+    cfg = SweepConfig(scenario=scenario, omega0=1.0, chiral_labels=labels)
+    psi, rho0 = scenario_vector(cfg).reshape(4, 4), scenario_density(cfg)
+    omegas = np.repeat(np.linspace(0.0, 6.0, 13), 4)
+    thetas = np.tile([0.0, 0.6, 0.0, 2.2], 13)
+    n = np.stack([np.sin(thetas), np.zeros_like(thetas), np.cos(thetas)], axis=1)
+    nu, eg, neg, bloch = sweep._measure_chunk(psi, omegas, thetas, n)
+
+    # kappa = (sum_j |a_j| |B_j|_F)^2 / nu straddles the limit, so both routes run
+    c, s = np.cosh(omegas / 2.0)[:, None], np.sinh(omegas / 2.0)[:, None]
+    k, l = np.triu_indices(3)
+    a = np.concatenate([c * c, -c * s * n, s * s * n[:, k] * n[:, l]], axis=1)
+    norms, _ = kernel._state_tables(psi.tobytes())
+    references = [_reference_row(rho0, w, th) for w, th in zip(omegas, thetas)]
+    kappa = (np.abs(a) @ norms) ** 2 / np.array([ref_nu for _, ref_nu in references])
+    assert (kappa > kernel._KAPPA_LIMIT).any()
+    assert (kappa[omegas > 0.0] <= kernel._KAPPA_LIMIT).any()
+
+    bloch_names = [f"bloch_{tag}_{axis}" for tag in ("pa", "sa", "pb", "sb") for axis in "xyz"]
+    for p, (want, ref_nu) in enumerate(references):
+        assert abs(nu[p] - ref_nu) <= TOL * max(1.0, ref_nu)
+        assert abs(eg[p] - want["eg"]) <= TOL, (omegas[p], thetas[p])
+        assert abs(neg[p] - want["negativity"]) <= TOL, (omegas[p], thetas[p])
+        for name, value in zip(bloch_names, bloch[p].ravel()):
+            assert abs(value - want[name]) <= TOL, (omegas[p], thetas[p], name)
+
+
+def test_cancelling_parallel_boost_keeps_nu_at_large_rapidity():
+    """psi1 boosted along its momenta keeps nu = 1 and E_G = 1/2 (check c03).
+
+    The boost cancels the state here, so these rows need the amplitude route:
+    the quadratic form alone, which loses about eps * kappa, misses the bound.
+    """
+    psi = assemble_state_vector(make_psi1(1.0)).reshape(4, 4)
+    omegas = np.array([10.0, 15.0])
+    nu, eg, _, _ = sweep._measure_chunk(psi, omegas, np.zeros(2), np.tile(E_Z, (2, 1)))
+    assert np.all(np.abs(nu - 1.0) <= 1e-9), nu - 1.0
+    assert np.all(np.abs(eg - 0.5) <= 1e-12), eg - 0.5
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("scenario", ["psi1", "psi3"])
+def test_overflow_names_its_point_on_either_route(scenario):
+    cfg = SweepConfig(
+        scenario=scenario,
+        omega_grid=GridSpec(0.0, 400.0, 3),
+        theta_grid=GridSpec(0.0, 0.25, 2),
+    )
+    with pytest.raises(SweepError, match=r"omega=400, theta=0\).*nu = inf"):
+        run_sweep(cfg)
+
+
+def test_components_that_vanish_by_symmetry_are_exact_zeros():
+    """psi3 keeps only the parity z components; the quadratic route gives the rest as 0.0.
+
+    Its table sets entries within their rounding error of 0 to exactly 0.
+    """
+    cfg = SweepConfig(
+        scenario="psi3",
+        omega_grid=GridSpec(0.5, 4.0, 8),
+        theta_grid=GridSpec(0.0, math.pi, 9),
+        measures=("bloch",),
+    )
+    for row in run_sweep(cfg):
+        assert abs(row.values["bloch_pa_z"]) > 1e-3
+        vanishing = {k: v for k, v in row.values.items() if k not in ("bloch_pa_z", "bloch_pb_z")}
+        assert set(vanishing.values()) == {0.0}, (row.omega, row.theta, vanishing)
