@@ -20,12 +20,10 @@ from .kinematics import (
 )
 from .measures import (
     BlochVector,
-    EntanglementReport,
     analytic_boosted_bloch,
     bloch_vector,
     delta_global,
     delta_negativity,
-    entanglement_report,
     global_entanglement,
     linear_entropy,
     negativity,
@@ -75,7 +73,6 @@ __all__ = [
     "ChiralLabelPair",
     "ConfigError",
     "CustomTermSpec",
-    "EntanglementReport",
     "FourMomentum",
     "GridSpec",
     "SubsystemLayout",
@@ -99,7 +96,6 @@ __all__ = [
     "delta_negativity",
     "density_matrix",
     "emit",
-    "entanglement_report",
     "global_entanglement",
     "helicity_spinor",
     "hermitian_eigenvalues",

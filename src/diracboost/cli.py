@@ -8,13 +8,11 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from pathlib import Path
 
 from .sweep import (
-    DEFAULT_MEASURES,
     ConfigError,
     CustomTermSpec,
     GridSpec,
@@ -24,20 +22,69 @@ from .sweep import (
     _sweep_columns,
 )
 
-_CONFIG_KEYS = (
-    "scenario",
-    "omega0",
-    "mass",
-    "omega",
-    "theta",
-    "measures",
-    "format",
-    "out",
-    "chiral",
-    "term",
-    "boost-dir",
-    "workers",
-)
+
+def _number(kind, form: str | None = None):
+    """Parser of one ``kind``, or with ``form`` (e.g. ``"f,g"``) of a comma list shaped like it."""
+    noun = "an integer" if kind is int else "a number"
+
+    def number(text: str, key: str):
+        try:
+            return kind(text)
+        except ValueError:
+            raise ConfigError(key, f"expected {noun}, got {text!r}") from None
+
+    def numbers(text: str, key: str) -> tuple:
+        parts = text.split(",")
+        if len(parts) != form.count(",") + 1:
+            raise ConfigError(key, f"expected {form}, got {text!r}")
+        return tuple(number(p.strip(), key) for p in parts)
+
+    return numbers if form else number
+
+
+def _text(text: str, key: str) -> str:
+    return text
+
+
+def _measures(text: str, key: str) -> tuple[str, ...]:
+    return tuple(m.strip().lower() for m in text.split(",") if m.strip())
+
+
+def _terms(texts: list[str], key: str) -> tuple[CustomTermSpec, ...]:
+    return tuple(CustomTermSpec.parse(t) for t in texts)
+
+
+#: Each sweep key, which is both its ``--flag`` and its config-file key: the
+#: ``SweepConfig`` field it sets (``out`` is returned beside the config), the
+#: parser of its text, and its help.  A key given nowhere keeps the field's default.
+_KEYS = {
+    "scenario": ("scenario", _text, "psi1|psi2|psi3|chiral-psi2|chiral-psi3|custom"),
+    "omega0": ("omega0", _number(float), "initial rapidity of the scenario state (default 1.0)"),
+    "mass": ("mass", _number(float), "particle mass (default 1.0)"),
+    "omega": ("omega_grid", GridSpec.parse, "boost rapidity grid min:max:steps (default 0:5:100)"),
+    "theta": (
+        "theta_grid", GridSpec.parse, "boost angle grid min:max:steps in [0,pi] (default 0:pi/2:50)"
+    ),
+    "measures": (
+        "measures", _measures, "comma list from eg,delta_eg,negativity,delta_negativity,bloch"
+    ),
+    "format": ("output_format", _text, "csv or json (default csv)"),
+    "out": ("out", _text, "output path (default stdout)"),
+    "chiral": (
+        "chiral_labels",
+        _number(int, "f,g"),
+        "chiral labels f,g for chiral-* scenarios (default 0,0)",
+    ),
+    "term": (
+        "custom_terms", _terms, "custom term re,im,sA,omega0A,dirA,sB,omega0B,dirB (repeatable)"
+    ),
+    "boost-dir": (
+        "boost_direction",
+        _number(float, "nx,ny,nz"),
+        "fixed unit boost direction nx,ny,nz (custom scenario, single-point theta grid)",
+    ),
+    "workers": ("workers", _number(int), "accepted (>= 1) but changes neither speed nor output"),
+}
 
 
 def load_config_file(path: str) -> dict:
@@ -47,7 +94,6 @@ def load_config_file(path: str) -> dict:
     except OSError as exc:
         raise ConfigError("config", f"cannot read {path!r}: {exc}") from exc
     values: dict = {}
-    terms: list[str] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -56,88 +102,25 @@ def load_config_file(path: str) -> dict:
         if not sep:
             raise ConfigError("config", f"line {lineno}: expected key=value, got {raw!r}")
         key, value = key.strip(), value.strip()
-        if key not in _CONFIG_KEYS:
+        if key not in _KEYS:
             raise ConfigError("config", f"line {lineno}: unknown key {key!r}")
         if key == "term":
-            terms.append(value)
+            values.setdefault("term", []).append(value)
         else:
             values[key] = value
-    if terms:
-        values["term"] = terms
     return values
-
-
-def _to_float(value, field: str) -> float:
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise ConfigError(field, f"expected a number, got {value!r}") from None
-
-
-def _to_int(value, field: str) -> int:
-    try:
-        return int(value)
-    except (TypeError, ValueError):
-        raise ConfigError(field, f"expected an integer, got {value!r}") from None
-
-
-def _to_grid(value, field: str, default: GridSpec) -> GridSpec:
-    if value is None:
-        return default
-    return GridSpec.parse(str(value), field)
-
-
-def _to_measures(value) -> tuple[str, ...]:
-    if value is None:
-        return DEFAULT_MEASURES
-    return tuple(m.strip().lower() for m in str(value).split(",") if m.strip())
-
-
-def _to_pair(value, field: str) -> tuple[int, int] | None:
-    if value is None:
-        return None
-    parts = str(value).split(",")
-    if len(parts) != 2:
-        raise ConfigError(field, f"expected f,g, got {value!r}")
-    return (_to_int(parts[0].strip(), field), _to_int(parts[1].strip(), field))
-
-
-def _to_vec3(value, field: str) -> tuple[float, float, float] | None:
-    if value is None:
-        return None
-    parts = str(value).split(",")
-    if len(parts) != 3:
-        raise ConfigError(field, f"expected nx,ny,nz, got {value!r}")
-    return tuple(_to_float(p.strip(), field) for p in parts)  # type: ignore[return-value]
 
 
 def build_config(args: argparse.Namespace) -> tuple[SweepConfig, str | None]:
     """Merge config file values and flags (flags win) into a SweepConfig."""
-    file_values = load_config_file(args.config) if args.config else {}
-
-    def pick(flag_value, key, default=None):
-        if flag_value is not None:
-            return flag_value
-        return file_values.get(key, default)
-
-    term_source = args.term if args.term else file_values.get("term", [])
-    cfg = SweepConfig(
-        scenario=str(pick(args.scenario, "scenario", "psi2")),
-        omega0=_to_float(pick(args.omega0, "omega0", 1.0), "omega0"),
-        mass=_to_float(pick(args.mass, "mass", 1.0), "mass"),
-        omega_grid=_to_grid(pick(args.omega, "omega"), "omega", GridSpec(0.0, 5.0, 100)),
-        theta_grid=_to_grid(
-            pick(args.theta, "theta"), "theta", GridSpec(0.0, math.pi / 2.0, 50)
-        ),
-        measures=_to_measures(pick(args.measures, "measures")),
-        output_format=str(pick(args.format, "format", "csv")),
-        chiral_labels=_to_pair(pick(args.chiral, "chiral"), "chiral"),
-        custom_terms=tuple(CustomTermSpec.parse(str(t)) for t in term_source),
-        boost_direction=_to_vec3(pick(args.boost_dir, "boost-dir"), "boost-dir"),
-        workers=_to_int(pick(args.workers, "workers", 1), "workers"),
-    )
-    out = pick(args.out, "out")
-    return cfg, (str(out) if out is not None else None)
+    values = load_config_file(args.config) if args.config else {}
+    for key in _KEYS:
+        flag = getattr(args, key.replace("-", "_"))
+        if flag is not None:
+            values[key] = flag
+    fields = {_KEYS[k][0]: _KEYS[k][1](values[k], k) for k in _KEYS if k in values}
+    out = fields.pop("out", None)
+    return SweepConfig(**fields), out
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -148,29 +131,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command")
 
     sweep = sub.add_parser("sweep", help="run an (omega, theta) grid sweep")
-    sweep.add_argument("--scenario", help="psi1|psi2|psi3|chiral-psi2|chiral-psi3|custom")
-    sweep.add_argument("--omega0", help="initial rapidity of the scenario state (default 1.0)")
-    sweep.add_argument("--mass", help="particle mass (default 1.0)")
-    sweep.add_argument("--omega", help="boost rapidity grid min:max:steps (default 0:5:100)")
-    sweep.add_argument("--theta", help="boost angle grid min:max:steps in [0,pi] (default 0:pi/2:50)")
-    sweep.add_argument(
-        "--measures",
-        help="comma list from eg,delta_eg,negativity,delta_negativity,bloch",
-    )
-    sweep.add_argument("--format", help="csv or json (default csv)")
-    sweep.add_argument("--out", help="output path (default stdout)")
-    sweep.add_argument("--chiral", help="chiral labels f,g for chiral-* scenarios (default 0,0)")
-    sweep.add_argument(
-        "--term",
-        action="append",
-        help="custom term re,im,sA,omega0A,dirA,sB,omega0B,dirB (repeatable)",
-    )
-    sweep.add_argument(
-        "--boost-dir",
-        dest="boost_dir",
-        help="fixed unit boost direction nx,ny,nz (custom scenario, single-point theta grid)",
-    )
-    sweep.add_argument("--workers", help="accepted (>= 1) but changes neither speed nor output")
+    for key, (_, _, help_text) in _KEYS.items():
+        action = "append" if key == "term" else "store"
+        sweep.add_argument(f"--{key}", action=action, help=help_text)
     sweep.add_argument("--config", help="key=value config file; flags override it")
 
     verify = sub.add_parser("verify", help="run the built-in verification suite")

@@ -6,10 +6,11 @@ n_l)`` (``k <= l``) times ten matrices ``B_j`` built once from ``Psi``.  The 29
 outputs before the eigensolve are sesquilinear in ``Psi'``, so the quadratic
 route takes them for a chunk from one ``(n, 55) @ (55, 29)`` product of the
 ``a_i a_j`` with a per-state table.  It loses ``eps * kappa`` relative to
-``nu``, ``kappa = (sum_j |a_j| |B_j|_F)^2 / nu``, where forming ``Psi'`` (the
-amplitude route) loses ``eps * sqrt(kappa)``.  Rows with ``kappa >
-_KAPPA_LIMIT``, a quadratic ``nu`` that is not finite and positive, or
-``omega = 0`` take the amplitude route.
+``nu``, ``kappa = (sum_j |a_j| |B_j|_F)^2 / nu``, where forming ``Psi' = a @ B``
+(the amplitude route) loses ``eps * sqrt(kappa)``.  Rows with ``kappa >
+_KAPPA_LIMIT`` or a quadratic ``nu`` that is not finite and positive take the
+amplitude route.  ``omega = 0`` rows (``a = (1, 0, ...)``, ``kappa = 1``) take
+the quadratic route, which gives them the table's own row for ``Psi``.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ def _clamp_residue(values):
 
 @functools.lru_cache(maxsize=16)
 def _state_tables(key: bytes):
-    """Norms ``|B_j|_F`` (10,) and the (55, 29) table for the coefficient matrix ``key``."""
+    """Basis ``B_j`` (10, 16), norms ``|B_j|_F`` (10,) and the (55, 29) table for ``key``."""
     psi = np.frombuffer(key, dtype=complex).reshape(4, 4)
     g, gt = BOOST_GENERATORS, BOOST_GENERATORS.transpose(0, 2, 1)
     sandwich = g[:, None] @ psi @ gt[None, :]
@@ -67,20 +68,21 @@ def _state_tables(key: bytes):
     # entries within their rounding error of 0 (symmetry makes many) become exactly 0
     parts = table.view(float)
     parts[np.abs(parts) <= 16 * np.finfo(float).eps * (norms[_I] * norms[_J])[:, None]] = 0.0
-    for shared in (norms, table):
+    for shared in (basis, norms, table):
         shared.setflags(write=False)
-    return norms, table
+    return basis, norms, table
 
 
 def _measure_chunk(psi, omegas, thetas, directions):
     """Boost the 4x4 coefficient matrix ``psi`` to every point of one chunk.
 
     Returns ``(nu, eg, negativity, bloch)`` per point, ``bloch`` of shape (n, 4, 3)
-    in PA, SA, PB, SB order; ``omega = 0`` rows keep ``psi`` and ``nu = 1``
-    exactly.  Raises :class:`SweepError` naming the first point that fails.
+    in PA, SA, PB, SB order; ``omega = 0`` rows take the quadratic route and keep
+    ``nu = 1`` exactly, so their ``delta_*`` are exactly 0.  Raises
+    :class:`SweepError` naming the first point that fails.
     """
     psi = np.ascontiguousarray(psi, dtype=complex)
-    norms, table = _state_tables(psi.tobytes())
+    basis, norms, table = _state_tables(psi.tobytes())
     half = (omegas / 2.0)[:, None]
     with np.errstate(all="ignore"):  # overflow is reported below, with its point
         c, s, n = np.cosh(half), np.sinh(half), directions
@@ -89,16 +91,11 @@ def _measure_chunk(psi, omegas, thetas, directions):
         nu = out[:, 0].real.copy()
         kappa = (np.abs(a) @ norms) ** 2 / nu
         out /= nu[:, None]
-    rest = omegas == 0.0
-    amplitude = rest | ~(np.isfinite(nu) & (nu > _ZERO_NORM_TOL) & (kappa <= _KAPPA_LIMIT))
+    amplitude = ~(np.isfinite(nu) & (nu > _ZERO_NORM_TOL) & (kappa <= _KAPPA_LIMIT))
     if amplitude.any():
         with np.errstate(all="ignore"):
-            generator = np.einsum("pk,kij->pij", n[amplitude], BOOST_GENERATORS)
-            boost = c[amplitude, :, None] * np.eye(4) - s[amplitude, :, None] * generator
-            boosted = (boost @ psi @ boost.transpose(0, 2, 1)).reshape(-1, 16)
-            boosted[rest[amplitude]] = psi.ravel()  # identity boost, exactly
+            boosted = a[amplitude] @ basis
             nu[amplitude] = np.sum(boosted.real**2 + boosted.imag**2, axis=1)
-        nu[rest] = 1.0
         bad = ~(np.isfinite(nu) & (nu > _ZERO_NORM_TOL))
         if bad.any():
             k = int(np.argmax(bad))
@@ -106,6 +103,7 @@ def _measure_chunk(psi, omegas, thetas, directions):
         amp = boosted / np.sqrt(nu[amplitude])[:, None]
         products = (amp.conj()[:, :, None] * amp[:, None, :]).reshape(-1, 256)
         out[amplitude] = products @ _OPERATORS.reshape(29, 256).T
+    nu[omegas == 0.0] = 1.0  # the table's |Psi|^2, which is 1 only to rounding
 
     bloch = out[:, 1:13].real.reshape(-1, 4, 3)
     eg = np.sum(_clamp_residue(1.0 - np.sum(bloch**2, axis=2)), axis=1) / 4.0

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping
 
 import numpy as np
 
@@ -49,24 +48,6 @@ class BlochVector:
 
     def as_array(self) -> np.ndarray:
         return np.array([self.x, self.y, self.z])
-
-
-@dataclass(frozen=True)
-class EntanglementReport:
-    """Bundle of measures for one (possibly boosted) pure two-particle state."""
-
-    global_eg: float
-    negativity_ss: float
-    bloch: Mapping[str, BlochVector]
-    nu: float | None = None
-
-    def __post_init__(self) -> None:
-        reconstructed = 1.0 - sum(b.norm_sq for b in self.bloch.values()) / 4.0
-        if abs(self.global_eg - reconstructed) > 1e-12:
-            raise ValueError(
-                "inconsistent report: global entanglement "
-                f"{self.global_eg!r} vs Bloch reconstruction {reconstructed!r}"
-            )
 
 
 def _check_density(rho: np.ndarray, dim: int) -> np.ndarray:
@@ -157,19 +138,6 @@ def delta_global(st: TwoParticleState, b: BoostSpec) -> float:
 def delta_negativity(st: TwoParticleState, b: BoostSpec) -> float:
     """Change of spin-spin negativity under a boost (boosted minus original)."""
     return _boost_deltas(st, b)[1]
-
-
-def entanglement_report(rho: np.ndarray, nu: float | None = None) -> EntanglementReport:
-    """Compute every measure of a pure two-particle density matrix at once."""
-    bloch = {
-        tag: bloch_vector(r) for tag, r in single_qubit_reductions(rho).items()
-    }
-    return EntanglementReport(
-        global_eg=global_entanglement(rho),
-        negativity_ss=negativity(spin_spin_reduced(rho)),
-        bloch=bloch,
-        nu=nu,
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -7,12 +7,10 @@ from numpy.testing import assert_allclose
 from diracboost.kinematics import E_Z, BoostSpec, FourMomentum
 from diracboost.measures import (
     BlochVector,
-    EntanglementReport,
     analytic_boosted_bloch,
     bloch_vector,
     delta_global,
     delta_negativity,
-    entanglement_report,
     global_entanglement,
     linear_entropy,
     negativity,
@@ -265,26 +263,6 @@ def test_psi2_parallel_boost_closed_forms():
         neg_ref = 1.0 / (math.cosh(1.0 - w) * math.cosh(1.0 + w))
         assert abs(eg - eg_ref) < 1e-12
         assert abs(neg - neg_ref) < 1e-12
-
-
-# --------------------------------------------------------------------------
-# reports
-# --------------------------------------------------------------------------
-
-
-def test_entanglement_report_bundles_measures():
-    rho = density_matrix(make_psi2(1.0))
-    rep = entanglement_report(rho, nu=1.25)
-    assert_allclose(rep.global_eg, global_entanglement(rho), atol=0)
-    assert_allclose(rep.negativity_ss, SECH2_1, atol=1e-12)
-    assert set(rep.bloch) == {"PA", "SA", "PB", "SB"}
-    assert rep.nu == 1.25
-
-
-def test_entanglement_report_rejects_inconsistent_fields():
-    bloch = {t: BlochVector(0.0, 0.0, 0.0) for t in ("PA", "SA", "PB", "SB")}
-    with pytest.raises(ValueError, match="inconsistent report"):
-        EntanglementReport(global_eg=0.5, negativity_ss=0.0, bloch=bloch)
 
 
 # --------------------------------------------------------------------------

@@ -355,6 +355,56 @@ def test_load_config_file_rejects_bad_lines(tmp_path):
         cli.load_config_file(str(tmp_path / "missing.cfg"))
 
 
+def _build(*argv):
+    return cli.build_config(cli._build_parser().parse_args(["sweep", *argv]))
+
+
+# one non-default value for every key that sets a SweepConfig field
+NON_DEFAULT = {
+    "scenario": "psi3",
+    "omega0": "1.5",
+    "mass": "2",
+    "omega": "0:1:3",
+    "theta": "0:1:4",
+    "measures": "eg, Bloch",
+    "format": "json",
+    "chiral": "0, 1",
+    "term": "1,0,1,1,1,2,1,-1",
+    "boost-dir": "0,0.6,0.8",
+    "workers": "3",
+}
+
+
+@pytest.mark.parametrize("key", sorted(NON_DEFAULT))
+def test_config_file_line_and_flag_set_the_same_field(key, tmp_path):
+    path = tmp_path / "sweep.cfg"
+    path.write_text(f"{key} = {NON_DEFAULT[key]}\n")
+    from_file = _build("--config", str(path))
+    from_flag = _build(f"--{key}", NON_DEFAULT[key])
+    assert from_file == from_flag
+    assert from_flag[0] != SweepConfig()
+    assert from_flag[1] is None
+
+
+def test_bare_sweep_builds_the_default_config():
+    assert _build() == (SweepConfig(), None)
+
+
+def test_config_file_keys_are_the_sweep_flags(tmp_path):
+    parser = cli._build_parser()
+    sweep_parser = parser._subparsers._group_actions[0].choices["sweep"]
+    flags = {o for a in sweep_parser._actions for o in a.option_strings} - {"-h", "--help"}
+    assert flags == {f"--{key}" for key in (*NON_DEFAULT, "out", "config")}
+    path = tmp_path / "sweep.cfg"
+    for flag in flags:
+        path.write_text(f"{flag[2:]} = x\n")
+        if flag == "--config":
+            with pytest.raises(ConfigError, match="unknown key 'config'"):
+                cli.load_config_file(str(path))
+        else:
+            assert flag[2:] in cli.load_config_file(str(path))
+
+
 def test_cli_sweep_writes_identity_row(tmp_path):
     out = tmp_path / "rows.csv"
     code = cli.main(

@@ -159,7 +159,7 @@ def test_one_chunk_mixes_both_routes_in_row_order(scenario, labels):
     c, s = np.cosh(omegas / 2.0)[:, None], np.sinh(omegas / 2.0)[:, None]
     k, l = np.triu_indices(3)
     a = np.concatenate([c * c, -c * s * n, s * s * n[:, k] * n[:, l]], axis=1)
-    norms, _ = kernel._state_tables(psi.tobytes())
+    _, norms, _ = kernel._state_tables(psi.tobytes())
     references = [_reference_row(rho0, w, th) for w, th in zip(omegas, thetas)]
     kappa = (np.abs(a) @ norms) ** 2 / np.array([ref_nu for _, ref_nu in references])
     assert (kappa > kernel._KAPPA_LIMIT).any()
@@ -214,3 +214,37 @@ def test_components_that_vanish_by_symmetry_are_exact_zeros():
         assert abs(row.values["bloch_pa_z"]) > 1e-3
         vanishing = {k: v for k, v in row.values.items() if k not in ("bloch_pa_z", "bloch_pb_z")}
         assert set(vanishing.values()) == {0.0}, (row.omega, row.theta, vanishing)
+
+
+def test_rest_rows_take_the_quadratic_route_and_equal_the_origin_row():
+    """At omega = 0 every direction gives a = (1, 0, ...): each row is the table's row for psi."""
+    psi = scenario_vector(SweepConfig(scenario="psi3")).reshape(4, 4)
+    thetas = np.linspace(0.0, math.pi, 7)
+    n = np.stack([np.sin(thetas), np.zeros_like(thetas), np.cos(thetas)], axis=1)
+    rest = sweep._measure_chunk(psi, np.zeros(7), thetas, n)
+    origin = sweep._measure_chunk(psi, np.zeros(1), np.zeros(1), E_Z[None, :])
+    for got, want in zip(rest, origin):
+        assert np.array_equal(got, np.repeat(want, 7, axis=0))
+    bloch = rest[3].reshape(7, 12)
+    vanishing = np.delete(bloch, [2, 8], axis=1)  # all but bloch_pa_z and bloch_pb_z
+    assert np.all(np.abs(bloch[:, [2, 8]]) > 1e-3)
+    assert set(vanishing.ravel().tolist()) == {0.0}
+
+
+def _chunk_peak(psi, omega):
+    thetas = np.linspace(0.0, math.pi, sweep._CHUNK)
+    n = np.stack([np.sin(thetas), np.zeros_like(thetas), np.cos(thetas)], axis=1)
+    omegas = np.full(sweep._CHUNK, omega)
+    sweep._measure_chunk(psi, omegas, thetas, n)  # builds and caches the state's tables
+    tracemalloc.start()
+    try:
+        sweep._measure_chunk(psi, omegas, thetas, n)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_rest_chunk_allocates_no_more_than_a_boosted_chunk():
+    psi = scenario_vector(SweepConfig(scenario="psi2")).reshape(4, 4)
+    rest, boosted = _chunk_peak(psi, 0.0), _chunk_peak(psi, 1.0)
+    assert rest <= 1.5 * boosted, (rest, boosted)
