@@ -13,6 +13,7 @@ import sys
 from pathlib import Path
 
 from .sweep import (
+    DEFAULT_CHIRAL_LABELS,
     ConfigError,
     CustomTermSpec,
     GridSpec,
@@ -55,26 +56,19 @@ def _terms(texts: list[str], key: str) -> tuple[CustomTermSpec, ...]:
 
 
 #: Each sweep key, which is both its ``--flag`` and its config-file key: the
-#: ``SweepConfig`` field it sets (``out`` is returned beside the config), the
-#: parser of its text, and its help.  A key given nowhere keeps the field's default.
+#: ``SweepConfig`` field it sets (``out`` is returned beside the config), the parser
+#: of its text, and its help.  A key given nowhere keeps the default ``--help`` shows.
 _KEYS = {
     "scenario": ("scenario", _text, "psi1|psi2|psi3|chiral-psi2|chiral-psi3|custom"),
-    "omega0": ("omega0", _number(float), "initial rapidity of the scenario state (default 1.0)"),
-    "mass": ("mass", _number(float), "particle mass (default 1.0)"),
-    "omega": ("omega_grid", GridSpec.parse, "boost rapidity grid min:max:steps (default 0:5:100)"),
-    "theta": (
-        "theta_grid", GridSpec.parse, "boost angle grid min:max:steps in [0,pi] (default 0:pi/2:50)"
-    ),
+    "omega0": ("omega0", _number(float), "initial rapidity of the scenario state"),
+    "omega": ("omega_grid", GridSpec.parse, "boost rapidity grid min:max:steps"),
+    "theta": ("theta_grid", GridSpec.parse, "boost angle grid min:max:steps in [0,pi]"),
     "measures": (
         "measures", _measures, "comma list from eg,delta_eg,negativity,delta_negativity,bloch"
     ),
-    "format": ("output_format", _text, "csv or json (default csv)"),
+    "format": ("output_format", _text, "csv or json"),
     "out": ("out", _text, "output path (default stdout)"),
-    "chiral": (
-        "chiral_labels",
-        _number(int, "f,g"),
-        "chiral labels f,g for chiral-* scenarios (default 0,0)",
-    ),
+    "chiral": ("chiral_labels", _number(int, "f,g"), "chiral labels f,g for chiral-* scenarios"),
     "term": (
         "custom_terms", _terms, "custom term re,im,sA,omega0A,dirA,sB,omega0B,dirB (repeatable)"
     ),
@@ -131,7 +125,13 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command")
 
     sweep = sub.add_parser("sweep", help="run an (omega, theta) grid sweep")
-    for key, (_, _, help_text) in _KEYS.items():
+    for key, (field, _, help_text) in _KEYS.items():
+        default = DEFAULT_CHIRAL_LABELS if key == "chiral" else getattr(SweepConfig(), field, None)
+        if isinstance(default, GridSpec):
+            help_text += f" (default {default.start!r}:{default.stop!r}:{default.steps})"
+        elif default not in (None, ()):
+            shown = ",".join(map(str, default)) if isinstance(default, tuple) else default
+            help_text += f" (default {shown})"
         action = "append" if key == "term" else "store"
         sweep.add_argument(f"--{key}", action=action, help=help_text)
     sweep.add_argument("--config", help="key=value config file; flags override it")

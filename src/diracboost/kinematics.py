@@ -71,6 +71,9 @@ class FourMomentum:
             raise ValueError(
                 f"energy {self.energy!r} below mass {self.mass!r}"
             )
+        if not math.isfinite(2.0 * self.energy * (self.energy + self.mass)):  # bispinor norm
+            rapidity = math.acosh(self.energy / self.mass)
+            raise ValueError(f"four-momentum at rapidity {rapidity:.6g} leaves the float range")
         # rounding in E^2 - p^2 grows as eps E^2, so the tolerance scales with E^2
         e2 = self.energy**2
         residue = abs(e2 - float(p3 @ p3) - self.mass**2)
@@ -90,7 +93,8 @@ class FourMomentum:
     ) -> "FourMomentum":
         """Momentum of a particle moving at the given rapidity along a unit direction."""
         n = _unit_direction(direction)
-        return cls(mass, mass * math.cosh(rapidity), mass * math.sinh(rapidity) * n)
+        ch, sh = _cosh_sinh(rapidity)
+        return cls(mass, mass * ch, mass * sh * n)
 
     @classmethod
     def from_three_momentum(cls, mass: float, p3: np.ndarray) -> "FourMomentum":
@@ -103,6 +107,13 @@ class FourMomentum:
 
     def minkowski_norm_sq(self) -> float:
         return float(self.energy**2 - self.p3 @ self.p3)
+
+
+def _cosh_sinh(rapidity: float) -> tuple[float, float]:
+    try:
+        return math.cosh(rapidity), math.sinh(rapidity)
+    except OverflowError:
+        raise ValueError(f"rapidity {rapidity:.6g} leaves the float range") from None
 
 
 def _unit_direction(direction: np.ndarray) -> np.ndarray:
@@ -154,10 +165,10 @@ class Bispinor:
             raise ValueError(f"bispinor must have unit norm, got {norm!r}")
 
 
-def _fix_phase(v: np.ndarray, tol: float = 1e-12) -> np.ndarray:
-    """Make the first component with magnitude above tol real and positive."""
+def _fix_phase(v: np.ndarray) -> np.ndarray:
+    """Make the first component with magnitude above 1e-12 real and positive."""
     for c in v:
-        if abs(c) > tol:
+        if abs(c) > 1e-12:
             return v * (abs(c) / c)
     return v
 
@@ -218,13 +229,14 @@ def bispinor_v(p: FourMomentum, s: int) -> Bispinor:
 
 def boost_four_vector(p: FourMomentum, b: BoostSpec) -> FourMomentum:
     """Apply the frame transformation described in the module docstring."""
-    ch = math.cosh(b.rapidity)
-    sh = math.sinh(b.rapidity)
+    ch, sh = _cosh_sinh(b.rapidity)
     n = b.direction
     ndotp = float(n @ p.p3)
     energy = ch * p.energy - sh * ndotp
-    p3 = p.p3 + ((ch - 1.0) * ndotp - sh * p.energy) * n
-    return FourMomentum(p.mass, energy, p3)
+    shift = (ch - 1.0) * ndotp - sh * p.energy
+    if not math.isfinite(energy + shift):
+        raise ValueError(f"boost at rapidity {b.rapidity:.6g} leaves the float range")
+    return FourMomentum(p.mass, energy, p.p3 + shift * n)
 
 
 def bispinor_boost(b: BoostSpec) -> np.ndarray:
@@ -232,9 +244,12 @@ def bispinor_boost(b: BoostSpec) -> np.ndarray:
 
     Hermitian with determinant 1, but not unitary for w != 0.
     """
-    half = b.rapidity / 2.0
+    try:
+        ch, sh = _cosh_sinh(b.rapidity / 2.0)
+    except ValueError:
+        raise ValueError(f"boost at rapidity {b.rapidity:.6g} leaves the float range") from None
     generator = np.tensordot(b.direction, BOOST_GENERATORS, axes=1)
-    return math.cosh(half) * np.eye(4, dtype=complex) - math.sinh(half) * generator
+    return ch * np.eye(4, dtype=complex) - sh * generator
 
 
 def chiral_projector(f: int) -> np.ndarray:

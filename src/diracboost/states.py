@@ -108,64 +108,49 @@ def density_matrix(st: TwoParticleState) -> np.ndarray:
     return outer(assemble_state_vector(st))
 
 
-def _scenario_momenta(omega0: float, mass: float) -> tuple[FourMomentum, FourMomentum]:
+def _scenario_momenta(omega0: float) -> tuple[FourMomentum, FourMomentum]:
     if omega0 < 0.0:
         raise ValueError(f"omega0 must be nonnegative, got {omega0!r}")
-    p = FourMomentum.from_rapidity(mass, omega0, E_Z)
-    q = FourMomentum.from_rapidity(mass, omega0, -E_Z)
+    p = FourMomentum.from_rapidity(1.0, omega0, E_Z)
+    q = FourMomentum.from_rapidity(1.0, omega0, -E_Z)
     return p, q
 
 
-def make_psi1(omega0: float, mass: float = 1.0) -> TwoParticleState:
+def _antisymmetric_pair(first, second) -> TwoParticleState:
+    """The unit-mass state ``(first - second) / sqrt(2)``; each term is a (slot A, slot B) pair."""
+    inv = 1.0 / math.sqrt(2.0)
+    return TwoParticleState((SuperpositionTerm(inv, *first), SuperpositionTerm(-inv, *second)), 1.0)
+
+
+def make_psi1(omega0: float) -> TwoParticleState:
     """Opposite momenta with the helicity pair swapped between slots.
 
-    (u1(p) (x) u2(q) - u2(q) (x) u1(p)) / sqrt(2) with p = -q = m sinh(w0) e_z.
+    (u1(p) (x) u2(q) - u2(q) (x) u1(p)) / sqrt(2) with p = -q = sinh(w0) e_z.
     The two terms are not orthogonal; assembly normalizes by the true norm,
     tanh(omega0).  As omega0 -> 0+ the terms approach each other and the norm
     vanishes, but at exactly omega0 = 0 the rest-frame spinor convention makes
     them orthogonal and the construction yields the rest-frame spin singlet.
     """
-    p, q = _scenario_momenta(omega0, mass)
-    inv = 1.0 / math.sqrt(2.0)
-    return TwoParticleState(
-        (
-            SuperpositionTerm(inv, (p, 1), (q, 2)),
-            SuperpositionTerm(-inv, (q, 2), (p, 1)),
-        ),
-        mass,
-    )
+    p, q = _scenario_momenta(omega0)
+    return _antisymmetric_pair(((p, 1), (q, 2)), ((q, 2), (p, 1)))
 
 
-def make_psi2(omega0: float, mass: float = 1.0) -> TwoParticleState:
+def make_psi2(omega0: float) -> TwoParticleState:
     """Opposite momenta, equal helicity labels in each term.
 
-    (u1(p) (x) u1(q) - u2(p) (x) u2(q)) / sqrt(2) with p = -q = m sinh(w0) e_z.
+    (u1(p) (x) u1(q) - u2(p) (x) u2(q)) / sqrt(2) with p = -q = sinh(w0) e_z.
     """
-    p, q = _scenario_momenta(omega0, mass)
-    inv = 1.0 / math.sqrt(2.0)
-    return TwoParticleState(
-        (
-            SuperpositionTerm(inv, (p, 1), (q, 1)),
-            SuperpositionTerm(-inv, (p, 2), (q, 2)),
-        ),
-        mass,
-    )
+    p, q = _scenario_momenta(omega0)
+    return _antisymmetric_pair(((p, 1), (q, 1)), ((p, 2), (q, 2)))
 
 
-def make_psi3(omega0: float, mass: float = 1.0) -> TwoParticleState:
+def make_psi3(omega0: float) -> TwoParticleState:
     """Both particles share one momentum, helicities antisymmetrized.
 
-    (u1(p) (x) u2(p) - u2(p) (x) u1(p)) / sqrt(2) with p = m sinh(w0) e_z.
+    (u1(p) (x) u2(p) - u2(p) (x) u1(p)) / sqrt(2) with p = sinh(w0) e_z.
     """
-    p, _ = _scenario_momenta(omega0, mass)
-    inv = 1.0 / math.sqrt(2.0)
-    return TwoParticleState(
-        (
-            SuperpositionTerm(inv, (p, 1), (p, 2)),
-            SuperpositionTerm(-inv, (p, 2), (p, 1)),
-        ),
-        mass,
-    )
+    p, _ = _scenario_momenta(omega0)
+    return _antisymmetric_pair(((p, 1), (p, 2)), ((p, 2), (p, 1)))
 
 
 def chiral_project_vector(st: TwoParticleState, labels: ChiralLabelPair) -> np.ndarray:
@@ -205,12 +190,13 @@ def boost_two_particle(rho: np.ndarray, b: BoostSpec) -> tuple[np.ndarray, float
     if np.max(np.abs(rho - rho.conj().T)) > 1e-10:
         raise ValueError("density matrix must be Hermitian")
     if b.rapidity == 0.0:
-        # identity boost, exactly: keeps omega = 0 rows free of rounding residue
+        # the identity boost, exactly: no rounding residue enters rho
         return rho.copy(), 1.0
     s_single = bispinor_boost(b)
     s_pair = kron(s_single, s_single)
-    transformed = s_pair @ rho @ s_pair.conj().T
-    nu = float(np.real(np.trace(transformed)))
-    if nu <= _ZERO_NORM_TOL:
-        raise ValueError(f"boost normalization collapsed (nu = {nu!r})")
+    with np.errstate(all="ignore"):  # overflow is reported below, with its rapidity
+        transformed = s_pair @ rho @ s_pair.conj().T
+        nu = float(np.real(np.trace(transformed)))
+    if not (math.isfinite(nu) and nu > _ZERO_NORM_TOL):
+        raise ValueError(f"boost normalization failed at rapidity {b.rapidity:.6g} (nu = {nu!r})")
     return transformed / nu, nu

@@ -11,7 +11,6 @@ import json
 import math
 from dataclasses import dataclass
 from itertools import chain
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -33,6 +32,7 @@ from .tensor import outer
 SCENARIOS = ("psi1", "psi2", "psi3", "chiral-psi2", "chiral-psi3", "custom")
 MEASURES = ("eg", "delta_eg", "negativity", "delta_negativity", "bloch")
 DEFAULT_MEASURES = ("eg", "delta_eg", "negativity", "delta_negativity")
+DEFAULT_CHIRAL_LABELS = (0, 0)
 OUTPUT_FORMATS = ("csv", "json")
 
 _BLOCH_COLUMNS = tuple(f"bloch_{tag}_{axis}" for tag in ("pa", "sa", "pb", "sb") for axis in "xyz")
@@ -126,9 +126,9 @@ class CustomTermSpec:
             if not (math.isfinite(w) and w >= 0.0):
                 raise ConfigError("term", f"{name} must be a nonnegative rapidity, got {w}")
 
-    def to_term(self, mass: float) -> SuperpositionTerm:
-        pa = FourMomentum.from_rapidity(mass, self.omega0_a, self.dir_a * E_Z)
-        pb = FourMomentum.from_rapidity(mass, self.omega0_b, self.dir_b * E_Z)
+    def to_term(self) -> SuperpositionTerm:
+        pa = FourMomentum.from_rapidity(1.0, self.omega0_a, self.dir_a * E_Z)
+        pb = FourMomentum.from_rapidity(1.0, self.omega0_b, self.dir_b * E_Z)
         return SuperpositionTerm(
             complex(self.re, self.im), (pa, self.helicity_a), (pb, self.helicity_b)
         )
@@ -142,7 +142,6 @@ CustomStateSpec = tuple[CustomTermSpec, ...]
 class SweepConfig:
     scenario: str = "psi2"
     omega0: float = 1.0
-    mass: float = 1.0
     omega_grid: GridSpec = GridSpec(0.0, 5.0, 100)
     theta_grid: GridSpec = GridSpec(0.0, math.pi / 2.0, 50)
     measures: tuple[str, ...] = DEFAULT_MEASURES
@@ -160,8 +159,6 @@ class SweepConfig:
             )
         if not (math.isfinite(self.omega0) and self.omega0 >= 0.0):
             raise ConfigError("omega0", f"must be a nonnegative rapidity, got {self.omega0!r}")
-        if not (math.isfinite(self.mass) and self.mass > 0.0):
-            raise ConfigError("mass", f"must be positive, got {self.mass!r}")
         self.omega_grid._validate("omega")
         self.theta_grid._validate("theta")
         if self.theta_grid.start < -1e-12 or self.theta_grid.stop > math.pi + 1e-9:
@@ -231,14 +228,14 @@ def scenario_vector(cfg: SweepConfig) -> np.ndarray:
     builders = {"psi1": make_psi1, "psi2": make_psi2, "psi3": make_psi3}
     try:
         if cfg.scenario in builders:
-            return assemble_state_vector(builders[cfg.scenario](cfg.omega0, cfg.mass))
+            return assemble_state_vector(builders[cfg.scenario](cfg.omega0))
         if cfg.scenario in ("chiral-psi2", "chiral-psi3"):
             base = builders[cfg.scenario.removeprefix("chiral-")]
-            labels = ChiralLabelPair(*(cfg.chiral_labels or (0, 0)))
-            return chiral_project_vector(base(cfg.omega0, cfg.mass), labels)
+            labels = ChiralLabelPair(*(cfg.chiral_labels or DEFAULT_CHIRAL_LABELS))
+            return chiral_project_vector(base(cfg.omega0), labels)
         if cfg.scenario == "custom":
-            terms = tuple(t.to_term(cfg.mass) for t in cfg.custom_terms)
-            return assemble_state_vector(TwoParticleState(terms, cfg.mass))
+            terms = tuple(t.to_term() for t in cfg.custom_terms)
+            return assemble_state_vector(TwoParticleState(terms, 1.0))
     except ValueError as exc:
         raise ConfigError("scenario", f"cannot build scenario {cfg.scenario!r}: {exc}") from exc
     raise ConfigError("scenario", f"unknown scenario {cfg.scenario!r}")
@@ -319,8 +316,8 @@ def _format_chunks(columns: Sequence[str], blocks, output_format: str):
         raise ConfigError("format", f"unknown format {output_format!r}")
 
 
-def emit(rows: Sequence[SweepRow], output_format: str = "csv", destination=None) -> bytes:
-    """Serialize rows to CSV or JSON bytes; optionally write them out.
+def emit(rows: Sequence[SweepRow], output_format: str = "csv") -> bytes:
+    """Serialize rows to CSV or JSON bytes.
 
     CSV carries a header `omega,theta,<measures>,nu`, 12 significant digits
     (each token is ``f"{v:.12g}"``), LF line endings.  JSON is an array of row
@@ -334,10 +331,4 @@ def emit(rows: Sequence[SweepRow], output_format: str = "csv", destination=None)
     if any(list(r.values) != names for r in rows):
         raise ValueError("rows have inconsistent columns")
     block = np.array([(r.omega, r.theta, *r.values.values(), r.nu) for r in rows], dtype=float)
-    data = b"".join(_format_chunks(list(rows[0].as_mapping()), [block], output_format))
-    if destination is not None:
-        if hasattr(destination, "write"):
-            destination.write(data)
-        else:
-            Path(destination).write_bytes(data)
-    return data
+    return b"".join(_format_chunks(list(rows[0].as_mapping()), [block], output_format))

@@ -110,20 +110,20 @@ def partial_transpose(
     return cur.reshape(layout.dim, layout.dim)
 
 
-def hermitian_eigenvalues(h: np.ndarray, tol: float = HERMITICITY_TOL) -> np.ndarray:
+def hermitian_eigenvalues(h: np.ndarray) -> np.ndarray:
     """Real eigenvalues of a Hermitian matrix, sorted in descending order.
 
     The input is symmetrized as (H + H†)/2 before the solve to absorb
     rounding accumulated upstream; inputs whose anti-Hermitian part exceeds
-    ``tol`` are rejected.
+    :data:`HERMITICITY_TOL` are rejected.
     """
     h = np.asarray(h, dtype=complex)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {h.shape}")
     residue = np.max(np.abs(h - h.conj().T))
-    if residue > tol:
+    if residue > HERMITICITY_TOL:
         raise ValueError(
-            f"matrix is not Hermitian: max|H - H†| = {residue:.3e} exceeds {tol:.0e}"
+            f"matrix is not Hermitian: max|H - H†| = {residue:.3e} exceeds {HERMITICITY_TOL:.0e}"
         )
     sym = (h + h.conj().T) / 2.0
     vals = np.linalg.eigvalsh(sym)

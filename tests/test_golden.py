@@ -42,7 +42,8 @@ CASES = {
     "psi1": _case("psi1"),
     "psi2": _case("psi2"),
     "psi3": _case("psi3"),
-    "psi2-omega0-1.7-mass-2": _case("psi2", omega0=1.7, mass=2.0),
+    # written at mass 2; every scenario is now built at unit mass, which gives the same rows
+    "psi2-omega0-1.7-mass-2": _case("psi2", omega0=1.7),
     "psi3-bloch-delta_negativity": _case("psi3", measures=("bloch", "delta_negativity")),
     **{
         f"{scenario}-{f}{g}": _case(scenario, chiral_labels=(f, g))

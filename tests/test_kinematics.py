@@ -61,6 +61,13 @@ def test_four_momentum_from_large_rapidity_is_on_shell(w):
         FourMomentum(M, p.energy, p.p3 * (1.0 + 1e-6))
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("w", [356.0, 800.0])
+def test_four_momentum_beyond_the_float_range_names_the_rapidity(w):
+    with pytest.raises(ValueError, match=f"rapidity {w:g} leaves the float range"):
+        FourMomentum.from_rapidity(M, w, E_Z)
+
+
 def test_four_momentum_validation():
     with pytest.raises(ValueError, match="off shell"):
         FourMomentum(M, 2.0, [0.0, 0.0, 0.1])
@@ -286,6 +293,14 @@ def test_boost_four_vector_invertible_and_isometric():
         assert abs(back.energy - p.energy) < 1e-12
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("w0,w", [(0.0, 400.0), (0.0, 800.0), (300.0, 500.0)])
+def test_boost_four_vector_overflow_names_the_rapidity(w0, w):
+    p = FourMomentum.from_rapidity(M, w0, E_Z)
+    with pytest.raises(ValueError, match=f"rapidity {w:g} leaves the float range"):
+        boost_four_vector(p, BoostSpec(w, -E_Z))
+
+
 # --------------------------------------------------------------------------
 # spinor-space boosts
 # --------------------------------------------------------------------------
@@ -293,6 +308,12 @@ def test_boost_four_vector_invertible_and_isometric():
 
 def test_bispinor_boost_identity():
     assert_allclose(bispinor_boost(BoostSpec(0.0, E_Z)), np.eye(4), atol=0)
+
+
+@pytest.mark.filterwarnings("error")
+def test_bispinor_boost_overflow_names_the_rapidity():
+    with pytest.raises(ValueError, match="rapidity 1500 leaves the float range"):
+        bispinor_boost(BoostSpec(1500.0, E_Z))
 
 
 def test_bispinor_boost_is_bit_identical_to_the_sigma_dot_formula():

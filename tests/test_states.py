@@ -166,6 +166,34 @@ def test_psi3_at_zero_rapidity_hand_assembly():
     assert_allclose(vec, expected, atol=0)
 
 
+#: Term layouts: (coefficient, slot A, slot B) with each slot (rapidity, direction, helicity).
+LAYOUTS = {
+    "psi1": [(INV_SQRT2, (1.0, 1, 1), (1.0, -1, 2)), (-INV_SQRT2, (1.0, -1, 2), (1.0, 1, 1))],
+    "psi2": [(INV_SQRT2, (1.0, 1, 1), (1.0, -1, 1)), (-INV_SQRT2, (1.0, 1, 2), (1.0, -1, 2))],
+    "psi3": [(INV_SQRT2, (1.0, 1, 1), (1.0, 1, 2)), (-INV_SQRT2, (1.0, 1, 2), (1.0, 1, 1))],
+    "custom": [(1.0, (1.0, 1, 1), (1.0, -1, 2)), (0.5j, (1.3, -1, 2), (0.6, 1, 1))],
+}
+
+
+@pytest.mark.parametrize("layout", sorted(LAYOUTS))
+def test_assembled_state_is_the_same_at_every_mass(layout):
+    """The fact that lets every scenario state be built at unit mass."""
+
+    def build(mass):
+        def slot(w, sign, s):
+            return FourMomentum.from_rapidity(mass, w, sign * E_Z), s
+
+        terms = [SuperpositionTerm(c, slot(*a), slot(*b)) for c, a, b in LAYOUTS[layout]]
+        return assemble_state_vector(TwoParticleState(tuple(terms), mass))
+
+    unit = build(1.0)
+    makers = {"psi1": make_psi1, "psi2": make_psi2, "psi3": make_psi3}
+    if layout in makers:
+        assert np.array_equal(unit, assemble_state_vector(makers[layout](1.0)))
+    for mass in (1e-6, 0.37, 2.0, 50.0, 1e6):
+        assert_allclose(build(mass), unit, rtol=0, atol=1e-15)
+
+
 def test_scenarios_reject_negative_rapidity():
     for maker in (make_psi1, make_psi2, make_psi3):
         with pytest.raises(ValueError, match="nonnegative"):
@@ -323,6 +351,14 @@ def test_boost_normalizer_equals_trace_form():
         s_pair = kron(bispinor_boost(b), bispinor_boost(b))
         expected = float(np.real(np.trace(s_pair @ s_pair @ rho)))
         assert_allclose(nu, expected, atol=1e-10)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("omega", [400.0, 1500.0])
+def test_boost_overflow_names_the_rapidity(omega):
+    rho = density_matrix(make_psi2(1.0))
+    with pytest.raises(ValueError, match=f"rapidity {omega:g} "):
+        boost_two_particle(rho, BoostSpec(omega, E_Z))
 
 
 def test_boost_input_validation():

@@ -1,3 +1,4 @@
+import functools
 import io
 import json
 import math
@@ -55,7 +56,7 @@ def test_grid_parse_rejects_malformed(text):
 def test_term_parse_roundtrip():
     term = CustomTermSpec.parse("0.5, -0.25, 1, 1.0, 1, 2, 0.7, -1")
     assert term == CustomTermSpec(0.5, -0.25, 1, 1.0, 1, 2, 0.7, -1)
-    built = term.to_term(mass=1.0)
+    built = term.to_term()
     assert built.coefficient == complex(0.5, -0.25)
     pa, sa = built.slot_a
     pb, sb = built.slot_b
@@ -85,7 +86,7 @@ def test_term_validation_rejects_bad_fields(text):
     [
         (dict(scenario="nope"), "scenario"),
         (dict(omega0=-1.0), "omega0"),
-        (dict(mass=0.0), "mass"),
+        (dict(omega0=math.inf), "omega0"),
         (dict(omega_grid=GridSpec(0.0, 1.0, 0)), "omega"),
         (dict(omega_grid=GridSpec(2.0, 1.0, 3)), "omega"),
         (dict(theta_grid=GridSpec(0.0, 4.0, 2)), "theta"),
@@ -298,16 +299,6 @@ def test_emit_json_mirrors_csv_columns():
         assert obj["eg"] == pytest.approx(row.values["eg"], abs=1e-11)
 
 
-def test_emit_destinations(tmp_path):
-    rows = run_sweep(tiny_config())
-    buf = io.BytesIO()
-    data = emit(rows, "csv", buf)
-    assert buf.getvalue() == data == IDENTITY_ROW
-    path = tmp_path / "out.csv"
-    emit(rows, "csv", path)
-    assert path.read_bytes() == IDENTITY_ROW
-
-
 def test_emit_rejects_bad_input():
     with pytest.raises(ConfigError, match="empty row list"):
         emit([], "csv")
@@ -363,7 +354,6 @@ def _build(*argv):
 NON_DEFAULT = {
     "scenario": "psi3",
     "omega0": "1.5",
-    "mass": "2",
     "omega": "0:1:3",
     "theta": "0:1:4",
     "measures": "eg, Bloch",
@@ -429,6 +419,37 @@ def test_cli_sweep_accepts_large_omega0(tmp_path):
     assert len(out.read_text().splitlines()) == 7
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "argv,rapidity",
+    [
+        (["--omega0", "400"], "400"),
+        (["--omega0", "800"], "800"),
+        (["--scenario", "custom", "--term", "1,0,1,800,1,2,1,-1"], "800"),
+    ],
+)
+def test_cli_rejects_rapidity_beyond_the_float_range(argv, rapidity, capsys):
+    assert cli.main(["sweep", *argv, "--omega", "0:1:2", "--theta", "0:1:2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith("error: scenario: cannot build scenario")
+    assert f"rapidity {rapidity} leaves the float range" in line
+
+
+def test_sweep_help_shows_the_config_defaults(monkeypatch, capsys):
+    changed = dict(omega0=2.5, omega_grid=GridSpec(0.0, 7.0, 9), output_format="json")
+    monkeypatch.setattr(cli, "SweepConfig", functools.partial(SweepConfig, **changed))
+    monkeypatch.setattr(cli, "DEFAULT_CHIRAL_LABELS", (1, 0))
+    assert cli.main(["sweep", "--help"]) == 0
+    text = " ".join(capsys.readouterr().out.split())
+    assert "scenario state (default 2.5)" in text
+    assert "rapidity grid min:max:steps (default 0.0:7.0:9)" in text
+    assert "csv or json (default json)" in text
+    assert "chiral-* scenarios (default 1,0)" in text
+    assert "custom (default psi2)" in text
+
+
 def test_cli_flags_override_config_file(tmp_path, capsys):
     cfg = tmp_path / "sweep.cfg"
     cfg.write_text("scenario = psi2\nomega = 0:0:1\ntheta = 0:0:1\nformat = json\n")
@@ -448,6 +469,14 @@ def test_cli_validation_failures_exit_1(tmp_path, capsys):
     assert "error: omega:" in capsys.readouterr().err
     assert cli.main(["sweep", "--no-such-flag"]) == 1
     assert cli.main([]) == 1
+    capsys.readouterr()
+    # scenario states are built at unit mass; mass is no sweep setting
+    assert cli.main(["sweep", "--mass", "2"]) == 1
+    assert "--mass" in capsys.readouterr().err
+    path = tmp_path / "sweep.cfg"
+    path.write_text("mass = 2\n")
+    assert cli.main(["sweep", "--config", str(path)]) == 1
+    assert "error: config: line 1: unknown key 'mass'" in capsys.readouterr().err
 
 
 def test_cli_help_exits_0(capsys):
