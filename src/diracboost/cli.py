@@ -10,6 +10,8 @@ import argparse
 import json
 import os
 import sys
+from collections.abc import Callable
+from dataclasses import dataclass
 from pathlib import Path
 
 from .sweep import (
@@ -24,23 +26,31 @@ from .sweep import (
 )
 
 
-def _number(kind, form: str | None = None):
-    """Parser of one ``kind``, or with ``form`` (e.g. ``"f,g"``) of a comma list shaped like it."""
-    noun = "an integer" if kind is int else "a number"
+@dataclass(frozen=True)
+class _Fields:
+    """Parser of text shaped like ``form``, e.g. ``"min:max:steps"`` or ``"a number"``: one
+    field per kind, split where ``form`` has ``:`` or ``,`` and passed to ``build``."""
 
-    def number(text: str, key: str):
-        try:
-            return kind(text)
+    form: str
+    kinds: tuple
+    build: Callable = lambda *fields: fields
+
+    def __call__(self, text: str, key: str):
+        sep = ":" if ":" in self.form else ","
+        try:  # a wrong field count fails the strict zip
+            fields = [kind(part) for kind, part in zip(self.kinds, text.split(sep), strict=True)]
         except ValueError:
-            raise ConfigError(key, f"expected {noun}, got {text!r}") from None
+            raise ConfigError(key, f"expected {self.form}, got {text!r}") from None
+        return self.build(*fields)
 
-    def numbers(text: str, key: str) -> tuple:
-        parts = text.split(",")
-        if len(parts) != form.count(",") + 1:
-            raise ConfigError(key, f"expected {form}, got {text!r}")
-        return tuple(number(p.strip(), key) for p in parts)
 
-    return numbers if form else number
+_NUMBER = _Fields("a number", (float,), float)
+_INTEGER = _Fields("an integer", (int,), int)
+_GRID = _Fields("min:max:steps", (float, float, int), GridSpec)
+_TERM = _Fields("re,im,sA,omega0A,dirA,sB,omega0B,dirB",
+                (float, float, int, float, int, int, float, int), CustomTermSpec)
+_CHIRAL = _Fields("f,g", (int, int))
+_DIRECTION = _Fields("nx,ny,nz", (float, float, float))
 
 
 def _text(text: str, key: str) -> str:
@@ -52,7 +62,7 @@ def _measures(text: str, key: str) -> tuple[str, ...]:
 
 
 def _terms(texts: list[str], key: str) -> tuple[CustomTermSpec, ...]:
-    return tuple(CustomTermSpec.parse(t) for t in texts)
+    return tuple(_TERM(t, key) for t in texts)
 
 
 #: Each sweep key, which is both its ``--flag`` and its config-file key: the
@@ -60,24 +70,22 @@ def _terms(texts: list[str], key: str) -> tuple[CustomTermSpec, ...]:
 #: of its text, and its help.  A key given nowhere keeps the default ``--help`` shows.
 _KEYS = {
     "scenario": ("scenario", _text, "psi1|psi2|psi3|chiral-psi2|chiral-psi3|custom"),
-    "omega0": ("omega0", _number(float), "initial rapidity of the scenario state"),
-    "omega": ("omega_grid", GridSpec.parse, "boost rapidity grid min:max:steps"),
-    "theta": ("theta_grid", GridSpec.parse, "boost angle grid min:max:steps in [0,pi]"),
+    "omega0": ("omega0", _NUMBER, "initial rapidity of the scenario state"),
+    "omega": ("omega_grid", _GRID, f"boost rapidity grid {_GRID.form}"),
+    "theta": ("theta_grid", _GRID, f"boost angle grid {_GRID.form} in [0,pi]"),
     "measures": (
         "measures", _measures, "comma list from eg,delta_eg,negativity,delta_negativity,bloch"
     ),
     "format": ("output_format", _text, "csv or json"),
     "out": ("out", _text, "output path (default stdout)"),
-    "chiral": ("chiral_labels", _number(int, "f,g"), "chiral labels f,g for chiral-* scenarios"),
-    "term": (
-        "custom_terms", _terms, "custom term re,im,sA,omega0A,dirA,sB,omega0B,dirB (repeatable)"
-    ),
+    "chiral": ("chiral_labels", _CHIRAL, f"chiral labels {_CHIRAL.form} for chiral-* scenarios"),
+    "term": ("custom_terms", _terms, f"custom term {_TERM.form} (repeatable)"),
     "boost-dir": (
         "boost_direction",
-        _number(float, "nx,ny,nz"),
-        "fixed unit boost direction nx,ny,nz (custom scenario, single-point theta grid)",
+        _DIRECTION,
+        f"fixed unit boost direction {_DIRECTION.form} (custom scenario, single-point theta grid)",
     ),
-    "workers": ("workers", _number(int), "accepted (>= 1) but changes neither speed nor output"),
+    "workers": ("workers", _INTEGER, "accepted (>= 1) but changes neither speed nor output"),
 }
 
 

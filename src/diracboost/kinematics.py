@@ -120,8 +120,9 @@ def _unit_direction(direction: np.ndarray) -> np.ndarray:
     n = np.asarray(direction, dtype=float).reshape(-1)
     if n.shape != (3,):
         raise ValueError(f"direction must be a 3-vector, got shape {n.shape}")
-    if abs(np.linalg.norm(n) - 1.0) > UNIT_NORM_TOL:
-        raise ValueError(f"direction must be a unit vector, |n| = {np.linalg.norm(n)!r}")
+    norm = float(np.linalg.norm(n))
+    if not abs(norm - 1.0) <= UNIT_NORM_TOL:  # a NaN component fails too
+        raise ValueError(f"direction must be a unit vector, |n| = {norm!r}")
     return n
 
 

@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .kernel import SweepError, _grid, _measure_chunk, _point_error
-from .kinematics import E_Z, FourMomentum
+from .kinematics import E_Z, FourMomentum, _unit_direction
 from .states import (
     ChiralLabelPair,
     SuperpositionTerm,
@@ -61,16 +61,6 @@ class GridSpec:
     def points(self) -> np.ndarray:
         return np.linspace(self.start, self.stop, self.steps)
 
-    @classmethod
-    def parse(cls, text: str, field_name: str) -> "GridSpec":
-        parts = text.split(":")
-        if len(parts) != 3:
-            raise ConfigError(field_name, f"expected min:max:steps, got {text!r}")
-        try:
-            return cls(float(parts[0]), float(parts[1]), int(parts[2]))
-        except ValueError:
-            raise ConfigError(field_name, f"could not parse {text!r} as min:max:steps") from None
-
     def _validate(self, field_name: str) -> None:
         if not (math.isfinite(self.start) and math.isfinite(self.stop)):
             raise ConfigError(field_name, "grid endpoints must be finite")
@@ -93,29 +83,9 @@ class CustomTermSpec:
     omega0_b: float
     dir_b: int
 
-    @classmethod
-    def parse(cls, text: str) -> "CustomTermSpec":
-        parts = [p.strip() for p in text.split(",")]
-        if len(parts) != 8:
-            raise ConfigError(
-                "term",
-                f"expected re,im,sA,omega0A,dirA,sB,omega0B,dirB (8 fields), got {text!r}",
-            )
-        try:
-            return cls(
-                float(parts[0]),
-                float(parts[1]),
-                int(parts[2]),
-                float(parts[3]),
-                int(parts[4]),
-                int(parts[5]),
-                float(parts[6]),
-                int(parts[7]),
-            )
-        except ValueError:
-            raise ConfigError("term", f"could not parse term {text!r}") from None
-
     def _validate(self) -> None:
+        if not (math.isfinite(self.re) and math.isfinite(self.im)):
+            raise ConfigError("term", f"re and im must be finite, got {self.re}, {self.im}")
         for name, s in (("sA", self.helicity_a), ("sB", self.helicity_b)):
             if s not in (1, 2):
                 raise ConfigError("term", f"{name} must be 1 or 2, got {s}")
@@ -134,10 +104,6 @@ class CustomTermSpec:
         )
 
 
-#: A full custom-state description: the term list of a scenario of kind "custom".
-CustomStateSpec = tuple[CustomTermSpec, ...]
-
-
 @dataclass(frozen=True)
 class SweepConfig:
     scenario: str = "psi2"
@@ -147,7 +113,7 @@ class SweepConfig:
     measures: tuple[str, ...] = DEFAULT_MEASURES
     output_format: str = "csv"
     chiral_labels: tuple[int, int] | None = None
-    custom_terms: CustomStateSpec = ()
+    custom_terms: tuple[CustomTermSpec, ...] = ()
     boost_direction: tuple[float, float, float] | None = None
     #: Accepted and validated for compatibility; the sweep runs serially.
     workers: int = 1
@@ -191,9 +157,10 @@ class SweepConfig:
         if self.boost_direction is not None:
             if self.scenario != "custom":
                 raise ConfigError("boost-dir", "explicit boost direction only applies to custom scenarios")
-            n = np.asarray(self.boost_direction, dtype=float)
-            if n.shape != (3,) or abs(np.linalg.norm(n) - 1.0) > 1e-12:
-                raise ConfigError("boost-dir", f"must be a unit 3-vector, got {self.boost_direction!r}")
+            try:
+                _unit_direction(self.boost_direction)
+            except ValueError as exc:
+                raise ConfigError("boost-dir", str(exc)) from None
             if self.theta_grid.steps != 1:
                 raise ConfigError(
                     "boost-dir", "a fixed boost direction requires a single-point theta grid"
@@ -224,21 +191,27 @@ class SweepRow:
 
 
 def scenario_vector(cfg: SweepConfig) -> np.ndarray:
-    """Build the configured scenario's unboosted, normalized 16-component state."""
+    """Build the configured scenario's unboosted, normalized 16-component state.
+
+    A failed build is a :class:`ConfigError` naming the key at fault: ``term`` for a
+    custom superposition, ``chiral`` for an annihilating projection, else ``omega0``."""
+    if cfg.scenario not in SCENARIOS:
+        raise ConfigError("scenario", f"unknown scenario {cfg.scenario!r}")
     builders = {"psi1": make_psi1, "psi2": make_psi2, "psi3": make_psi3}
+    base = cfg.scenario.removeprefix("chiral-")
+    field = "term" if cfg.scenario == "custom" else "omega0"
     try:
-        if cfg.scenario in builders:
-            return assemble_state_vector(builders[cfg.scenario](cfg.omega0))
-        if cfg.scenario in ("chiral-psi2", "chiral-psi3"):
-            base = builders[cfg.scenario.removeprefix("chiral-")]
-            labels = ChiralLabelPair(*(cfg.chiral_labels or DEFAULT_CHIRAL_LABELS))
-            return chiral_project_vector(base(cfg.omega0), labels)
         if cfg.scenario == "custom":
             terms = tuple(t.to_term() for t in cfg.custom_terms)
             return assemble_state_vector(TwoParticleState(terms, 1.0))
+        state = builders[base](cfg.omega0)
+        if base == cfg.scenario:
+            return assemble_state_vector(state)
+        field = "chiral"
+        labels = ChiralLabelPair(*(cfg.chiral_labels or DEFAULT_CHIRAL_LABELS))
+        return chiral_project_vector(state, labels)
     except ValueError as exc:
-        raise ConfigError("scenario", f"cannot build scenario {cfg.scenario!r}: {exc}") from exc
-    raise ConfigError("scenario", f"unknown scenario {cfg.scenario!r}")
+        raise ConfigError(field, f"cannot build scenario {cfg.scenario!r}: {exc}") from exc
 
 
 def scenario_density(cfg: SweepConfig) -> np.ndarray:

@@ -40,7 +40,7 @@ def tiny_config(**overrides):
 
 
 def test_grid_parse_and_points():
-    grid = GridSpec.parse("0:2:5", "omega")
+    grid = cli._GRID("0:2:5", "omega")
     assert grid == GridSpec(0.0, 2.0, 5)
     assert_allclose(grid.points(), [0.0, 0.5, 1.0, 1.5, 2.0], atol=0)
     assert_allclose(GridSpec(1.5, 9.0, 1).points(), [1.5], atol=0)
@@ -49,12 +49,12 @@ def test_grid_parse_and_points():
 @pytest.mark.parametrize("text", ["0:2", "0:2:5:9", "a:2:5", "0:2:x"])
 def test_grid_parse_rejects_malformed(text):
     with pytest.raises(ConfigError) as err:
-        GridSpec.parse(text, "omega")
+        cli._GRID(text, "omega")
     assert err.value.field == "omega"
 
 
 def test_term_parse_roundtrip():
-    term = CustomTermSpec.parse("0.5, -0.25, 1, 1.0, 1, 2, 0.7, -1")
+    term = cli._TERM("0.5, -0.25, 1, 1.0, 1, 2, 0.7, -1", "term")
     assert term == CustomTermSpec(0.5, -0.25, 1, 1.0, 1, 2, 0.7, -1)
     built = term.to_term()
     assert built.coefficient == complex(0.5, -0.25)
@@ -67,11 +67,18 @@ def test_term_parse_roundtrip():
 
 @pytest.mark.parametrize(
     "text",
-    ["1,0,1,1,1,2,1", "1,0,3,1,1,2,1,1", "1,0,1,1,0,2,1,1", "1,0,1,-1,1,2,1,1"],
+    [
+        "1,0,1,1,1,2,1",
+        "1,0,3,1,1,2,1,1",
+        "1,0,1,1,0,2,1,1",
+        "1,0,1,-1,1,2,1,1",
+        "nan,0,1,1,1,2,1,1",
+        "1,inf,1,1,1,2,1,1",
+    ],
 )
 def test_term_validation_rejects_bad_fields(text):
     with pytest.raises(ConfigError) as err:
-        spec = CustomTermSpec.parse(text)
+        spec = cli._TERM(text, "term")
         spec._validate()
     assert err.value.field == "term"
 
@@ -131,8 +138,13 @@ def test_config_boost_dir_constraints():
     bad_norm = tiny_config(
         scenario="custom", custom_terms=(term,), boost_direction=(0.0, 0.0, 2.0)
     )
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="unit vector"):
         bad_norm.validate()
+    nan_component = tiny_config(
+        scenario="custom", custom_terms=(term,), boost_direction=(math.nan, 0.0, 1.0)
+    )
+    with pytest.raises(ConfigError, match="unit vector"):
+        nan_component.validate()
     multi_theta = tiny_config(
         scenario="custom",
         custom_terms=(term,),
@@ -155,10 +167,18 @@ def test_scenario_density_wraps_build_failures():
     # a cancelling custom superposition does not
     term = CustomTermSpec(1.0, 0.0, 1, 1.0, 1, 2, 1.0, -1)
     cancel = CustomTermSpec(-1.0, 0.0, 1, 1.0, 1, 2, 1.0, -1)
-    cfg = tiny_config(scenario="custom", custom_terms=(term, cancel))
-    with pytest.raises(ConfigError) as err:
-        scenario_density(cfg)
-    assert err.value.field == "scenario"
+    # each failure names the key at fault
+    for overrides, field in [
+        (dict(scenario="custom", custom_terms=(term, cancel)), "term"),
+        (dict(omega0=400.0), "omega0"),
+        (dict(scenario="chiral-psi3", omega0=400.0), "omega0"),
+        # at omega0 = 300 the f = g = 0 projection of psi3 annihilates it
+        (dict(scenario="chiral-psi3", omega0=300.0, chiral_labels=(0, 0)), "chiral"),
+    ]:
+        with pytest.raises(ConfigError) as err:
+            scenario_density(tiny_config(**overrides))
+        assert err.value.field == field
+        assert str(err.value).startswith(f"{field}: cannot build scenario")
 
 
 # --------------------------------------------------------------------------
@@ -433,8 +453,53 @@ def test_cli_rejects_rapidity_beyond_the_float_range(argv, rapidity, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     (line,) = captured.err.splitlines()
-    assert line.startswith("error: scenario: cannot build scenario")
+    field = "term" if "--term" in argv else "omega0"
+    assert line.startswith(f"error: {field}: cannot build scenario")
     assert f"rapidity {rapidity} leaves the float range" in line
+
+
+def test_cli_names_the_chiral_labels_that_annihilate_the_state(capsys):
+    argv = ["--scenario", "chiral-psi3", "--chiral", "0,0", "--omega0", "300"]
+    assert cli.main(["sweep", *argv, "--omega", "0:1:2", "--theta", "0:1:2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith("error: chiral: cannot build scenario 'chiral-psi3'")
+    assert "annihilates the state" in line
+
+
+# for every key parsed into typed fields: a wrong field count and a field that does not parse
+MALFORMED = [
+    ("omega0", "1,2", "a number"),
+    ("omega0", "x", "a number"),
+    ("omega", "0:1", "min:max:steps"),
+    ("omega", "0:1:2.5", "min:max:steps"),
+    ("theta", "0:1:2:3", "min:max:steps"),
+    ("theta", "a:1:2", "min:max:steps"),
+    ("chiral", "0", "f,g"),
+    ("chiral", "0,x", "f,g"),
+    ("boost-dir", "0,1", "nx,ny,nz"),
+    ("boost-dir", "0,x,1", "nx,ny,nz"),
+    ("term", "1,0,1", "re,im,sA,omega0A,dirA,sB,omega0B,dirB"),
+    ("term", "1,0,1.5,1,1,2,1,1", "re,im,sA,omega0A,dirA,sB,omega0B,dirB"),
+    ("workers", "1,2", "an integer"),
+    ("workers", "two", "an integer"),
+]
+
+
+@pytest.mark.parametrize("source", ["flag", "file"])
+@pytest.mark.parametrize("key,text,form", MALFORMED)
+def test_malformed_typed_value_names_its_key(key, text, form, source, tmp_path, capsys):
+    if source == "flag":
+        argv = [f"--{key}={text}"]
+    else:
+        path = tmp_path / "sweep.cfg"
+        path.write_text(f"{key} = {text}\n")
+        argv = ["--config", str(path)]
+    assert cli.main(["sweep", *argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {key}: expected {form}, got {text!r}\n"
 
 
 def test_sweep_help_shows_the_config_defaults(monkeypatch, capsys):
