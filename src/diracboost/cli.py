@@ -13,9 +13,13 @@ import sys
 from collections.abc import Callable
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from .sweep import (
     DEFAULT_CHIRAL_LABELS,
+    MEASURES,
+    OUTPUT_FORMATS,
+    SCENARIOS,
     ConfigError,
     CustomTermSpec,
     GridSpec,
@@ -61,36 +65,41 @@ def _measures(text: str, key: str) -> tuple[str, ...]:
     return tuple(m.strip().lower() for m in text.split(",") if m.strip())
 
 
-def _terms(texts: list[str], key: str) -> tuple[CustomTermSpec, ...]:
-    return tuple(_TERM(t, key) for t in texts)
+class _Key(NamedTuple):
+    """A sweep key, which is both its ``--flag`` and its config-file key."""
+
+    field: str  # the SweepConfig field it sets; ``out`` is returned beside the config
+    parse: Callable
+    help: str
+    repeats: bool = False  # every value is kept, in order, and parsed into a tuple
+
+    def read(self, value, key: str):
+        return tuple(self.parse(v, key) for v in value) if self.repeats else self.parse(value, key)
 
 
-#: Each sweep key, which is both its ``--flag`` and its config-file key: the
-#: ``SweepConfig`` field it sets (``out`` is returned beside the config), the parser
-#: of its text, and its help.  A key given nowhere keeps the default ``--help`` shows.
+#: Each sweep key.  A key given nowhere keeps the default ``--help`` shows.
 _KEYS = {
-    "scenario": ("scenario", _text, "psi1|psi2|psi3|chiral-psi2|chiral-psi3|custom"),
-    "omega0": ("omega0", _NUMBER, "initial rapidity of the scenario state"),
-    "omega": ("omega_grid", _GRID, f"boost rapidity grid {_GRID.form}"),
-    "theta": ("theta_grid", _GRID, f"boost angle grid {_GRID.form} in [0,pi]"),
-    "measures": (
-        "measures", _measures, "comma list from eg,delta_eg,negativity,delta_negativity,bloch"
+    "scenario": _Key("scenario", _text, "|".join(SCENARIOS)),
+    "omega0": _Key("omega0", _NUMBER, "initial rapidity of the scenario state"),
+    "omega": _Key("omega_grid", _GRID, f"boost rapidity grid {_GRID.form}"),
+    "theta": _Key("theta_grid", _GRID, f"boost angle grid {_GRID.form} in [0,pi]"),
+    "measures": _Key("measures", _measures, f"comma list from {','.join(MEASURES)}"),
+    "format": _Key("output_format", _text, " or ".join(OUTPUT_FORMATS)),
+    "out": _Key("out", _text, "output path (default stdout)"),
+    "chiral": _Key(
+        "chiral_labels", _CHIRAL, f"chiral labels {_CHIRAL.form} for chiral-* scenarios"
     ),
-    "format": ("output_format", _text, "csv or json"),
-    "out": ("out", _text, "output path (default stdout)"),
-    "chiral": ("chiral_labels", _CHIRAL, f"chiral labels {_CHIRAL.form} for chiral-* scenarios"),
-    "term": ("custom_terms", _terms, f"custom term {_TERM.form} (repeatable)"),
-    "boost-dir": (
-        "boost_direction",
-        _DIRECTION,
+    "term": _Key("custom_terms", _TERM, f"custom term {_TERM.form} (repeatable)", repeats=True),
+    "boost-dir": _Key(
+        "boost_direction", _DIRECTION,
         f"fixed unit boost direction {_DIRECTION.form} (custom scenario, single-point theta grid)",
     ),
-    "workers": ("workers", _INTEGER, "accepted (>= 1) but changes neither speed nor output"),
+    "workers": _Key("workers", _INTEGER, "accepted (>= 1) but changes neither speed nor output"),
 }
 
 
 def load_config_file(path: str) -> dict:
-    """Parse a line-oriented key=value config file; `term` may repeat."""
+    """Parse a line-oriented key=value config file; a repeated key's values form a list."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
@@ -106,10 +115,7 @@ def load_config_file(path: str) -> dict:
         key, value = key.strip(), value.strip()
         if key not in _KEYS:
             raise ConfigError("config", f"line {lineno}: unknown key {key!r}")
-        if key == "term":
-            values.setdefault("term", []).append(value)
-        else:
-            values[key] = value
+        values[key] = [*values.get(key, []), value] if _KEYS[key].repeats else value
     return values
 
 
@@ -120,7 +126,7 @@ def build_config(args: argparse.Namespace) -> tuple[SweepConfig, str | None]:
         flag = getattr(args, key.replace("-", "_"))
         if flag is not None:
             values[key] = flag
-    fields = {_KEYS[k][0]: _KEYS[k][1](values[k], k) for k in _KEYS if k in values}
+    fields = {_KEYS[k].field: _KEYS[k].read(values[k], k) for k in _KEYS if k in values}
     out = fields.pop("out", None)
     return SweepConfig(**fields), out
 
@@ -133,15 +139,14 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command")
 
     sweep = sub.add_parser("sweep", help="run an (omega, theta) grid sweep")
-    for key, (field, _, help_text) in _KEYS.items():
+    for key, (field, _, help_text, repeats) in _KEYS.items():
         default = DEFAULT_CHIRAL_LABELS if key == "chiral" else getattr(SweepConfig(), field, None)
         if isinstance(default, GridSpec):
             help_text += f" (default {default.start!r}:{default.stop!r}:{default.steps})"
         elif default not in (None, ()):
             shown = ",".join(map(str, default)) if isinstance(default, tuple) else default
             help_text += f" (default {shown})"
-        action = "append" if key == "term" else "store"
-        sweep.add_argument(f"--{key}", action=action, help=help_text)
+        sweep.add_argument(f"--{key}", action="append" if repeats else "store", help=help_text)
     sweep.add_argument("--config", help="key=value config file; flags override it")
 
     verify = sub.add_parser("verify", help="run the built-in verification suite")

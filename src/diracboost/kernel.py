@@ -10,7 +10,8 @@ route takes them for a chunk from one ``(n, 55) @ (55, 29)`` product of the
 (the amplitude route) loses ``eps * sqrt(kappa)``.  Rows with ``kappa >
 _KAPPA_LIMIT`` or a quadratic ``nu`` that is not finite and positive take the
 amplitude route.  ``omega = 0`` rows (``a = (1, 0, ...)``, ``kappa = 1``) take
-the quadratic route, which gives them the table's own row for ``Psi``.
+the quadratic route, which gives them the table's own row for ``Psi``.  A row
+whose bound ``eps * sqrt(kappa)`` passes ``_PRECISION_LIMIT`` raises instead.
 """
 
 from __future__ import annotations
@@ -25,6 +26,9 @@ from .tensor import PAULI
 
 #: Largest ``kappa`` on the quadratic route: its error ``eps * kappa`` stays below 2.2e-13.
 _KAPPA_LIMIT = 1e3
+#: Largest relative error bound ``eps * sqrt(kappa)`` of ``nu`` and the amplitudes that a row
+#: may carry; past it the boost has cancelled the state's digits, so the kernel raises.
+_PRECISION_LIMIT = 1e-9
 _K, _L = np.triu_indices(3)
 _I, _J = np.triu_indices(10)
 #: The 29 outputs are u^dag O_q u for u = vec(Psi'): nu (O = I), the Bloch numerators
@@ -96,10 +100,17 @@ def _measure_chunk(psi, omegas, thetas, directions):
         with np.errstate(all="ignore"):
             boosted = a[amplitude] @ basis
             nu[amplitude] = np.sum(boosted.real**2 + boosted.imag**2, axis=1)
+            kappa[amplitude] = (np.abs(a[amplitude]) @ norms) ** 2 / nu[amplitude]
         bad = ~(np.isfinite(nu) & (nu > _ZERO_NORM_TOL))
         if bad.any():
             k = int(np.argmax(bad))
             raise _point_error(omegas[k], thetas[k], f"boost normalization failed (nu = {nu[k]})")
+        bound = np.finfo(float).eps * np.sqrt(kappa)
+        lost = bound > _PRECISION_LIMIT
+        if lost.any():
+            k = int(np.argmax(lost))
+            reason = f"cancels the state: kappa = {kappa[k]:.3g}, eps*sqrt(kappa) = {bound[k]:.2g}"
+            raise _point_error(omegas[k], thetas[k], f"the boost {reason} > {_PRECISION_LIMIT:g}")
         amp = boosted / np.sqrt(nu[amplitude])[:, None]
         products = (amp.conj()[:, :, None] * amp[:, None, :]).reshape(-1, 256)
         out[amplitude] = products @ _OPERATORS.reshape(29, 256).T

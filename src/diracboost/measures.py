@@ -19,13 +19,16 @@ import numpy as np
 from .kernel import _clamp_residue, _measure_chunk
 from .kinematics import E_Z, BoostSpec, helicity_spinor
 from .states import TWO_PARTICLE_LAYOUT, TwoParticleState, assemble_state_vector
-from .tensor import PAULI, SubsystemLayout, hermitian_eigenvalues, partial_trace, partial_transpose
+from .tensor import (
+    PAULI, SubsystemLayout, check_density, hermitian_eigenvalues, partial_trace, partial_transpose,
+)
 
 SUBSYSTEM_TAGS = TWO_PARTICLE_LAYOUT.labels
 
 SPIN_PAIR_LAYOUT = SubsystemLayout(("SA", "SB"))
 
-_TRACE_TOL = 1e-8
+#: Largest shortfall of ``Tr rho^2`` below 1 that :func:`global_entanglement` calls pure.
+_PURITY_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -50,16 +53,6 @@ class BlochVector:
         return np.array([self.x, self.y, self.z])
 
 
-def _check_density(rho: np.ndarray, dim: int) -> np.ndarray:
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (dim, dim):
-        raise ValueError(f"expected a {dim}x{dim} matrix, got shape {rho.shape}")
-    trace = complex(np.trace(rho))
-    if abs(trace - 1.0) > _TRACE_TOL:
-        raise ValueError(f"density matrix trace must be 1, got {trace!r}")
-    return rho
-
-
 def linear_entropy(rho: np.ndarray) -> float:
     """(d/(d-1)) (1 - Tr rho^2): 0 for pure states, 1 for maximally mixed."""
     rho = np.asarray(rho, dtype=complex)
@@ -68,20 +61,20 @@ def linear_entropy(rho: np.ndarray) -> float:
     d = rho.shape[0]
     if d < 2:
         raise ValueError("linear entropy needs dimension at least 2")
-    _check_density(rho, d)
+    check_density(rho, d)
     purity = float(np.real(np.trace(rho @ rho)))
     return float(_clamp_residue((d / (d - 1.0)) * (1.0 - purity)))
 
 
 def bloch_vector(rho_qubit: np.ndarray) -> BlochVector:
-    rho = _check_density(np.asarray(rho_qubit, dtype=complex), 2)
+    rho = check_density(rho_qubit, 2)
     a = [float(np.real(np.trace(s @ rho))) for s in PAULI]
     return BlochVector(*a)
 
 
 def single_qubit_reductions(rho: np.ndarray) -> dict[str, np.ndarray]:
     """All four 2x2 reduced matrices of a two-particle density matrix."""
-    rho = _check_density(rho, 16)
+    rho = check_density(rho, 16)
     return {
         tag: partial_trace(rho, TWO_PARTICLE_LAYOUT, (tag,))
         for tag in SUBSYSTEM_TAGS
@@ -94,9 +87,9 @@ def single_qubit_entropies(rho: np.ndarray) -> dict[str, float]:
 
 def global_entanglement(rho: np.ndarray) -> float:
     """Mean linear entropy of the four single-qubit reductions (pure states only)."""
-    rho = _check_density(rho, 16)
+    rho = check_density(rho, 16)
     purity = float(np.real(np.trace(rho @ rho)))
-    if purity < 1.0 - _TRACE_TOL:
+    if purity < 1.0 - _PURITY_TOL:
         raise ValueError(
             f"global entanglement is defined for pure states; Tr rho^2 = {purity!r}"
         )
@@ -106,7 +99,7 @@ def global_entanglement(rho: np.ndarray) -> float:
 
 def spin_spin_reduced(rho: np.ndarray) -> np.ndarray:
     """Trace both parity qubits out of a 16x16 two-particle matrix."""
-    rho = _check_density(rho, 16)
+    rho = check_density(rho, 16)
     return partial_trace(rho, TWO_PARTICLE_LAYOUT, ("SA", "SB"))
 
 
@@ -116,7 +109,7 @@ def negativity(rho_ss: np.ndarray) -> float:
     Values in [-1e-12, 0) are rounding residue on separable states and are
     clamped to 0.
     """
-    rho = _check_density(rho_ss, 4)
+    rho = check_density(rho_ss, 4)
     transposed = partial_transpose(rho, SPIN_PAIR_LAYOUT, "SA")
     return float(_clamp_residue(np.sum(np.abs(hermitian_eigenvalues(transposed))) - 1.0))
 

@@ -23,7 +23,7 @@ from .kinematics import (
     bispinor_u,
     chiral_projector,
 )
-from .tensor import SubsystemLayout, kron, outer
+from .tensor import SubsystemLayout, check_density, kron, outer
 
 #: Global factor ordering for the 16-dimensional two-particle space.
 TWO_PARTICLE_LAYOUT = SubsystemLayout(("PA", "SA", "PB", "SB"))
@@ -181,14 +181,7 @@ def boost_two_particle(rho: np.ndarray, b: BoostSpec) -> tuple[np.ndarray, float
     rescaled by its trace nu to restore unit trace; nu is returned for
     diagnostics.  Purity is preserved.
     """
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (16, 16):
-        raise ValueError(f"expected a 16x16 density matrix, got shape {rho.shape}")
-    trace = complex(np.trace(rho))
-    if abs(trace - 1.0) > 1e-10:
-        raise ValueError(f"density matrix must have unit trace, got {trace!r}")
-    if np.max(np.abs(rho - rho.conj().T)) > 1e-10:
-        raise ValueError("density matrix must be Hermitian")
+    rho = check_density(rho, 16)
     if b.rapidity == 0.0:
         # the identity boost, exactly: no rounding residue enters rho
         return rho.copy(), 1.0

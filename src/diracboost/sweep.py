@@ -18,6 +18,7 @@ import numpy as np
 from .kernel import SweepError, _grid, _measure_chunk, _point_error
 from .kinematics import E_Z, FourMomentum, _unit_direction
 from .states import (
+    TWO_PARTICLE_LAYOUT,
     ChiralLabelPair,
     SuperpositionTerm,
     TwoParticleState,
@@ -35,7 +36,7 @@ DEFAULT_MEASURES = ("eg", "delta_eg", "negativity", "delta_negativity")
 DEFAULT_CHIRAL_LABELS = (0, 0)
 OUTPUT_FORMATS = ("csv", "json")
 
-_BLOCH_COLUMNS = tuple(f"bloch_{tag}_{axis}" for tag in ("pa", "sa", "pb", "sb") for axis in "xyz")
+_BLOCH_COLUMNS = tuple(f"bloch_{t.lower()}_{x}" for t in TWO_PARTICLE_LAYOUT.labels for x in "xyz")
 
 #: Grid points per kernel call.  A few hundred keeps the working arrays, and
 #: so peak memory, small on any grid while amortizing per-call overhead.

@@ -20,8 +20,10 @@ PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 PAULI = (PAULI_X, PAULI_Y, PAULI_Z)
 ID2 = np.eye(2, dtype=complex)
 
-#: Absolute tolerance on ``max|H - H†|`` accepted by :func:`hermitian_eigenvalues`.
+#: Absolute tolerance on ``max|H - H†|`` of a matrix taken as Hermitian.
 HERMITICITY_TOL = 1e-10
+#: Absolute tolerance on ``|Tr rho - 1|`` accepted by :func:`check_density`.
+TRACE_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -73,6 +75,26 @@ def _check_square(rho: np.ndarray, layout: SubsystemLayout) -> np.ndarray:
     return rho
 
 
+def check_density(rho: np.ndarray, dim: int) -> np.ndarray:
+    """``rho`` as a complex ``dim x dim`` density matrix: unit trace and Hermitian, to tolerance."""
+    rho = np.asarray(rho, dtype=complex)
+    if rho.shape != (dim, dim):
+        raise ValueError(f"expected a {dim}x{dim} density matrix, got shape {rho.shape}")
+    trace = complex(np.trace(rho))
+    if abs(trace - 1.0) > TRACE_TOL:
+        raise ValueError(f"density matrix must have unit trace, got {trace!r}")
+    _check_hermitian(rho, "density matrix")
+    return rho
+
+
+def _check_hermitian(h: np.ndarray, name: str) -> None:
+    residue = np.max(np.abs(h - h.conj().T))
+    if residue > HERMITICITY_TOL:
+        raise ValueError(
+            f"{name} is not Hermitian: max|H - H†| = {residue:.3e} exceeds {HERMITICITY_TOL:.0e}"
+        )
+
+
 def partial_trace(
     rho: np.ndarray, layout: SubsystemLayout, keep: Iterable[str]
 ) -> np.ndarray:
@@ -120,11 +142,7 @@ def hermitian_eigenvalues(h: np.ndarray) -> np.ndarray:
     h = np.asarray(h, dtype=complex)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {h.shape}")
-    residue = np.max(np.abs(h - h.conj().T))
-    if residue > HERMITICITY_TOL:
-        raise ValueError(
-            f"matrix is not Hermitian: max|H - H†| = {residue:.3e} exceeds {HERMITICITY_TOL:.0e}"
-        )
+    _check_hermitian(h, "matrix")
     sym = (h + h.conj().T) / 2.0
     vals = np.linalg.eigvalsh(sym)
     return vals[::-1].copy()

@@ -75,6 +75,12 @@ class CheckResult:
         return asdict(self)
 
 
+def _within(check_id, description, measured, expected, tol, detail="") -> CheckResult:
+    """A check that passes when ``|measured - expected| <= tol``."""
+    passed = abs(measured - expected) <= tol
+    return CheckResult(check_id, description, passed, measured, expected, tol, detail)
+
+
 def _kernel_grid(st: TwoParticleState, omegas, thetas):
     """Measure ``st`` boosted to every (omega, theta) pair in one sweep-kernel call.
 
@@ -91,45 +97,22 @@ def _kernel_grid(st: TwoParticleState, omegas, thetas):
 
 def _check_psi1_rest_eg() -> CheckResult:
     measured = global_entanglement(density_matrix(make_psi1(1.0)))
-    expected, tol = 0.5, 1e-10
-    return CheckResult(
-        "c01",
-        "unboosted opposite-helicity state has global entanglement 1/2",
-        abs(measured - expected) <= tol,
-        measured,
-        expected,
-        tol,
-    )
+    return _within("c01", "unboosted opposite-helicity state has global entanglement 1/2",
+                   measured, 0.5, 1e-10)
 
 
 def _check_psi1_negativity_grid() -> CheckResult:
     _, _, _, neg, _ = _kernel_grid(make_psi1(1.0), GRID_OMEGAS, GRID_THETAS)
     worst = float(np.max(np.abs(neg)))
-    tol = 1e-10
-    return CheckResult(
-        "c02",
-        "opposite-helicity state stays spin-spin separable in every frame",
-        worst <= tol,
-        worst,
-        0.0,
-        tol,
-        f"20x10 grid, omega in [0,5], theta in [0,pi/2]",
-    )
+    return _within("c02", "opposite-helicity state stays spin-spin separable in every frame",
+                   worst, 0.0, 1e-10, "20x10 grid, omega in [0,5], theta in [0,pi/2]")
 
 
 def _check_psi1_parallel_invariance() -> CheckResult:
     _, _, eg, _, _ = _kernel_grid(make_psi1(1.0), GRID_OMEGAS, [0.0])
     worst = float(np.max(np.abs(eg - eg[0])))  # GRID_OMEGAS[0] = 0: the unboosted state
-    tol = 1e-10
-    return CheckResult(
-        "c03",
-        "boosts parallel to the momenta leave global entanglement unchanged",
-        worst <= tol,
-        worst,
-        0.0,
-        tol,
-        "theta=0, omega in [0,5]",
-    )
+    return _within("c03", "boosts parallel to the momenta leave global entanglement unchanged",
+                   worst, 0.0, 1e-10, "theta=0, omega in [0,5]")
 
 
 def _check_psi1_saturation() -> CheckResult:
@@ -158,18 +141,10 @@ def _check_psi2_angle_independence() -> CheckResult:
     _, _, eg, neg, _ = _kernel_grid(make_psi2(1.0), GRID_OMEGAS, thetas)
     spread_eg = float(np.max(np.ptp(eg, axis=1)))
     spread_neg = float(np.max(np.ptp(neg, axis=1)))
-    measured = max(spread_eg, spread_neg)
-    tol = 1e-10
-    return CheckResult(
-        "c05",
-        "equal-helicity-pair state measures are independent of the boost angle",
-        measured <= tol,
-        measured,
-        0.0,
-        tol,
-        f"max spread over theta in {{0, pi/8, pi/4, pi/2}}: "
-        f"E_G {spread_eg:.3g}, negativity {spread_neg:.3g}",
-    )
+    return _within("c05", "equal-helicity-pair state measures are independent of the boost angle",
+                   max(spread_eg, spread_neg), 0.0, 1e-10,
+                   f"max spread over theta in {{0, pi/8, pi/4, pi/2}}: "
+                   f"E_G {spread_eg:.3g}, negativity {spread_neg:.3g}")
 
 
 def _check_psi2_degradation() -> CheckResult:
@@ -230,7 +205,6 @@ def _check_chiral_invariance() -> CheckResult:
         (float(om), float(th))
         for om, th in zip(rng.uniform(0.0, 5.0, 25), rng.uniform(0.0, math.pi, 25))
     ]
-    tol = 1e-12
     worst = 0.0
     details = []
     for name, maker in (("psi2", make_psi2), ("psi3", make_psi3)):
@@ -245,34 +219,19 @@ def _check_chiral_invariance() -> CheckResult:
                     dist = max(dist, float(np.linalg.norm(boosted - rho)))
                 worst = max(worst, dist)
                 details.append(f"{name} f={f} g={g}: {dist:.3g}")
-    return CheckResult(
-        "c08",
-        "chirality-projected states are unchanged by every boost",
-        worst <= tol,
-        worst,
-        0.0,
-        tol,
-        "; ".join(details),
-    )
+    return _within("c08", "chirality-projected states are unchanged by every boost",
+                   worst, 0.0, 1e-12, "; ".join(details))
 
 
 def _check_analytic_bloch() -> CheckResult:
-    tol = 1e-9
     worst = 0.0
     for maker in (make_psi2, make_psi3):
         st = maker(1.0)
         w, n, _, _, numeric = _kernel_grid(st, GRID_OMEGAS, GRID_THETAS)
         analytic = _analytic_bloch_batch(st, w, n)
         worst = max(worst, float(np.max(np.abs(numeric - analytic))))
-    return CheckResult(
-        "c09",
-        "closed-form boosted Bloch vectors match the numeric pipeline",
-        worst <= tol,
-        worst,
-        0.0,
-        tol,
-        "both shared-momentum scenarios, 20x10 grid",
-    )
+    return _within("c09", "closed-form boosted Bloch vectors match the numeric pipeline",
+                   worst, 0.0, 1e-9, "both shared-momentum scenarios, 20x10 grid")
 
 
 def _random_momentum(rng) -> FourMomentum:
@@ -367,18 +326,9 @@ def _check_algebraic_suites() -> CheckResult:
         ("Minkowski norm (relative)", _suite_minkowski(rng), 1e-10),
         ("dual-path global entanglement", _suite_dual_path_eg(rng), 1e-12),
     )
-    ratios = [err / tol for _, err, tol in suites]
     detail = "; ".join(f"{name}: {err:.3g} (tol {tol:.0e})" for name, err, tol in suites)
-    measured = max(ratios)
-    return CheckResult(
-        "c10",
-        "algebraic property suites (worst error as a fraction of its tolerance)",
-        measured <= 1.0,
-        measured,
-        0.0,
-        1.0,
-        detail,
-    )
+    return _within("c10", "algebraic property suites (worst error as a fraction of its tolerance)",
+                   max(err / tol for _, err, tol in suites), 0.0, 1.0, detail)
 
 
 _CHECKS = (

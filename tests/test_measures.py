@@ -96,6 +96,17 @@ def test_bloch_vector_rejects_wrong_shape():
         bloch_vector(np.eye(4) / 4)
 
 
+def test_per_point_measures_reject_a_non_hermitian_or_off_trace_matrix():
+    skewed = np.array([[0.5, 0.3], [0.0, 0.5]], dtype=complex)
+    for measure in (bloch_vector, linear_entropy):
+        with pytest.raises(ValueError, match="Hermitian"):
+            measure(skewed)
+    off_trace = density_matrix(make_psi2(1.0)) * (1.0 + 5e-9)
+    for measure in (spin_spin_reduced, global_entanglement, single_qubit_reductions):
+        with pytest.raises(ValueError, match="unit trace"):
+            measure(off_trace)
+
+
 def test_bloch_vector_ball_constraint():
     with pytest.raises(ValueError, match="unit ball"):
         BlochVector(1.1, 0.0, 0.3)

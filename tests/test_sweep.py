@@ -106,6 +106,8 @@ def test_term_validation_rejects_bad_fields(text):
         (dict(custom_terms=(CustomTermSpec(1, 0, 1, 1, 1, 2, 1, 1),)), "term"),
         (dict(boost_direction=(0.0, 0.0, 1.0)), "boost-dir"),
         (dict(workers=0), "workers"),
+        (dict(omega_grid=GridSpec(math.nan, 1.0, 3)), "omega"),
+        (dict(omega_grid=GridSpec(0.0, math.inf, 2)), "omega"),
     ],
 )
 def test_config_validation_reports_field(overrides, field):
@@ -145,6 +147,12 @@ def test_config_boost_dir_constraints():
     )
     with pytest.raises(ConfigError, match="unit vector"):
         nan_component.validate()
+    two_components = tiny_config(
+        scenario="custom", custom_terms=(term,), boost_direction=(0.6, 0.8)
+    )
+    with pytest.raises(ConfigError, match="3-vector") as err:
+        two_components.validate()
+    assert err.value.field == "boost-dir"
     multi_theta = tiny_config(
         scenario="custom",
         custom_terms=(term,),
@@ -525,6 +533,35 @@ def test_cli_flags_override_config_file(tmp_path, capsys):
     assert code == 0
     payload = json.loads(out.read_text())
     assert payload[0]["eg"] == 0.5  # psi1 from the flag, grids from the file
+
+
+def test_config_file_terms_give_way_to_the_term_flag(tmp_path):
+    path = tmp_path / "sweep.cfg"
+    path.write_text(
+        "scenario = custom\nterm = 1,0,1,1,1,2,1,-1\nterm = 0,0.5,2,1,-1,1,1,1\n"
+    )
+    cfg, _ = _build("--config", str(path), "--term", "0,1,2,0.5,1,1,0.5,-1")
+    assert cfg.custom_terms == (CustomTermSpec(0.0, 1.0, 2, 0.5, 1, 1, 0.5, -1),)
+    file_only, _ = _build("--config", str(path))
+    assert file_only.custom_terms == (
+        CustomTermSpec(1.0, 0.0, 1, 1.0, 1, 2, 1.0, -1),
+        CustomTermSpec(0.0, 0.5, 2, 1.0, -1, 1, 1.0, 1),
+    )
+
+
+def test_cli_rejects_non_finite_grid_endpoints(capsys):
+    assert cli.main(["sweep", "--omega=nan:1:3"]) == 1
+    assert capsys.readouterr().err == "error: omega: grid endpoints must be finite\n"
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("omega", ["20", "36"])
+def test_cli_rejects_a_boost_that_cancels_the_state(omega, capsys):
+    argv = ["sweep", "--scenario", "psi1", f"--omega={omega}:{omega}:1", "--theta=0:0:1"]
+    assert cli.main(argv) == 1
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith(f"error: sweep point (omega={omega}, theta=0) failed: ")
+    assert "kappa = " in line
 
 
 def test_cli_validation_failures_exit_1(tmp_path, capsys):

@@ -188,6 +188,20 @@ def test_cancelling_parallel_boost_keeps_nu_at_large_rapidity():
 
 
 @pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("omega", [20.0, 36.0])
+def test_cancelling_boost_past_the_precision_limit_raises(omega):
+    """psi1 along its momenta loses eps * sqrt(kappa) of nu: 5.4e-8 at omega = 20.
+
+    Without the limit the kernel printed nu = 0.78125 at omega = 36, where the exact value is 1.
+    """
+    cfg = SweepConfig(
+        scenario="psi1", omega_grid=GridSpec(omega, omega, 1), theta_grid=GridSpec(0.0, 0.0, 1)
+    )
+    with pytest.raises(SweepError, match=rf"omega={omega:g}, theta=0\).*kappa = "):
+        run_sweep(cfg)
+
+
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("scenario", ["psi1", "psi3"])
 def test_overflow_names_its_point_on_either_route(scenario):
     cfg = SweepConfig(
