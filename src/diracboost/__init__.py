@@ -7,8 +7,6 @@ the parity and spin degrees of freedom of a two-particle state.
 """
 
 from .kinematics import (
-    GAMMA5,
-    Bispinor,
     BoostSpec,
     FourMomentum,
     bispinor_boost,
@@ -27,7 +25,6 @@ from .measures import (
     global_entanglement,
     linear_entropy,
     negativity,
-    single_qubit_entropies,
     single_qubit_reductions,
     spin_spin_reduced,
 )
@@ -50,14 +47,11 @@ from .sweep import (
     GridSpec,
     SweepConfig,
     SweepError,
-    SweepRow,
     emit,
     run_sweep,
 )
 from .tensor import (
     SubsystemLayout,
-    hermitian_eigenvalues,
-    kron,
     partial_trace,
     partial_transpose,
 )
@@ -65,11 +59,8 @@ from .tensor import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "GAMMA5",
-    "Bispinor",
     "BlochVector",
     "BoostSpec",
-    "CheckResult",
     "ChiralLabelPair",
     "ConfigError",
     "CustomTermSpec",
@@ -79,7 +70,6 @@ __all__ = [
     "SuperpositionTerm",
     "SweepConfig",
     "SweepError",
-    "SweepRow",
     "TWO_PARTICLE_LAYOUT",
     "TwoParticleState",
     "analytic_boosted_bloch",
@@ -98,8 +88,6 @@ __all__ = [
     "emit",
     "global_entanglement",
     "helicity_spinor",
-    "hermitian_eigenvalues",
-    "kron",
     "linear_entropy",
     "make_psi1",
     "make_psi2",
@@ -108,17 +96,8 @@ __all__ = [
     "partial_trace",
     "partial_transpose",
     "run_sweep",
-    "run_verification",
-    "single_qubit_entropies",
     "single_qubit_reductions",
     "spin_spin_reduced",
     "__version__",
 ]
 
-
-def __getattr__(name: str):
-    # verify loads on first use, so that a sweep does not pay for importing it
-    if name in ("CheckResult", "run_verification"):
-        from . import verify
-        return getattr(verify, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -24,7 +24,6 @@ from .sweep import (
     CustomTermSpec,
     GridSpec,
     SweepConfig,
-    SweepError,
     _format_chunks,
     _sweep_columns,
 )
@@ -178,7 +177,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             sys.stdout.buffer.writelines(chunks)
         else:
             _write_out(chunks, out)
-    except (SweepError, ValueError, OSError) as exc:  # ConfigError is a ValueError
+    except (ValueError, OSError) as exc:  # every error of the package is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

@@ -44,8 +44,8 @@ _OPERATORS = np.concatenate(
 ).reshape(29, 16, 16)
 
 
-class SweepError(RuntimeError):
-    """A grid point failed; the message carries its (omega, theta) coordinates."""
+class SweepError(ValueError):
+    """A grid point failed (a ``ValueError``); the message carries its (omega, theta) coordinates."""
 
 
 def _point_error(omega: float, theta: float, reason) -> SweepError:

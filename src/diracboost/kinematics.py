@@ -166,14 +166,6 @@ class Bispinor:
             raise ValueError(f"bispinor must have unit norm, got {norm!r}")
 
 
-def _fix_phase(v: np.ndarray) -> np.ndarray:
-    """Make the first component with magnitude above 1e-12 real and positive."""
-    for c in v:
-        if abs(c) > 1e-12:
-            return v * (abs(c) / c)
-    return v
-
-
 def helicity_spinor(p: FourMomentum, s: int) -> np.ndarray:
     """Two-spinor with (e_p . sigma) chi = +chi for s=1 and -chi for s=2.
 
@@ -201,7 +193,8 @@ def helicity_spinor(p: FourMomentum, s: int) -> np.ndarray:
         minus = np.array([1.0 - nz, -(nx + 1j * ny)], dtype=complex)
     chi = plus if s == 1 else minus
     chi = chi / np.linalg.norm(chi)
-    return _fix_phase(chi)
+    c = chi[0] if abs(chi[0]) > 1e-12 else chi[1]  # one of a unit 2-vector's is >= 1/sqrt(2)
+    return chi * (abs(c) / c)
 
 
 def _bispinor_blocks(p: FourMomentum, s: int) -> tuple[np.ndarray, np.ndarray, float]:

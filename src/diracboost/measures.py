@@ -124,12 +124,16 @@ def _boost_deltas(st: TwoParticleState, b: BoostSpec) -> tuple[float, float]:
 
 
 def delta_global(st: TwoParticleState, b: BoostSpec) -> float:
-    """Change of global entanglement under a boost (boosted minus original)."""
+    """Change of global entanglement under a boost (boosted minus original).
+
+    A boost the kernel cannot measure is a ``SweepError``, which is a ``ValueError``."""
     return _boost_deltas(st, b)[0]
 
 
 def delta_negativity(st: TwoParticleState, b: BoostSpec) -> float:
-    """Change of spin-spin negativity under a boost (boosted minus original)."""
+    """Change of spin-spin negativity under a boost (boosted minus original).
+
+    Fails as :func:`delta_global` does."""
     return _boost_deltas(st, b)[1]
 
 

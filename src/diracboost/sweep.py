@@ -195,9 +195,9 @@ def scenario_vector(cfg: SweepConfig) -> np.ndarray:
     """Build the configured scenario's unboosted, normalized 16-component state.
 
     A failed build is a :class:`ConfigError` naming the key at fault: ``term`` for a
-    custom superposition, ``chiral`` for an annihilating projection, else ``omega0``."""
-    if cfg.scenario not in SCENARIOS:
-        raise ConfigError("scenario", f"unknown scenario {cfg.scenario!r}")
+    custom superposition, ``chiral`` for an annihilating projection, else ``omega0``.
+    An invalid ``cfg`` is a :class:`ConfigError` from :meth:`SweepConfig.validate`."""
+    cfg.validate()
     builders = {"psi1": make_psi1, "psi2": make_psi2, "psi3": make_psi3}
     base = cfg.scenario.removeprefix("chiral-")
     field = "term" if cfg.scenario == "custom" else "omega0"
@@ -225,7 +225,6 @@ def _sweep_columns(cfg: SweepConfig):
 
     Raises :class:`SweepError` naming the first point and column that is not finite.
     """
-    cfg.validate()
     psi = scenario_vector(cfg).reshape(4, 4)
     origin = np.zeros(1)
     _, (eg0,), (neg0,), _ = _measure_chunk(psi, origin, origin, E_Z[None, :])

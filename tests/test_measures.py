@@ -243,6 +243,13 @@ def test_delta_overflow_names_the_boost():
         delta_global(make_psi2(1.0), BoostSpec(400.0, E_Z))
 
 
+@pytest.mark.parametrize("delta", [delta_global, delta_negativity])
+def test_delta_of_a_cancelling_boost_is_a_value_error(delta):
+    # psi1 boosted along its momenta loses its digits from omega ~ 16.5
+    with pytest.raises(ValueError, match="kappa"):
+        delta(make_psi1(1.0), BoostSpec(20.0, E_Z))
+
+
 def test_psi1_parallel_boost_leaves_measures_alone():
     st = make_psi1(1.0)
     for w in (0.5, 2.0, 5.0):

@@ -19,6 +19,7 @@ from diracboost.sweep import (
     emit,
     run_sweep,
     scenario_density,
+    scenario_vector,
 )
 
 IDENTITY_ROW = b"omega,theta,eg,delta_eg,negativity,delta_negativity,nu\n0,0,0.5,0,0,0,1\n"
@@ -187,6 +188,12 @@ def test_scenario_density_wraps_build_failures():
             scenario_density(tiny_config(**overrides))
         assert err.value.field == field
         assert str(err.value).startswith(f"{field}: cannot build scenario")
+
+
+def test_scenario_vector_validates_the_whole_config():
+    with pytest.raises(ConfigError) as err:
+        scenario_vector(SweepConfig(omega_grid=GridSpec(1.0, 0.0, 3)))
+    assert err.value.field == "omega"
 
 
 # --------------------------------------------------------------------------

@@ -104,8 +104,5 @@ def test_cli_import_leaves_verify_unloaded():
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": src}, timeout=60, check=True)
     assert done.stdout.strip() == "False"
-    assert diracboost.run_verification is run_verification
-    assert diracboost.CheckResult is CheckResult
-    assert "run_verification" in diracboost.__all__
     with pytest.raises(AttributeError, match="no_such_name"):
         diracboost.no_such_name
