@@ -1,47 +1,34 @@
 """The batched boost-and-measure kernel behind ``sweep``, ``verify`` and ``delta_*``.
 
-A boosted pair ``Psi' = S Psi S^T``, with ``S = c I - s sum_k n_k sigma_x (x)
-sigma_k``, is ``sum_j a_j B_j``: ten coefficients ``a = (c^2, -cs n_k, s^2 n_k
-n_l)`` (``k <= l``) times ten matrices ``B_j`` built once from ``Psi``.  The 29
-outputs before the eigensolve are sesquilinear in ``Psi'``, so the quadratic
-route takes them for a chunk from one ``(n, 55) @ (55, 29)`` product of the
-``a_i a_j`` with a per-state table.  It loses ``eps * kappa`` relative to
-``nu``, ``kappa = (sum_j |a_j| |B_j|_F)^2 / nu``, where forming ``Psi' = a @ B``
-(the amplitude route) loses ``eps * sqrt(kappa)``.  Rows with ``kappa >
-_KAPPA_LIMIT`` or a quadratic ``nu`` that is not finite and positive take the
-amplitude route.  ``omega = 0`` rows (``a = (1, 0, ...)``, ``kappa = 1``) take
-the quadratic route, which gives them the table's own row for ``Psi``.  A row
-whose bound ``eps * sqrt(kappa)`` passes ``_PRECISION_LIMIT`` raises instead.
+The boost along ``n`` is ``S = exp(-(w/2) G)``, ``G = sigma_x (x) n.sigma``.  In the eigenbasis
+``U`` of ``G`` (eigenvalues -1, -1, 1, 1), ``Psi' = S Psi S^T = U (D Phi D) U^T`` with ``Phi =
+U^dag Psi U^*``: the boost scales the top-left, off-diagonal and bottom-right 2x2 blocks of
+``Phi`` by ``e^w``, 1 and ``e^-w``.  So each of the 29 outputs before the eigensolve is ``sum_m
+e^{m w} W_m`` (m = 2 .. -2) from one table per state and direction, and ``nu`` never cancels.
 """
 
 from __future__ import annotations
 
-import functools
-
 import numpy as np
 
-from .kinematics import BOOST_GENERATORS
-from .states import _ZERO_NORM_TOL
+from .kinematics import E_Z, _boost_eigenbasis
 from .tensor import PAULI
 
-#: Largest ``kappa`` on the quadratic route: its error ``eps * kappa`` stays below 2.2e-13.
-_KAPPA_LIMIT = 1e3
-#: Largest relative error bound ``eps * sqrt(kappa)`` of ``nu`` and the amplitudes that a row
-#: may carry; past it the boost has cancelled the state's digits, so the kernel raises.
-_PRECISION_LIMIT = 1e-9
-_K, _L = np.triu_indices(3)
-_I, _J = np.triu_indices(10)
+_EPS = np.finfo(float).eps
+_KEY = np.dtype((np.void, 24))
+#: Masks of the blocks of Phi that the boost scales by e^w, 1 and e^-w.
+_BLOCKS = np.add.outer([0, 0, 1, 1], [0, 0, 1, 1]) == np.arange(3)[:, None, None]
+#: ``_PAIRS[r, 3 i + j] = 1`` where blocks i and j together carry e^{(2 - r) w}.
+_PAIRS = np.equal.outer(np.arange(5), np.add.outer(np.arange(3), np.arange(3)).ravel()) * 1.0
 #: The 29 outputs are u^dag O_q u for u = vec(Psi'): nu (O = I), the Bloch numerators
 #: (sigma_k on PA, SA, PB, SB) and the spin-spin matrix transposed on SA, whose entry
-#: [(a, b'), (a', b)] sums Psi[pA a, pB b] Psi*[pA a', pB b'] over pA, pB.
-_OPERATORS = np.concatenate(
-    [
-        op.reshape(-1, 256)
-        for op in [np.eye(16)]
-        + [np.einsum("ij,kab,lm->kialjbm", np.eye(2**t), PAULI, np.eye(8 >> t)) for t in range(4)]
-        + [np.einsum("pP,qQ,sA,tB,Sa,Tb->aBAbpsqtPSQT", *[np.eye(2)] * 6)]
-    ]
-).reshape(29, 16, 16)
+#: [(a, b'), (a', b)] sums Psi[pA a, pB b] Psi*[pA a', pB b'] over pA, pB.  No row of
+#: an O_q has two nonzeros, so (O_q u)_i = _COEF[q, i] u[_COL[q, i]].
+_SINGLE = [np.einsum("ij,kab,lm->kialjbm", np.eye(2**t), PAULI, np.eye(8 >> t)) for t in range(4)]
+_PAIR = np.einsum("pP,qQ,sA,tB,Sa,Tb->aBAbpsqtPSQT", *[np.eye(2)] * 6)
+_OPERATORS = np.concatenate([op.reshape(-1, 16, 16) for op in [np.eye(16), *_SINGLE, _PAIR]])
+_COL = np.argmax(_OPERATORS != 0.0, axis=2)
+_COEF = np.take_along_axis(_OPERATORS, _COL[..., None], axis=2)[..., 0]
 
 
 class SweepError(ValueError):
@@ -57,68 +44,82 @@ def _clamp_residue(values):
     return np.where((values >= -1e-12) & (values < 0.0), 0.0, values)
 
 
-@functools.lru_cache(maxsize=16)
-def _state_tables(key: bytes):
-    """Basis ``B_j`` (10, 16), norms ``|B_j|_F`` (10,) and the (55, 29) table for ``key``."""
-    psi = np.frombuffer(key, dtype=complex).reshape(4, 4)
-    g, gt = BOOST_GENERATORS, BOOST_GENERATORS.transpose(0, 2, 1)
-    sandwich = g[:, None] @ psi @ gt[None, :]
-    pairs = sandwich[_K, _L] + (_K < _L)[:, None, None] * sandwich[_L, _K]
-    basis = np.concatenate([psi[None], g @ psi + psi @ gt, pairs]).reshape(10, 16)
-    forms = basis.conj() @ (_OPERATORS @ basis.T)  # [q, i, j] = B_i^dag O_q B_j
-    table = np.ascontiguousarray((forms + forms.transpose(0, 2, 1))[:, _I, _J].T)
-    table[_I == _J] /= 2.0
-    norms = np.linalg.norm(basis, axis=1)
+def _direction_tables(psi, directions):
+    """Real tables (k, 5, 29) of the 4x4 ``psi`` for k unit directions, rows m = 2 .. -2."""
+    u = _boost_eigenbasis(directions)
+    phi = u.conj().transpose(0, 2, 1) @ psi @ u.conj()
+    # below the float state's own resolution; left in, the boost would amplify the residue
+    phi[np.abs(phi) <= 16 * _EPS * np.linalg.norm(psi)] = 0.0
+    blocks = (u[:, None] @ (phi[:, None] * _BLOCKS) @ u[:, None].swapaxes(2, 3)).reshape(-1, 3, 16)
+    applied = blocks[:, np.arange(3)[:, None], _COL.T[:, None]]  # [k, l, j, q]: O_q block j
+    applied *= _COEF.T[:, None]
+    tables = _PAIRS @ (blocks.conj() @ applied.reshape(-1, 16, 87)).reshape(-1, 9, 29)
     # entries within their rounding error of 0 (symmetry makes many) become exactly 0
-    parts = table.view(float)
-    parts[np.abs(parts) <= 16 * np.finfo(float).eps * (norms[_I] * norms[_J])[:, None]] = 0.0
-    for shared in (basis, norms, table):
-        shared.setflags(write=False)
-    return basis, norms, table
+    norms = np.linalg.norm(blocks, axis=2)
+    bound = 16 * _EPS * (norms[:, :, None] * norms[:, None, :]).reshape(-1, 9) @ _PAIRS.T
+    parts = tables.view(float)
+    parts[np.abs(parts) <= bound[:, :, None]] = 0.0
+    # W_m is Hermitian: 16 reals, its spin-spin lower triangle with the imaginary parts above
+    spin = tables[..., 13:].reshape(-1, 5, 4, 4)
+    spin = np.tril(spin.real) + np.triu(spin.imag.swapaxes(2, 3), 1)
+    return np.concatenate([tables[..., :13].real, spin.reshape(-1, 5, 16)], axis=2)
 
 
-def _measure_chunk(psi, omegas, thetas, directions):
-    """Boost the 4x4 coefficient matrix ``psi`` to every point of one chunk.
+class _Tables:
+    """A state's direction tables, each built for the first chunk that needs it."""
 
-    Returns ``(nu, eg, negativity, bloch)`` per point, ``bloch`` of shape (n, 4, 3)
-    in PA, SA, PB, SB order; ``omega = 0`` rows take the quadratic route and keep
-    ``nu = 1`` exactly, so their ``delta_*`` are exactly 0.  Raises
-    :class:`SweepError` naming the first point that fails.
-    """
-    psi = np.ascontiguousarray(psi, dtype=complex)
-    basis, norms, table = _state_tables(psi.tobytes())
-    half = (omegas / 2.0)[:, None]
-    with np.errstate(all="ignore"):  # overflow is reported below, with its point
-        c, s, n = np.cosh(half), np.sinh(half), directions
-        a = np.concatenate([c * c, -c * s * n, s * s * n[:, _K] * n[:, _L]], axis=1)
-        out = ((a[:, _I] * a[:, _J]) @ table.view(float)).view(complex)
-        nu = out[:, 0].real.copy()
-        kappa = (np.abs(a) @ norms) ** 2 / nu
-        out /= nu[:, None]
-    amplitude = ~(np.isfinite(nu) & (nu > _ZERO_NORM_TOL) & (kappa <= _KAPPA_LIMIT))
-    if amplitude.any():
-        with np.errstate(all="ignore"):
-            boosted = a[amplitude] @ basis
-            nu[amplitude] = np.sum(boosted.real**2 + boosted.imag**2, axis=1)
-            kappa[amplitude] = (np.abs(a[amplitude]) @ norms) ** 2 / nu[amplitude]
-        bad = ~(np.isfinite(nu) & (nu > _ZERO_NORM_TOL))
-        if bad.any():
-            k = int(np.argmax(bad))
-            raise _point_error(omegas[k], thetas[k], f"boost normalization failed (nu = {nu[k]})")
-        bound = np.finfo(float).eps * np.sqrt(kappa)
-        lost = bound > _PRECISION_LIMIT
-        if lost.any():
-            k = int(np.argmax(lost))
-            reason = f"cancels the state: kappa = {kappa[k]:.3g}, eps*sqrt(kappa) = {bound[k]:.2g}"
-            raise _point_error(omegas[k], thetas[k], f"the boost {reason} > {_PRECISION_LIMIT:g}")
-        amp = boosted / np.sqrt(nu[amplitude])[:, None]
-        products = (amp.conj()[:, :, None] * amp[:, None, :]).reshape(-1, 256)
-        out[amplitude] = products @ _OPERATORS.reshape(29, 256).T
-    nu[omegas == 0.0] = 1.0  # the table's |Psi|^2, which is 1 only to rounding
+    def __init__(self, psi):
+        self.psi, self.tables = psi, np.zeros((1, 5, 29))
+        # directions' bytes, sorted after a NaN that sorts last, and the row of each one's table
+        self.keys, self.slots = np.full(1, b"\xff" * 24, _KEY), np.zeros(1, dtype=int)
 
-    bloch = out[:, 1:13].real.reshape(-1, 4, 3)
+    def rows(self, directions):
+        """The (n, 5, 29) real tables of n directions."""
+        keys = np.ascontiguousarray(directions, dtype=float).view(_KEY).ravel()
+        at = np.searchsorted(self.keys, keys)
+        missing = self.keys[at] != keys
+        if missing.any():
+            new = np.array(sorted(set(keys[missing].tolist())), dtype=_KEY)
+            unit, used = new.view(float).reshape(-1, 3), len(self.keys)
+            if used + len(new) > len(self.tables):  # grown by half at least, so growing is linear
+                self.tables = np.concatenate([self.tables, np.empty((used // 2 + len(new), 5, 29))])
+            # 16 directions at a time keep the build's working arrays below 1 MB
+            built = [_direction_tables(self.psi, unit[s : s + 16]) for s in range(0, len(new), 16)]
+            self.tables[used : used + len(new)] = np.concatenate(built)
+            where = np.searchsorted(self.keys, new)
+            self.slots = np.insert(self.slots, where, used + np.arange(len(new)))
+            self.keys = np.insert(self.keys, where, new)
+            at = np.searchsorted(self.keys, keys)
+        return self.tables[self.slots[at]]
+
+
+def _measure_chunk(state, omegas, thetas, directions):
+    """Boost ``state``, the 4x4 ``psi`` or its :class:`_Tables`, to every point of one chunk.
+    Returns ``(nu, eg, negativity, bloch)`` per point, ``bloch`` (n, 4, 3) in PA, SA, PB, SB
+    order.  ``omega = 0`` rows read the table of ``E_Z`` and keep ``nu = 1`` exactly, so their
+    ``delta_*`` are 0.  A ``nu`` out of the float range is a :class:`SweepError`."""
+    tables = state if isinstance(state, _Tables) else _Tables(state)
+    rest = omegas == 0.0
+    w = tables.rows(np.where(rest[:, None], E_Z, directions))
+    with np.errstate(all="ignore"):  # a nu out of range is reported below, with its point
+        exponents = np.multiply.outer(omegas, 2.0 - np.arange(5))  # m omega, m = 2 .. -2
+        top = np.max(np.where(w[:, ::2, 0] > 0.0, exponents[:, ::2], -np.inf), axis=1)
+        # top, the largest weighted term, factored out; clamping a degree above it avoids inf * 0
+        out = (np.exp(np.minimum(exponents - top[:, None], 0.0))[:, None, :] @ w)[:, 0]
+        nu = np.exp(top) * out[:, 0]
+    del w  # the largest array here
+    bad = ~((nu >= np.finfo(float).tiny) & (nu < np.inf))
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise _point_error(omegas[k], thetas[k], f"boost normalization failed (nu = {nu[k]})")
+    nu[rest] = 1.0  # the table's |Psi|^2, which is 1 only to rounding
+    out /= out[:, :1]
+
+    bloch = out[:, 1:13].reshape(-1, 4, 3)
     eg = np.sum(_clamp_residue(1.0 - np.sum(bloch**2, axis=2)), axis=1) / 4.0
-    transposed = out[:, 13:].reshape(-1, 4, 4)
+    spin = out[:, 13:].reshape(-1, 4, 4)
+    # eigvalsh reads only the lower triangle and the real diagonal of each matrix
+    transposed = spin + 1j * spin.swapaxes(1, 2)
     try:
         eigenvalues = np.linalg.eigvalsh(transposed)
     except np.linalg.LinAlgError as exc:
@@ -134,10 +135,8 @@ def _measure_chunk(psi, omegas, thetas, directions):
 
 
 def _grid(omega_points, theta_points, start=0, stop=None):
-    """Points ``start:stop`` of the omega-major (omega, theta) grid, built on demand.
-
-    Returns ``(omegas, thetas, directions)``, directions ``(sin theta, 0, cos theta)``.
-    """
+    """``(omegas, thetas, directions)`` of points ``start:stop`` of the omega-major grid;
+    each direction is ``(sin theta, 0, cos theta)``."""
     omega_points, theta_points = np.asarray(omega_points, float), np.asarray(theta_points, float)
     size = len(omega_points) * len(theta_points)
     i, j = np.divmod(np.arange(start, size if stop is None else min(stop, size)), len(theta_points))

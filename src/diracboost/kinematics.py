@@ -166,6 +166,24 @@ class Bispinor:
             raise ValueError(f"bispinor must have unit norm, got {norm!r}")
 
 
+def _spin_eigenvectors(n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Unnormalized eigenvectors ``(2, ...)`` of ``n.sigma`` for +1 and -1, ``n`` of shape (..., 3).
+    The branch keeps the large component in the numerator, so each small one stays accurate."""
+    nx, ny, nz = n[..., 0], n[..., 1], n[..., 2]
+    t, big, up = nx + 1j * ny, 1.0 + abs(nz), nz >= 0.0
+    return np.where(up, [big, t], [t.conj(), big]), np.where(up, [-t.conj(), big], [big, -t])
+
+
+def _boost_eigenbasis(directions: np.ndarray) -> np.ndarray:
+    """Eigenvectors (k, 4, 4) of ``sigma_x (x) n.sigma`` for eigenvalues -1, -1, 1, 1: chirality
+    (x) spin along each unit direction (k, 3), in closed form, so that the small components of
+    near-z directions keep their relative accuracy, which an eigensolver's do not."""
+    plus, minus = _spin_eigenvectors(directions)
+    spin = np.stack([minus, plus, plus, minus], axis=1) / np.linalg.norm(plus, axis=0)
+    chirality = np.array([[1.0, 1.0, 1.0, 1.0], [1.0, -1.0, 1.0, -1.0]]) / math.sqrt(2.0)
+    return (chirality[:, None, :, None] * spin).reshape(4, 4, -1).transpose(2, 0, 1)
+
+
 def helicity_spinor(p: FourMomentum, s: int) -> np.ndarray:
     """Two-spinor with (e_p . sigma) chi = +chi for s=1 and -chi for s=2.
 
@@ -174,23 +192,8 @@ def helicity_spinor(p: FourMomentum, s: int) -> np.ndarray:
     first nonzero component real positive.
     """
     _check_helicity(s)
-    k = p.p3
-    kn = float(np.linalg.norm(k))
-    if kn == 0.0:
-        return (
-            np.array([1.0, 0.0], dtype=complex)
-            if s == 1
-            else np.array([0.0, 1.0], dtype=complex)
-        )
-    nx, ny, nz = k / kn
-    # Two algebraically equivalent closed forms; the branch keeps the large
-    # component in the numerator so nothing cancels near the poles.
-    if nz >= 0.0:
-        plus = np.array([1.0 + nz, nx + 1j * ny], dtype=complex)
-        minus = np.array([-(nx - 1j * ny), 1.0 + nz], dtype=complex)
-    else:
-        plus = np.array([nx - 1j * ny, 1.0 - nz], dtype=complex)
-        minus = np.array([1.0 - nz, -(nx + 1j * ny)], dtype=complex)
+    kn = p.p_norm
+    plus, minus = _spin_eigenvectors(p.p3 / kn if kn else E_Z)
     chi = plus if s == 1 else minus
     chi = chi / np.linalg.norm(chi)
     c = chi[0] if abs(chi[0]) > 1e-12 else chi[1]  # one of a unit 2-vector's is >= 1/sqrt(2)

@@ -117,9 +117,8 @@ def negativity(rho_ss: np.ndarray) -> float:
 def _boost_deltas(st: TwoParticleState, b: BoostSpec) -> tuple[float, float]:
     """(E_G, N) at the boost minus at the origin, from one kernel call, as the sweep's delta_*."""
     theta = np.arccos(np.clip(b.direction[2], -1.0, 1.0))  # names a failed point
-    psi = assemble_state_vector(st).reshape(4, 4)
     points = np.array([0.0, b.rapidity]), np.array([0.0, theta]), np.stack([E_Z, b.direction])
-    _, eg, neg, _ = _measure_chunk(psi, *points)
+    _, eg, neg, _ = _measure_chunk(assemble_state_vector(st).reshape(4, 4), *points)
     return float(eg[1] - eg[0]), float(neg[1] - neg[0])
 
 
@@ -143,9 +142,7 @@ def delta_negativity(st: TwoParticleState, b: BoostSpec) -> float:
 
 
 def _common_slot_momentum(st: TwoParticleState, slot: str):
-    momenta = [
-        (t.slot_a if slot == "A" else t.slot_b)[0] for t in st.terms
-    ]
+    momenta = [(t.slot_a if slot == "A" else t.slot_b)[0] for t in st.terms]
     first = momenta[0]
     for other in momenta[1:]:
         if not np.allclose(other.p3, first.p3, rtol=0.0, atol=1e-12):

@@ -5,6 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from diracboost.kinematics import (
+    BOOST_GENERATORS,
     E_Z,
     GAMMA5,
     Bispinor,
@@ -17,6 +18,7 @@ from diracboost.kinematics import (
     chiral_projector,
     helicity_spinor,
     sigma_dot,
+    _boost_eigenbasis,
 )
 from diracboost.tensor import PAULI_X, kron
 
@@ -355,6 +357,23 @@ def test_bispinor_boost_commutes_with_chirality():
     for _ in range(20):
         s = bispinor_boost(BoostSpec(rng.uniform(-2.5, 2.5), random_direction(rng)))
         assert np.max(np.abs(GAMMA5 @ s - s @ GAMMA5)) < 1e-14
+
+
+def test_boost_eigenbasis_diagonalizes_the_generator_to_relative_accuracy():
+    """Columns: chirality (x) spin along n, for eigenvalues -1, -1, 1, 1 of sigma_x (x) n.sigma."""
+    rng = np.random.default_rng(134)
+    near = [[math.sin(t), 0.0, math.cos(t)] for t in (1e-12, 1e-8, math.pi - 1e-9, math.pi)]
+    directions = np.array([*(random_direction(rng) for _ in range(40)), E_Z, -E_Z, *near])
+    u = _boost_eigenbasis(directions)
+    uh = u.conj().transpose(0, 2, 1)
+    generators = np.tensordot(directions, BOOST_GENERATORS, axes=1)
+    assert np.max(np.abs(uh @ generators @ u - np.diag([-1.0, -1.0, 1.0, 1.0]))) < 1e-15
+    assert np.max(np.abs(uh @ GAMMA5 @ u - np.diag([1.0, -1.0, 1.0, -1.0]))) < 1e-15
+    assert np.max(np.abs(uh @ u - np.eye(4))) < 1e-15
+    # the small components of a near-z direction carry sin(theta/2) to relative accuracy
+    for theta, basis in zip((1e-12, 1e-8), u[-4:-2]):
+        small = np.abs(basis)[np.abs(basis) < 0.1]
+        assert_allclose(small, math.sin(theta / 2.0) / math.sqrt(2.0), rtol=1e-15)
 
 
 @pytest.mark.parametrize(

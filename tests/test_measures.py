@@ -245,9 +245,14 @@ def test_delta_overflow_names_the_boost():
 
 @pytest.mark.parametrize("delta", [delta_global, delta_negativity])
 def test_delta_of_a_cancelling_boost_is_a_value_error(delta):
-    # psi1 boosted along its momenta loses its digits from omega ~ 16.5
-    with pytest.raises(ValueError, match="kappa"):
-        delta(make_psi1(1.0), BoostSpec(20.0, E_Z))
+    # a boost the kernel cannot measure, here one whose nu overflows, is a ValueError
+    with pytest.raises(ValueError, match=r"omega=400, theta=0\).*nu = inf"):
+        delta(make_psi2(1.0), BoostSpec(400.0, E_Z))
+
+
+@pytest.mark.parametrize("delta", [delta_global, delta_negativity])
+def test_deltas_of_psi1_along_its_momenta_vanish_at_large_rapidity(delta):
+    assert abs(delta(make_psi1(1.0), BoostSpec(20.0, E_Z))) <= 1e-12
 
 
 def test_psi1_parallel_boost_leaves_measures_alone():

@@ -563,12 +563,16 @@ def test_cli_rejects_non_finite_grid_endpoints(capsys):
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("omega", ["20", "36"])
-def test_cli_rejects_a_boost_that_cancels_the_state(omega, capsys):
+def test_cli_answers_a_boost_that_cancels_the_state(omega, capsys):
+    """psi1 boosted along its momenta: nu = 1 and E_G = 1/2, which the boost leaves alone."""
     argv = ["sweep", "--scenario", "psi1", f"--omega={omega}:{omega}:1", "--theta=0:0:1"]
-    assert cli.main(argv) == 1
-    (line,) = capsys.readouterr().err.splitlines()
-    assert line.startswith(f"error: sweep point (omega={omega}, theta=0) failed: ")
-    assert "kappa = " in line
+    assert cli.main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    header, line = captured.out.splitlines()
+    row = dict(zip(header.split(","), map(float, line.split(","))))
+    assert abs(row["nu"] - 1.0) <= 1e-12
+    assert abs(row["eg"] - 0.5) <= 1e-12
 
 
 def test_cli_validation_failures_exit_1(tmp_path, capsys):

@@ -1,13 +1,15 @@
-"""The batched sweep kernel against the per-point public pipeline.
+"""The batched sweep kernel against the per-point public pipeline and a 60-digit reference.
 
 The sweep evaluates its grid in chunks of ``sweep._CHUNK`` points.  These
-tests run grids that span several chunks, evenly and unevenly, and compare
-every row with ``boost_two_particle`` followed by the per-point measures.
-Within a chunk each row takes the quadratic-form route or, where the boost
-cancels the state (large ``kappa``), the amplitude route; the route tests
-mix both in one chunk.
+tests run grids that span several chunks, evenly and unevenly, and at
+negative rapidities, and compare every row with ``boost_two_particle``
+followed by the per-point measures.  Past the rapidities where that pipeline
+keeps its digits, rows of boosts that cancel or nearly cancel the state are
+held to the same float state boosted with mpmath at 60 digits, and the
+chiral projections to the identities ``N nu = N(0)`` and ``E_G = N^2 / 2``.
 """
 
+import itertools
 import math
 import tracemalloc
 
@@ -15,7 +17,7 @@ import numpy as np
 import pytest
 
 from diracboost import kernel, sweep
-from diracboost.kinematics import E_Z, BoostSpec
+from diracboost.kinematics import BOOST_GENERATORS, E_Z, BoostSpec
 from diracboost.measures import (
     bloch_vector,
     global_entanglement,
@@ -34,6 +36,7 @@ from diracboost.sweep import (
 )
 
 ALL_MEASURES = ("eg", "delta_eg", "negativity", "delta_negativity", "bloch")
+LABELS = list(itertools.product((0, 1), repeat=2))
 TOL = 1e-12
 
 
@@ -51,14 +54,17 @@ def _reference_row(rho0, omega, theta):
 
 
 @pytest.mark.parametrize(
-    "scenario,omega_steps,theta_steps,whole_chunks",
+    "scenario,omega_min,omega_steps,theta_steps,whole_chunks",
     [
-        ("psi3", 32, 16, True),  # exactly two chunks
-        ("psi2", 39, 7, False),  # one full chunk and a partial one
+        pytest.param("psi3", 0.0, 32, 16, True, id="psi3-32-16-True"),  # exactly two chunks
+        # one full chunk and a partial one
+        pytest.param("psi2", 0.0, 39, 7, False, id="psi2-39-7-False"),
+        # omega < 0 factors out the lowest block of the eigenbasis instead of the highest
+        pytest.param("psi3", -4.0, 41, 9, False, id="psi3-negative-omega"),
     ],
 )
 def test_chunked_sweep_matches_per_point_pipeline(
-    scenario, omega_steps, theta_steps, whole_chunks
+    scenario, omega_min, omega_steps, theta_steps, whole_chunks
 ):
     points = omega_steps * theta_steps
     assert points > sweep._CHUNK
@@ -66,7 +72,7 @@ def test_chunked_sweep_matches_per_point_pipeline(
     cfg = SweepConfig(
         scenario=scenario,
         omega0=1.3,
-        omega_grid=GridSpec(0.0, 4.0, omega_steps),
+        omega_grid=GridSpec(omega_min, 4.0, omega_steps),
         theta_grid=GridSpec(0.0, math.pi, theta_steps),
         measures=ALL_MEASURES,
     )
@@ -142,12 +148,13 @@ def test_eigensolver_failure_names_its_point(monkeypatch):
 
 
 # --------------------------------------------------------------------------
-# quadratic and amplitude routes
+# boosts that cancel the state, and rapidity limits
 # --------------------------------------------------------------------------
 
 
 @pytest.mark.parametrize("scenario,labels", [("psi1", None), ("chiral-psi3", (0, 0))])
 def test_one_chunk_mixes_both_routes_in_row_order(scenario, labels):
+    """Rows whose boost cancels the state (theta = 0) and rows whose boost does not, mixed."""
     cfg = SweepConfig(scenario=scenario, omega0=1.0, chiral_labels=labels)
     psi, rho0 = scenario_vector(cfg).reshape(4, 4), scenario_density(cfg)
     omegas = np.repeat(np.linspace(0.0, 6.0, 13), 4)
@@ -155,16 +162,7 @@ def test_one_chunk_mixes_both_routes_in_row_order(scenario, labels):
     n = np.stack([np.sin(thetas), np.zeros_like(thetas), np.cos(thetas)], axis=1)
     nu, eg, neg, bloch = sweep._measure_chunk(psi, omegas, thetas, n)
 
-    # kappa = (sum_j |a_j| |B_j|_F)^2 / nu straddles the limit, so both routes run
-    c, s = np.cosh(omegas / 2.0)[:, None], np.sinh(omegas / 2.0)[:, None]
-    k, l = np.triu_indices(3)
-    a = np.concatenate([c * c, -c * s * n, s * s * n[:, k] * n[:, l]], axis=1)
-    _, norms, _ = kernel._state_tables(psi.tobytes())
     references = [_reference_row(rho0, w, th) for w, th in zip(omegas, thetas)]
-    kappa = (np.abs(a) @ norms) ** 2 / np.array([ref_nu for _, ref_nu in references])
-    assert (kappa > kernel._KAPPA_LIMIT).any()
-    assert (kappa[omegas > 0.0] <= kernel._KAPPA_LIMIT).any()
-
     bloch_names = [f"bloch_{tag}_{axis}" for tag in ("pa", "sa", "pb", "sb") for axis in "xyz"]
     for p, (want, ref_nu) in enumerate(references):
         assert abs(nu[p] - ref_nu) <= TOL * max(1.0, ref_nu)
@@ -175,11 +173,7 @@ def test_one_chunk_mixes_both_routes_in_row_order(scenario, labels):
 
 
 def test_cancelling_parallel_boost_keeps_nu_at_large_rapidity():
-    """psi1 boosted along its momenta keeps nu = 1 and E_G = 1/2 (check c03).
-
-    The boost cancels the state here, so these rows need the amplitude route:
-    the quadratic form alone, which loses about eps * kappa, misses the bound.
-    """
+    """psi1 boosted along its momenta keeps nu = 1 and E_G = 1/2 (check c03)."""
     psi = assemble_state_vector(make_psi1(1.0)).reshape(4, 4)
     omegas = np.array([10.0, 15.0])
     nu, eg, _, _ = sweep._measure_chunk(psi, omegas, np.zeros(2), np.tile(E_Z, (2, 1)))
@@ -188,28 +182,54 @@ def test_cancelling_parallel_boost_keeps_nu_at_large_rapidity():
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("omega", [20.0, 36.0])
-def test_cancelling_boost_past_the_precision_limit_raises(omega):
-    """psi1 along its momenta loses eps * sqrt(kappa) of nu: 5.4e-8 at omega = 20.
+@pytest.mark.parametrize("omega", [20.0, 36.0, 60.0, 1000.0])
+def test_psi1_along_its_momenta_is_invariant_at_any_rapidity(omega):
+    """psi1 boosted along its momenta keeps nu = 1 and E_G = 1/2 however far it is boosted.
 
-    Without the limit the kernel printed nu = 0.78125 at omega = 36, where the exact value is 1.
+    In the 4x4 basis its amplitudes grow like e^omega and cancel; in the generator's
+    eigenbasis the state has weight only in the block the boost leaves alone.
     """
     cfg = SweepConfig(
-        scenario="psi1", omega_grid=GridSpec(omega, omega, 1), theta_grid=GridSpec(0.0, 0.0, 1)
+        scenario="psi1",
+        omega_grid=GridSpec(omega, omega, 1),
+        theta_grid=GridSpec(0.0, 0.0, 1),
+        measures=("eg", "delta_eg", "negativity"),
     )
-    with pytest.raises(SweepError, match=rf"omega={omega:g}, theta=0\).*kappa = "):
-        run_sweep(cfg)
+    (row,) = run_sweep(cfg)
+    assert abs(row.nu - 1.0) <= TOL
+    assert abs(row.values["eg"] - 0.5) <= TOL
+    assert abs(row.values["delta_eg"]) <= TOL
+
+
+@pytest.mark.parametrize("omega", [100.0, 1000.0])
+def test_chiral_singlet_is_invariant_at_any_rapidity(omega):
+    """The spin singlet at fixed chirality is unchanged by every boost, in every direction."""
+    cfg = SweepConfig(
+        scenario="chiral-psi3",
+        chiral_labels=(0, 0),
+        omega_grid=GridSpec(omega, omega, 1),
+        theta_grid=GridSpec(0.0, math.pi, 7),
+        measures=("eg", "negativity", "bloch"),
+    )
+    for row in run_sweep(cfg):
+        assert abs(row.nu - 1.0) <= TOL
+        assert abs(row.values["negativity"] - 1.0) <= TOL
+        assert abs(row.values["eg"] - 0.5) <= TOL
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("scenario", ["psi1", "psi3"])
-def test_overflow_names_its_point_on_either_route(scenario):
+@pytest.mark.parametrize(
+    "scenario,theta",
+    # psi1 along its momenta is invariant, so its first row past the float range is off axis
+    [pytest.param("psi1", "0.25", id="psi1"), pytest.param("psi3", "0", id="psi3")],
+)
+def test_overflow_names_its_point_on_either_route(scenario, theta):
     cfg = SweepConfig(
         scenario=scenario,
         omega_grid=GridSpec(0.0, 400.0, 3),
         theta_grid=GridSpec(0.0, 0.25, 2),
     )
-    with pytest.raises(SweepError, match=r"omega=400, theta=0\).*nu = inf"):
+    with pytest.raises(SweepError, match=rf"omega=400, theta={theta}\).*nu = inf"):
         run_sweep(cfg)
 
 
@@ -231,7 +251,7 @@ def test_components_that_vanish_by_symmetry_are_exact_zeros():
 
 
 def test_rest_rows_take_the_quadratic_route_and_equal_the_origin_row():
-    """At omega = 0 every direction gives a = (1, 0, ...): each row is the table's row for psi."""
+    """At omega = 0 every row reads the table of E_Z, so it equals the origin row bit for bit."""
     psi = scenario_vector(SweepConfig(scenario="psi3")).reshape(4, 4)
     thetas = np.linspace(0.0, math.pi, 7)
     n = np.stack([np.sin(thetas), np.zeros_like(thetas), np.cos(thetas)], axis=1)
@@ -262,3 +282,84 @@ def test_rest_chunk_allocates_no_more_than_a_boosted_chunk():
     psi = scenario_vector(SweepConfig(scenario="psi2")).reshape(4, 4)
     rest, boosted = _chunk_peak(psi, 0.0), _chunk_peak(psi, 1.0)
     assert rest <= 1.5 * boosted, (rest, boosted)
+
+
+# --------------------------------------------------------------------------
+# a 60-digit reference, and the chiral projections' invariants
+# --------------------------------------------------------------------------
+
+
+def _reference_60_digits(mp, psi, omega, theta):
+    """``(nu, eg, negativity, bloch)`` of the float state ``psi`` boosted at 60 digits."""
+    with mp.workdps(60):
+        state = mp.matrix([[mp.mpc(complex(z)) for z in row] for row in psi])
+        n = (mp.sin(theta), 0, mp.cos(theta))
+        generators = [mp.matrix(g.tolist()) for g in BOOST_GENERATORS]
+        generator = sum((n[k] * generators[k] for k in range(3)), mp.zeros(4))
+        boost = mp.cosh(mp.mpf(omega) / 2) * mp.eye(4) - mp.sinh(mp.mpf(omega) / 2) * generator
+        state = boost * state * boost.T
+        nu = sum(abs(z) ** 2 for z in state)
+        state = state / mp.sqrt(nu)
+        bloch = []
+        for slot in (state * state.H, state.T * state.conjugate()):  # rho_A, rho_B on 4 dims
+            for parity in (True, False):
+                r = [[sum(slot[2 * i + k, 2 * j + k] if parity else slot[2 * k + i, 2 * k + j]
+                          for k in range(2)) for j in range(2)] for i in range(2)]
+                bloch.append([2 * mp.re(r[0][1]), -2 * mp.im(r[0][1]), mp.re(r[0][0] - r[1][1])])
+        eg = sum(1 - sum(x**2 for x in b) for b in bloch) / 4
+        # spin-spin matrix transposed on SA: entry [(a', b), (a, b')] of rho_SS[(a, b), (a', b')]
+        transposed = mp.matrix(4, 4)
+        for a, b, a2, b2 in np.ndindex(2, 2, 2, 2):
+            transposed[2 * a2 + b, 2 * a + b2] = sum(
+                state[2 * p + a, 2 * q + b] * mp.conj(state[2 * p + a2, 2 * q + b2])
+                for p in range(2) for q in range(2)
+            )
+        neg = sum(abs(e) for e in mp.eighe(transposed, eigvals_only=True)) - 1
+        return float(nu), float(eg), float(neg), np.array(bloch, dtype=float)
+
+
+REFERENCE_POINTS = (
+    [("psi1", None, omega, theta) for theta in (0.0, 1e-12, 1e-8, 1e-4)
+     for omega in (20.0, 36.0, 60.0)]
+    + [("psi1", None, omega, 1e-8) for omega in (-20.0, -36.0)]
+    + [("chiral-psi3", (0, 0), omega, theta) for theta in (0.0, 2 * math.pi / 3)
+       for omega in (10.0, 20.0, 36.0, 60.0)]
+)
+
+
+def test_cancelling_and_near_collinear_boosts_match_a_60_digit_reference():
+    """psi1 along or nearly along its momenta, and the chiral singlet, up to omega = 60.
+
+    The reference boosts the float state's 16 amplitudes exactly, so it shares the
+    state's rounding: near-collinear rows (true E_G 0.99999989... at theta = 1e-12,
+    omega = 36) test the kernel's arithmetic, not the state's.
+    """
+    mp = pytest.importorskip("mpmath")
+    for scenario, labels, omega, theta in REFERENCE_POINTS:
+        psi = scenario_vector(SweepConfig(scenario=scenario, chiral_labels=labels)).reshape(4, 4)
+        n = np.array([[math.sin(theta), 0.0, math.cos(theta)]])
+        got = sweep._measure_chunk(psi, np.array([omega]), np.array([theta]), n)
+        nu, eg, neg, bloch = _reference_60_digits(mp, psi, omega, theta)
+        point = (scenario, omega, theta)
+        assert abs(got[0][0] - nu) <= TOL * nu, point
+        assert abs(got[1][0] - eg) <= TOL, point
+        assert abs(got[2][0] - neg) <= TOL, point
+        assert np.max(np.abs(got[3][0] - bloch)) <= TOL, point
+
+
+@pytest.mark.parametrize("omega0", [0.3, 1.0, 2.0])
+def test_chiral_projections_keep_n_nu_and_eg_from_n(omega0):
+    """For every chiral projection and boost, N nu = N(0) and E_G = N^2 / 2.
+
+    A projection fixes both parity qubits, so its spin pair is pure with concurrence
+    ``N = 2 |det Psi_fg| / nu``; ``det Psi_fg`` is Lorentz invariant, and each spin qubit
+    has ``1 - |r|^2 = N^2``.  ``N`` has absolute resolution, so the first bound scales
+    with ``nu``.
+    """
+    omegas, thetas, n = kernel._grid(np.linspace(0.0, 60.0, 31), np.linspace(0.0, math.pi, 9))
+    for scenario, labels in itertools.product(("chiral-psi2", "chiral-psi3"), LABELS):
+        cfg = SweepConfig(scenario=scenario, omega0=omega0, chiral_labels=labels)
+        nu, eg, neg, _ = sweep._measure_chunk(scenario_vector(cfg).reshape(4, 4), omegas, thetas, n)
+        neg0 = neg[omegas == 0.0][0]
+        assert np.all(np.abs(neg * nu - neg0) <= TOL * np.maximum(nu, 1.0)), (scenario, labels)
+        assert np.all(np.abs(eg - neg**2 / 2.0) <= TOL), (scenario, labels)
