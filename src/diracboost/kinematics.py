@@ -103,7 +103,7 @@ class FourMomentum:
 
     @property
     def p_norm(self) -> float:
-        return float(np.linalg.norm(self.p3))
+        return math.sqrt(self.p3.dot(self.p3))  # np.linalg.norm's own arithmetic
 
     def minkowski_norm_sq(self) -> float:
         return float(self.energy**2 - self.p3 @ self.p3)
@@ -120,7 +120,7 @@ def _unit_direction(direction: np.ndarray) -> np.ndarray:
     n = np.asarray(direction, dtype=float).reshape(-1)
     if n.shape != (3,):
         raise ValueError(f"direction must be a 3-vector, got shape {n.shape}")
-    norm = float(np.linalg.norm(n))
+    norm = math.sqrt(n.dot(n))
     if not abs(norm - 1.0) <= UNIT_NORM_TOL:  # a NaN component fails too
         raise ValueError(f"direction must be a unit vector, |n| = {norm!r}")
     return n
@@ -161,24 +161,24 @@ class Bispinor:
             raise ValueError(f"bispinor amplitudes must have length 4, got {amps.shape}")
         object.__setattr__(self, "amplitudes", amps)
         _check_helicity(self.helicity)
-        norm = np.linalg.norm(amps)
+        norm = math.sqrt(np.vdot(amps, amps).real)
         if abs(norm - 1.0) > 1e-10:
             raise ValueError(f"bispinor must have unit norm, got {norm!r}")
 
 
-def _spin_eigenvectors(n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Unnormalized eigenvectors ``(2, ...)`` of ``n.sigma`` for +1 and -1, ``n`` of shape (..., 3).
-    The branch keeps the large component in the numerator, so each small one stays accurate."""
-    nx, ny, nz = n[..., 0], n[..., 1], n[..., 2]
-    t, big, up = nx + 1j * ny, 1.0 + abs(nz), nz >= 0.0
-    return np.where(up, [big, t], [t.conj(), big]), np.where(up, [-t.conj(), big], [big, -t])
+def _spin_eigenvectors(nx, ny, nz) -> np.ndarray:
+    """Unnormalized eigenvectors ``(2, 2, ...)`` of n.sigma for +1 and -1, n's components given as
+    Python floats or as arrays.  The branch keeps the large component in the numerator."""
+    t, big = nx + 1j * ny, 1.0 + abs(nz)
+    c = t.conjugate()
+    return np.where(nz >= 0.0, [[big, t], [-c, big]], [[c, big], [big, -t]])
 
 
 def _boost_eigenbasis(directions: np.ndarray) -> np.ndarray:
     """Eigenvectors (k, 4, 4) of ``sigma_x (x) n.sigma`` for eigenvalues -1, -1, 1, 1: chirality
     (x) spin along each unit direction (k, 3), in closed form, so that the small components of
     near-z directions keep their relative accuracy, which an eigensolver's do not."""
-    plus, minus = _spin_eigenvectors(directions)
+    plus, minus = _spin_eigenvectors(*directions.T)
     spin = np.stack([minus, plus, plus, minus], axis=1) / np.linalg.norm(plus, axis=0)
     chirality = np.array([[1.0, 1.0, 1.0, 1.0], [1.0, -1.0, 1.0, -1.0]]) / math.sqrt(2.0)
     return (chirality[:, None, :, None] * spin).reshape(4, 4, -1).transpose(2, 0, 1)
@@ -193,9 +193,8 @@ def helicity_spinor(p: FourMomentum, s: int) -> np.ndarray:
     """
     _check_helicity(s)
     kn = p.p_norm
-    plus, minus = _spin_eigenvectors(p.p3 / kn if kn else E_Z)
-    chi = plus if s == 1 else minus
-    chi = chi / np.linalg.norm(chi)
+    chi = _spin_eigenvectors(*(p.p3 / kn if kn else E_Z).tolist())[s - 1]
+    chi = chi / math.sqrt(chi.real.dot(chi.real) + chi.imag.dot(chi.imag))  # np.linalg.norm's sum
     c = chi[0] if abs(chi[0]) > 1e-12 else chi[1]  # one of a unit 2-vector's is >= 1/sqrt(2)
     return chi * (abs(c) / c)
 
@@ -245,7 +244,7 @@ def bispinor_boost(b: BoostSpec) -> np.ndarray:
         ch, sh = _cosh_sinh(b.rapidity / 2.0)
     except ValueError:
         raise ValueError(f"boost at rapidity {b.rapidity:.6g} leaves the float range") from None
-    generator = np.tensordot(b.direction, BOOST_GENERATORS, axes=1)
+    generator = (b.direction @ BOOST_GENERATORS.reshape(3, 16)).reshape(4, 4)
     return ch * np.eye(4, dtype=complex) - sh * generator
 
 

@@ -1,9 +1,10 @@
 """Entanglement measures and the closed-form boosted Bloch vectors.
 
 Two independent routes to the same physics meet here.  The numeric route
-reduces a boosted state: the functions below take one 16x16 density matrix,
-and the batched kernel (``kernel._measure_chunk``, also behind ``delta_*``)
-boosts whole grids.  The analytic route (``analytic_boosted_bloch``, batched in
+reduces a boosted state: the functions below take one 16x16 density matrix
+and validate it once (what they derive from it is not checked again), and the
+batched kernel (``kernel._measure_chunk``, also behind ``delta_*``) boosts
+whole grids.  The analytic route (``analytic_boosted_bloch``, batched in
 ``_analytic_bloch_batch``) evaluates closed-form transformed Bloch vectors
 from the superposition data without boosting any state; verify check c09
 and the test suite hold the two routes to each other.
@@ -20,12 +21,16 @@ from .kernel import _clamp_residue, _measure_chunk
 from .kinematics import E_Z, BoostSpec, helicity_spinor
 from .states import TWO_PARTICLE_LAYOUT, TwoParticleState, assemble_state_vector
 from .tensor import (
-    PAULI, SubsystemLayout, check_density, hermitian_eigenvalues, partial_trace, partial_transpose,
+    PAULI, SubsystemLayout, _symmetrized_eigenvalues, check_density, partial_transpose,
 )
 
 SUBSYSTEM_TAGS = TWO_PARTICLE_LAYOUT.labels
 
 SPIN_PAIR_LAYOUT = SubsystemLayout(("SA", "SB"))
+
+#: einsum subscripts on the ``[2] * 8`` reshape: partial traces onto each qubit and the spin pair
+_ONE_QUBIT = dict(PA="aBCDeBCD->ae", SA="AbCDAfCD->bf", PB="ABcDABgD->cg", SB="ABCdABCh->dh")
+_SPIN_PAIR = "AbCdAfCh->bdfh"
 
 #: Largest shortfall of ``Tr rho^2`` below 1 that :func:`global_entanglement` calls pure.
 _PURITY_TOL = 1e-8
@@ -58,49 +63,54 @@ def linear_entropy(rho: np.ndarray) -> float:
     rho = np.asarray(rho, dtype=complex)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {rho.shape}")
-    d = rho.shape[0]
-    if d < 2:
+    if rho.shape[0] < 2:
         raise ValueError("linear entropy needs dimension at least 2")
-    check_density(rho, d)
-    purity = float(np.real(np.trace(rho @ rho)))
-    return float(_clamp_residue((d / (d - 1.0)) * (1.0 - purity)))
+    return _linear_entropy(check_density(rho, rho.shape[0]))
+
+
+def _purity(rho: np.ndarray) -> float:
+    """``Tr rho^2`` of a Hermitian ``rho``: the sum of ``|rho_ij|^2``."""
+    return float(np.vdot(rho, rho).real)
+
+
+def _linear_entropy(rho: np.ndarray) -> float:
+    d = rho.shape[0]
+    return float(_clamp_residue((d / (d - 1.0)) * (1.0 - _purity(rho))))
 
 
 def bloch_vector(rho_qubit: np.ndarray) -> BlochVector:
+    """Tr[sigma_n rho] of a Hermitian 2x2 rho: 2 Re rho_10, 2 Im rho_10 and rho_00 - rho_11."""
     rho = check_density(rho_qubit, 2)
-    a = [float(np.real(np.trace(s @ rho))) for s in PAULI]
-    return BlochVector(*a)
+    off = complex(rho[1, 0])
+    return BlochVector(2.0 * off.real, 2.0 * off.imag, float((rho[0, 0] - rho[1, 1]).real))
 
 
 def single_qubit_reductions(rho: np.ndarray) -> dict[str, np.ndarray]:
     """All four 2x2 reduced matrices of a two-particle density matrix."""
-    rho = check_density(rho, 16)
-    return {
-        tag: partial_trace(rho, TWO_PARTICLE_LAYOUT, (tag,))
-        for tag in SUBSYSTEM_TAGS
-    }
+    qubits = check_density(rho, 16).reshape([2] * 8)
+    return {tag: np.einsum(subscripts, qubits) for tag, subscripts in _ONE_QUBIT.items()}
 
 
 def single_qubit_entropies(rho: np.ndarray) -> dict[str, float]:
-    return {tag: linear_entropy(r) for tag, r in single_qubit_reductions(rho).items()}
+    return {tag: _linear_entropy(r) for tag, r in single_qubit_reductions(rho).items()}
 
 
 def global_entanglement(rho: np.ndarray) -> float:
-    """Mean linear entropy of the four single-qubit reductions (pure states only)."""
+    """Mean linear entropy 2 (1 - sum_k Tr rho_k^2 / 4) of the four qubits (pure states only)."""
     rho = check_density(rho, 16)
-    purity = float(np.real(np.trace(rho @ rho)))
+    purity = _purity(rho)
     if purity < 1.0 - _PURITY_TOL:
         raise ValueError(
             f"global entanglement is defined for pure states; Tr rho^2 = {purity!r}"
         )
-    entropies = single_qubit_entropies(rho)
-    return sum(entropies.values()) / 4.0
+    qubits = rho.reshape([2] * 8)
+    purities = sum(_purity(np.einsum(subscripts, qubits)) for subscripts in _ONE_QUBIT.values())
+    return float(_clamp_residue(2.0 * (1.0 - purities / 4.0)))
 
 
 def spin_spin_reduced(rho: np.ndarray) -> np.ndarray:
     """Trace both parity qubits out of a 16x16 two-particle matrix."""
-    rho = check_density(rho, 16)
-    return partial_trace(rho, TWO_PARTICLE_LAYOUT, ("SA", "SB"))
+    return np.einsum(_SPIN_PAIR, check_density(rho, 16).reshape([2] * 8)).reshape(4, 4)
 
 
 def negativity(rho_ss: np.ndarray) -> float:
@@ -110,8 +120,8 @@ def negativity(rho_ss: np.ndarray) -> float:
     clamped to 0.
     """
     rho = check_density(rho_ss, 4)
-    transposed = partial_transpose(rho, SPIN_PAIR_LAYOUT, "SA")
-    return float(_clamp_residue(np.sum(np.abs(hermitian_eigenvalues(transposed))) - 1.0))
+    transposed = partial_transpose(rho, SPIN_PAIR_LAYOUT, "SA")  # Hermitian, as rho is
+    return float(_clamp_residue(np.sum(np.abs(_symmetrized_eigenvalues(transposed))) - 1.0))
 
 
 def _boost_deltas(st: TwoParticleState, b: BoostSpec) -> tuple[float, float]:

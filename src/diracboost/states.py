@@ -179,7 +179,8 @@ def boost_two_particle(rho: np.ndarray, b: BoostSpec) -> tuple[np.ndarray, float
 
     The spinor-space boost is not unitary, so the transformed matrix is
     rescaled by its trace nu to restore unit trace; nu is returned for
-    diagnostics.  Purity is preserved.
+    diagnostics.  Purity is preserved.  A rho' that fails the density-matrix
+    rule (its rounding grows as ``eps cond(S (x) S)^2``) is a ValueError naming the rapidity.
     """
     rho = check_density(rho, 16)
     if b.rapidity == 0.0:
@@ -189,7 +190,10 @@ def boost_two_particle(rho: np.ndarray, b: BoostSpec) -> tuple[np.ndarray, float
     s_pair = kron(s_single, s_single)
     with np.errstate(all="ignore"):  # overflow is reported below, with its rapidity
         transformed = s_pair @ rho @ s_pair.conj().T
-        nu = float(np.real(np.trace(transformed)))
+        nu = float(transformed.trace().real)
     if not (math.isfinite(nu) and nu > _ZERO_NORM_TOL):
         raise ValueError(f"boost normalization failed at rapidity {b.rapidity:.6g} (nu = {nu!r})")
-    return transformed / nu, nu
+    try:
+        return check_density(transformed / nu, 16), nu
+    except ValueError as exc:
+        raise ValueError(f"boost at rapidity {b.rapidity:.6g} lost precision: {exc}") from None

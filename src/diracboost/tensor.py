@@ -10,7 +10,7 @@ index is ``8*pA + 4*sA + 2*pB + sB``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -56,12 +56,18 @@ class SubsystemLayout:
 
 
 def kron(*factors: np.ndarray) -> np.ndarray:
-    """Kronecker product of one or more vectors/matrices, left to right."""
+    """Kronecker product of one or more vectors/matrices, left to right, bit for bit ``np.kron``."""
     if not factors:
         raise ValueError("kron needs at least one factor")
     out = np.asarray(factors[0], dtype=complex)
     for f in factors[1:]:
-        out = np.kron(out, np.asarray(f, dtype=complex))
+        f = np.asarray(f, dtype=complex)
+        if f.ndim == out.ndim:  # np.kron's own products a_ij b_kl, placed at (ik, jl) in one step
+            interleave = [i + j for i in range(f.ndim) for j in (0, f.ndim)]
+            shape = [a * b for a, b in zip(out.shape, f.shape)]
+            out = np.multiply.outer(out, f).transpose(interleave).reshape(shape)
+        else:
+            out = np.kron(out, f)
     return out
 
 
@@ -80,7 +86,7 @@ def check_density(rho: np.ndarray, dim: int) -> np.ndarray:
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (dim, dim):
         raise ValueError(f"expected a {dim}x{dim} density matrix, got shape {rho.shape}")
-    trace = complex(np.trace(rho))
+    trace = complex(rho.trace())
     if abs(trace - 1.0) > TRACE_TOL:
         raise ValueError(f"density matrix must have unit trace, got {trace!r}")
     _check_hermitian(rho, "density matrix")
@@ -88,7 +94,7 @@ def check_density(rho: np.ndarray, dim: int) -> np.ndarray:
 
 
 def _check_hermitian(h: np.ndarray, name: str) -> None:
-    residue = np.max(np.abs(h - h.conj().T))
+    residue = np.abs(h - h.conj().T).max()
     if residue > HERMITICITY_TOL:
         raise ValueError(
             f"{name} is not Hermitian: max|H - H†| = {residue:.3e} exceeds {HERMITICITY_TOL:.0e}"
@@ -109,15 +115,13 @@ def partial_trace(
     unknown = keep_set - set(layout.labels)
     if unknown:
         raise ValueError(f"unknown subsystem tags {sorted(unknown)!r}")
+    # one einsum on the [2] * 2n reshape: qubit i's row index is label i, and its column index is
+    # label n + i if kept, or repeats label i, which traces it out
     n = len(layout.labels)
-    cur = rho.reshape([2] * (2 * n))
-    nrem = n
-    for i in reversed(range(n)):
-        if layout.labels[i] not in keep_set:
-            cur = np.trace(cur, axis1=i, axis2=i + nrem)
-            nrem -= 1
-    d = 2**nrem
-    return cur.reshape(d, d)
+    cols = [n + i if tag in keep_set else i for i, tag in enumerate(layout.labels)]
+    out = [i for i, c in enumerate(cols) if c >= n] + [c for c in cols if c >= n]
+    d = 2 ** (len(out) // 2)
+    return np.einsum(rho.reshape([2] * (2 * n)), [*range(n), *cols], out).reshape(d, d)
 
 
 def partial_transpose(
@@ -143,9 +147,12 @@ def hermitian_eigenvalues(h: np.ndarray) -> np.ndarray:
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {h.shape}")
     _check_hermitian(h, "matrix")
-    sym = (h + h.conj().T) / 2.0
-    vals = np.linalg.eigvalsh(sym)
-    return vals[::-1].copy()
+    return _symmetrized_eigenvalues(h)
+
+
+def _symmetrized_eigenvalues(h: np.ndarray) -> np.ndarray:
+    """Descending eigenvalues of ``(H + H†)/2``, for an ``H`` already held Hermitian."""
+    return np.linalg.eigvalsh((h + h.conj().T) / 2.0)[::-1].copy()
 
 
 def outer(vec: np.ndarray) -> np.ndarray:

@@ -247,20 +247,14 @@ def _suite_orthonormality(rng) -> float:
     for _ in range(50):
         p = _random_momentum(rng)
         minus_p = FourMomentum(p.mass, p.energy, -p.p3)
-        us = [bispinor_u(p, s).amplitudes for s in (1, 2)]
-        vs = [bispinor_v(p, s).amplitudes for s in (1, 2)]
-        vs_minus = [bispinor_v(minus_p, s).amplitudes for s in (1, 2)]
-        for a in range(2):
-            for b in range(2):
-                delta = 1.0 if a == b else 0.0
-                worst = max(worst, abs(np.vdot(us[a], us[b]) - delta))
-                worst = max(worst, abs(np.vdot(vs[a], vs[b]) - delta))
-                worst = max(worst, abs(np.vdot(us[a], vs_minus[b])))
-        completeness = sum(np.outer(u, u.conj()) for u in us) + sum(
-            np.outer(v, v.conj()) for v in vs_minus
-        )
-        worst = max(worst, float(np.max(np.abs(completeness - np.eye(4)))))
-    return worst
+        # rows: u_1, u_2, v_1, v_2 at p and v_1, v_2 at -p; err[i, j] = |<row_i|row_j> - delta_ij|
+        rows = np.array([make(q, s).amplitudes for make, q in
+                         ((bispinor_u, p), (bispinor_v, p), (bispinor_v, minus_p)) for s in (1, 2)])
+        err = np.abs(rows.conj() @ rows.T - np.eye(6))
+        pairs = rows[[0, 1, 4, 5]]  # u(p) and v(-p) complete the space
+        completeness = np.abs(pairs.T @ pairs.conj() - np.eye(4)).max()
+        worst = max(worst, err[:2, :2].max(), err[2:4, 2:4].max(), err[:2, 4:].max(), completeness)
+    return float(worst)
 
 
 def _suite_boost_algebra(rng) -> float:

@@ -1,4 +1,6 @@
 import math
+import re
+import sys
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from diracboost.measures import (
     spin_spin_reduced,
 )
 from diracboost.states import (
+    TWO_PARTICLE_LAYOUT,
     SuperpositionTerm,
     TwoParticleState,
     boost_two_particle,
@@ -28,7 +31,7 @@ from diracboost.states import (
     make_psi3,
 )
 from diracboost.sweep import GridSpec, SweepConfig, SweepError, run_sweep
-from diracboost.tensor import kron, outer
+from diracboost.tensor import check_density, kron, outer, partial_trace
 
 M = 1.0
 SECH2_1 = 1.0 / math.cosh(1.0) ** 2
@@ -105,6 +108,81 @@ def test_per_point_measures_reject_a_non_hermitian_or_off_trace_matrix():
     for measure in (spin_spin_reduced, global_entanglement, single_qubit_reductions):
         with pytest.raises(ValueError, match="unit trace"):
             measure(off_trace)
+
+
+#: The per-point functions, each as a one-argument call, with the matrix size it takes.
+PER_POINT = {
+    "boost_two_particle": (lambda rho: boost_two_particle(rho, BoostSpec(0.7, E_Z)), 16),
+    "global_entanglement": (global_entanglement, 16),
+    "single_qubit_reductions": (single_qubit_reductions, 16),
+    "single_qubit_entropies": (single_qubit_entropies, 16),
+    "spin_spin_reduced": (spin_spin_reduced, 16),
+    "negativity": (negativity, 4),
+    "bloch_vector": (bloch_vector, 2),
+    "linear_entropy": (linear_entropy, 2),
+}
+
+
+def valid_density(dim):
+    rng = np.random.default_rng(90 + dim)
+    v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    return outer(v / np.linalg.norm(v))
+
+
+def defective(name, dim, defect):
+    """A matrix that breaks one part of the density-matrix rule, with the message it must give."""
+    if defect == "shape":
+        if name == "linear_entropy":
+            return np.eye(2, 3) / 2, "expected a square matrix, got shape (2, 3)"
+        other = 4 if dim != 4 else 2
+        message = f"expected a {dim}x{dim} density matrix, got shape ({other}, {other})"
+        return valid_density(other), message
+    rho = valid_density(dim)
+    if defect == "trace":
+        return rho * (1.0 + 1e-8), "density matrix must have unit trace, got ("
+    rho[0, 1] += 1e-6  # the trace stays 1
+    return rho, "density matrix is not Hermitian: max|H - H†| = 1.000e-06 exceeds 1e-10"
+
+
+@pytest.mark.parametrize("defect", ["shape", "trace", "hermitian"])
+@pytest.mark.parametrize("name", PER_POINT)
+def test_per_point_function_rejects_each_broken_rule_with_its_message(name, defect):
+    function, dim = PER_POINT[name]
+    rho, message = defective(name, dim, defect)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        function(rho)
+
+
+def test_each_per_point_function_validates_its_input_once(monkeypatch):
+    """check_density runs once per public call; what a function derives from the matrix is not
+    checked again.  boost_two_particle checks its input and its output."""
+    calls = []
+
+    def counted(rho, dim):
+        calls.append(dim)
+        return check_density(rho, dim)
+
+    # patch every binding, as `from .tensor import check_density` copies it into each module
+    for name, module in list(sys.modules.items()):
+        bound = getattr(module, "check_density", None)
+        if name.startswith("diracboost.") and bound is check_density:
+            monkeypatch.setattr(module, "check_density", counted)
+    for name, (function, dim) in PER_POINT.items():
+        calls.clear()
+        function(valid_density(dim))
+        assert calls == [dim] * (2 if name == "boost_two_particle" else 1), name
+
+
+def test_reductions_equal_partial_trace():
+    rng = np.random.default_rng(97)
+    for _ in range(10):
+        a = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
+        rho = a @ a.conj().T
+        rho /= np.trace(rho).real
+        for tag, reduced in single_qubit_reductions(rho).items():
+            assert np.array_equal(reduced, partial_trace(rho, TWO_PARTICLE_LAYOUT, (tag,)))
+        spin_pair = partial_trace(rho, TWO_PARTICLE_LAYOUT, ("SA", "SB"))
+        assert np.array_equal(spin_spin_reduced(rho), spin_pair)
 
 
 def test_bloch_vector_ball_constraint():

@@ -373,6 +373,17 @@ def test_boost_input_validation():
         boost_two_particle(skewed, b)
 
 
+@pytest.mark.parametrize("omega", [20.0, 28.0])
+def test_boost_that_loses_the_density_matrix_rule_names_its_rapidity(omega):
+    """psi1 boosted along its momenta keeps nu = 1, but the 16x16 product carries
+    eps cond(S (x) S)^2 of rounding: rho' is 4.4e-9 from Hermitian at omega = 20 and
+    3.9e-5 at 28.  boost_two_particle checks its own output, so the error names the boost."""
+    rho = density_matrix(make_psi1(1.0))
+    message = rf"boost at rapidity {omega:g} lost precision: density matrix is not Hermitian"
+    with pytest.raises(ValueError, match=message):
+        boost_two_particle(rho, BoostSpec(omega, E_Z))
+
+
 def test_offdiagonal_spin_blocks_are_boost_invariant():
     """Spin blocks that anticommute with n.sigma pass through the boost
     unchanged: Tr_P[S (rho_P x Xi) S] = Tr[rho_P] Xi for Xi = |z+><z-|,

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -154,6 +156,26 @@ def test_kron_associative():
         assert_allclose(kron(kron(a, b), c), kron(a, kron(b, c)), atol=1e-14)
 
 
+def test_kron_equals_np_kron_bit_for_bit():
+    rng = np.random.default_rng(158)
+
+    def c(*shape):
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    cases = [
+        (c(4), c(4)), (c(2), c(8)), (rng.normal(size=4), c(2)),
+        (c(4, 4), c(4, 4)), (c(2, 3), c(3, 2)), (PAULI_X, ID2),
+        (c(2), c(2), c(4)), (c(2, 2), c(2, 2), c(4, 4)), (-PAULI_Z, c(2, 2) * 0.0, c(2, 2)),
+    ]
+    for factors in cases:
+        expected = np.asarray(factors[0], dtype=complex)
+        for f in factors[1:]:
+            expected = np.kron(expected, np.asarray(f, dtype=complex))
+        got = kron(*factors)
+        assert got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()
+
+
 def test_kron_needs_a_factor():
     with pytest.raises(ValueError):
         kron()
@@ -172,6 +194,32 @@ def test_partial_trace_matches_index_sum_oracle():
             got = partial_trace(rho, QUAD, keep)
             want = reference_partial_trace(rho, QUAD, keep)
             assert_allclose(got, want, atol=1e-13)
+
+
+def iterated_partial_trace(rho, layout, keep):
+    """The definition: one np.trace per traced qubit, the last qubit first."""
+    n = len(layout.labels)
+    cur = rho.reshape([2] * (2 * n))
+    left = n
+    for i in reversed(range(n)):
+        if layout.labels[i] not in keep:
+            cur = np.trace(cur, axis1=i, axis2=i + left)
+            left -= 1
+    return cur.reshape(2**left, 2**left)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_partial_trace_equals_iterated_traces_for_every_keep_subset(n):
+    layout = SubsystemLayout(tuple(f"q{i}" for i in range(n)))
+    rng = np.random.default_rng(170 + n)
+    for _ in range(5):
+        rho = random_density(rng, 2**n)
+        for size in range(n + 1):
+            for keep in itertools.combinations(layout.labels, size):
+                assert_allclose(
+                    partial_trace(rho, layout, keep), iterated_partial_trace(rho, layout, keep),
+                    rtol=0.0, atol=1e-15,
+                )
 
 
 def test_partial_trace_removes_product_factor():
