@@ -166,11 +166,10 @@ class Bispinor:
             raise ValueError(f"bispinor must have unit norm, got {norm!r}")
 
 
-def _spin_eigenvectors(nx, ny, nz) -> np.ndarray:
-    """Unnormalized eigenvectors ``(2, 2, ...)`` of n.sigma for +1 and -1, n's components given as
-    Python floats or as arrays.  The branch keeps the large component in the numerator."""
-    t, big = nx + 1j * ny, 1.0 + abs(nz)
-    c = t.conjugate()
+def _spin_eigenvectors(t, nz) -> np.ndarray:
+    """Unnormalized eigenvectors ``(2, 2, ...)`` of n.sigma for +1 and -1, given ``t = nx + i ny``
+    and ``nz`` as scalars or arrays.  The branch keeps the large component in the numerator."""
+    big, c = 1.0 + abs(nz), t.conjugate()
     return np.where(nz >= 0.0, [[big, t], [-c, big]], [[c, big], [big, -t]])
 
 
@@ -178,7 +177,7 @@ def _boost_eigenbasis(directions: np.ndarray) -> np.ndarray:
     """Eigenvectors (k, 4, 4) of ``sigma_x (x) n.sigma`` for eigenvalues -1, -1, 1, 1: chirality
     (x) spin along each unit direction (k, 3), in closed form, so that the small components of
     near-z directions keep their relative accuracy, which an eigensolver's do not."""
-    plus, minus = _spin_eigenvectors(*directions.T)
+    plus, minus = _spin_eigenvectors(directions[:, 0] + 1j * directions[:, 1], directions[:, 2])
     spin = np.stack([minus, plus, plus, minus], axis=1) / np.linalg.norm(plus, axis=0)
     chirality = np.array([[1.0, 1.0, 1.0, 1.0], [1.0, -1.0, 1.0, -1.0]]) / math.sqrt(2.0)
     return (chirality[:, None, :, None] * spin).reshape(4, 4, -1).transpose(2, 0, 1)
@@ -193,7 +192,9 @@ def helicity_spinor(p: FourMomentum, s: int) -> np.ndarray:
     """
     _check_helicity(s)
     kn = p.p_norm
-    chi = _spin_eigenvectors(*(p.p3 / kn if kn else E_Z).tolist())[s - 1]
+    nx, ny, nz = (p.p3 / kn if kn else E_Z).tolist()
+    # nx + i ny rounded as numpy does: Python 3.14 on keeps -0.0 imaginary parts of float + complex
+    chi = _spin_eigenvectors(complex(nx + 0.0 * ny, ny + 0.0), nz)[s - 1]
     chi = chi / math.sqrt(chi.real.dot(chi.real) + chi.imag.dot(chi.imag))  # np.linalg.norm's sum
     c = chi[0] if abs(chi[0]) > 1e-12 else chi[1]  # one of a unit 2-vector's is >= 1/sqrt(2)
     return chi * (abs(c) / c)

@@ -21,16 +21,17 @@ from .kernel import _clamp_residue, _measure_chunk
 from .kinematics import E_Z, BoostSpec, helicity_spinor
 from .states import TWO_PARTICLE_LAYOUT, TwoParticleState, assemble_state_vector
 from .tensor import (
-    PAULI, SubsystemLayout, _symmetrized_eigenvalues, check_density, partial_transpose,
+    PAULI, SubsystemLayout, _symmetrized_eigenvalues, _trace_labels, check_density,
+    partial_transpose,
 )
 
 SUBSYSTEM_TAGS = TWO_PARTICLE_LAYOUT.labels
 
 SPIN_PAIR_LAYOUT = SubsystemLayout(("SA", "SB"))
 
-#: einsum subscripts on the ``[2] * 8`` reshape: partial traces onto each qubit and the spin pair
-_ONE_QUBIT = dict(PA="aBCDeBCD->ae", SA="AbCDAfCD->bf", PB="ABcDABgD->cg", SB="ABCdABCh->dh")
-_SPIN_PAIR = "AbCdAfCh->bdfh"
+#: ``partial_trace``'s einsum labels on the ``[2] * 8`` reshape onto each qubit and the spin pair
+_ONE_QUBIT = {tag: _trace_labels(TWO_PARTICLE_LAYOUT, (tag,)) for tag in SUBSYSTEM_TAGS}
+_SPIN_PAIR = _trace_labels(TWO_PARTICLE_LAYOUT, ("SA", "SB"))
 
 #: Largest shortfall of ``Tr rho^2`` below 1 that :func:`global_entanglement` calls pure.
 _PURITY_TOL = 1e-8
@@ -88,7 +89,7 @@ def bloch_vector(rho_qubit: np.ndarray) -> BlochVector:
 def single_qubit_reductions(rho: np.ndarray) -> dict[str, np.ndarray]:
     """All four 2x2 reduced matrices of a two-particle density matrix."""
     qubits = check_density(rho, 16).reshape([2] * 8)
-    return {tag: np.einsum(subscripts, qubits) for tag, subscripts in _ONE_QUBIT.items()}
+    return {tag: np.einsum(qubits, *labels) for tag, labels in _ONE_QUBIT.items()}
 
 
 def single_qubit_entropies(rho: np.ndarray) -> dict[str, float]:
@@ -104,13 +105,13 @@ def global_entanglement(rho: np.ndarray) -> float:
             f"global entanglement is defined for pure states; Tr rho^2 = {purity!r}"
         )
     qubits = rho.reshape([2] * 8)
-    purities = sum(_purity(np.einsum(subscripts, qubits)) for subscripts in _ONE_QUBIT.values())
+    purities = sum(_purity(np.einsum(qubits, *labels)) for labels in _ONE_QUBIT.values())
     return float(_clamp_residue(2.0 * (1.0 - purities / 4.0)))
 
 
 def spin_spin_reduced(rho: np.ndarray) -> np.ndarray:
     """Trace both parity qubits out of a 16x16 two-particle matrix."""
-    return np.einsum(_SPIN_PAIR, check_density(rho, 16).reshape([2] * 8)).reshape(4, 4)
+    return np.einsum(check_density(rho, 16).reshape([2] * 8), *_SPIN_PAIR).reshape(4, 4)
 
 
 def negativity(rho_ss: np.ndarray) -> float:

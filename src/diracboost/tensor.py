@@ -56,18 +56,17 @@ class SubsystemLayout:
 
 
 def kron(*factors: np.ndarray) -> np.ndarray:
-    """Kronecker product of one or more vectors/matrices, left to right, bit for bit ``np.kron``."""
+    """Kronecker product of one or more arrays, left to right, bit for bit ``np.kron``: as there,
+    a lower-rank factor gets leading length-1 axes, and broadcasting puts a_ij b_kl at (ik, jl)."""
     if not factors:
         raise ValueError("kron needs at least one factor")
     out = np.asarray(factors[0], dtype=complex)
     for f in factors[1:]:
         f = np.asarray(f, dtype=complex)
-        if f.ndim == out.ndim:  # np.kron's own products a_ij b_kl, placed at (ik, jl) in one step
-            interleave = [i + j for i in range(f.ndim) for j in (0, f.ndim)]
-            shape = [a * b for a, b in zip(out.shape, f.shape)]
-            out = np.multiply.outer(out, f).transpose(interleave).reshape(shape)
-        else:
-            out = np.kron(out, f)
+        a, b = ((1,) * (max(out.ndim, f.ndim) - x.ndim) + x.shape for x in (out, f))
+        spread_a = out.reshape([n for s in a for n in (s, 1)])
+        spread_b = f.reshape([n for s in b for n in (1, s)])
+        out = (spread_a * spread_b).reshape([x * y for x, y in zip(a, b)])
     return out
 
 
@@ -111,17 +110,22 @@ def partial_trace(
     the total trace as a 1x1 matrix.
     """
     rho = _check_square(rho, layout)
+    labels, out = _trace_labels(layout, keep)
+    d = 2 ** (len(out) // 2)
+    return np.einsum(rho.reshape([2] * len(labels)), labels, out).reshape(d, d)
+
+
+def _trace_labels(layout: SubsystemLayout, keep: Iterable[str]) -> tuple[list[int], list[int]]:
+    """einsum ``(labels, output)`` of :func:`partial_trace` on the ``[2] * 2n`` reshape: qubit i's
+    column index is label n + i if kept, or repeats its row label i, which traces it out."""
     keep_set = set(keep)
     unknown = keep_set - set(layout.labels)
     if unknown:
         raise ValueError(f"unknown subsystem tags {sorted(unknown)!r}")
-    # one einsum on the [2] * 2n reshape: qubit i's row index is label i, and its column index is
-    # label n + i if kept, or repeats label i, which traces it out
     n = len(layout.labels)
-    cols = [n + i if tag in keep_set else i for i, tag in enumerate(layout.labels)]
-    out = [i for i, c in enumerate(cols) if c >= n] + [c for c in cols if c >= n]
-    d = 2 ** (len(out) // 2)
-    return np.einsum(rho.reshape([2] * (2 * n)), [*range(n), *cols], out).reshape(d, d)
+    kept = [i for i, tag in enumerate(layout.labels) if tag in keep_set]
+    cols = [n + i if i in kept else i for i in range(n)]
+    return [*range(n), *cols], kept + [n + i for i in kept]
 
 
 def partial_transpose(

@@ -148,6 +148,17 @@ def test_helicity_spinor_orthogonal_pair():
         assert abs(np.vdot(helicity_spinor(p, 1), helicity_spinor(p, 2))) < 1e-13
 
 
+@pytest.mark.parametrize("w", [0.3, 1.0, 2.5])
+def test_helicity_spinor_signed_zeros_along_minus_z(w):
+    """psi1 and psi2's -z momenta have p3 = (-0.0, -0.0, -k).  Their spinors keep numpy's
+    signed zeros on every Python version: Python's own float + complex sum (3.14 on) would
+    turn the -0.0 real part of the s=1 spinor's first component into +0.0."""
+    p = FourMomentum.from_rapidity(M, w, -E_Z)
+    expected = {1: np.array([complex(-0.0, 0.0), 1.0]), 2: np.array([1.0, 0.0], dtype=complex)}
+    for s, chi in expected.items():
+        assert helicity_spinor(p, s).tobytes() == chi.tobytes()
+
+
 def test_helicity_spinor_rejects_bad_label():
     with pytest.raises(ValueError, match="helicity label"):
         helicity_spinor(FourMomentum.at_rest(M), 3)

@@ -166,6 +166,8 @@ def test_kron_equals_np_kron_bit_for_bit():
         (c(4), c(4)), (c(2), c(8)), (rng.normal(size=4), c(2)),
         (c(4, 4), c(4, 4)), (c(2, 3), c(3, 2)), (PAULI_X, ID2),
         (c(2), c(2), c(4)), (c(2, 2), c(2, 2), c(4, 4)), (-PAULI_Z, c(2, 2) * 0.0, c(2, 2)),
+        # unequal ranks: the lower-rank factor gets leading length-1 axes, as in np.kron
+        (c(2), c(2, 2)), (c(2, 3), c(4)), (c(3, 2, 2), c(2)), (c(2), c(2, 2), c(2, 1, 3)),
     ]
     for factors in cases:
         expected = np.asarray(factors[0], dtype=complex)
