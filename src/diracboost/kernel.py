@@ -15,7 +15,6 @@ from .kinematics import E_Z, _boost_eigenbasis
 from .tensor import PAULI
 
 _EPS = np.finfo(float).eps
-_KEY = np.dtype((np.void, 24))
 #: Masks of the blocks of Phi that the boost scales by e^w, 1 and e^-w.
 _BLOCKS = np.add.outer([0, 0, 1, 1], [0, 0, 1, 1]) == np.arange(3)[:, None, None]
 #: ``_PAIRS[r, 3 i + j] = 1`` where blocks i and j together carry e^{(2 - r) w}.
@@ -65,42 +64,24 @@ def _direction_tables(psi, directions):
     return np.concatenate([tables[..., :13].real, spin.reshape(-1, 5, 16)], axis=2)
 
 
-class _Tables:
-    """A state's direction tables, each built for the first chunk that needs it."""
-
-    def __init__(self, psi):
-        self.psi, self.tables = psi, np.zeros((1, 5, 29))
-        # directions' bytes, sorted after a NaN that sorts last, and the row of each one's table
-        self.keys, self.slots = np.full(1, b"\xff" * 24, _KEY), np.zeros(1, dtype=int)
-
-    def rows(self, directions):
-        """The (n, 5, 29) real tables of n directions."""
-        keys = np.ascontiguousarray(directions, dtype=float).view(_KEY).ravel()
-        at = np.searchsorted(self.keys, keys)
-        missing = self.keys[at] != keys
-        if missing.any():
-            new = np.array(sorted(set(keys[missing].tolist())), dtype=_KEY)
-            unit, used = new.view(float).reshape(-1, 3), len(self.keys)
-            if used + len(new) > len(self.tables):  # grown by half at least, so growing is linear
-                self.tables = np.concatenate([self.tables, np.empty((used // 2 + len(new), 5, 29))])
-            # 16 directions at a time keep the build's working arrays below 1 MB
-            built = [_direction_tables(self.psi, unit[s : s + 16]) for s in range(0, len(new), 16)]
-            self.tables[used : used + len(new)] = np.concatenate(built)
-            where = np.searchsorted(self.keys, new)
-            self.slots = np.insert(self.slots, where, used + np.arange(len(new)))
-            self.keys = np.insert(self.keys, where, new)
-            at = np.searchsorted(self.keys, keys)
-        return self.tables[self.slots[at]]
+def _tables(psi, directions):
+    """The (1 + k, 5, 29) tables of the 4x4 ``psi``: row 0 for ``E_Z``, which every ``omega = 0``
+    point reads, then one row per unit direction (k, 3)."""
+    directions = np.concatenate([E_Z[None, :], directions])
+    tables = np.empty((len(directions), 5, 29))
+    # 16 directions at a time keep the build's working arrays below 1 MB
+    for s in range(0, len(directions), 16):
+        tables[s : s + 16] = _direction_tables(psi, directions[s : s + 16])
+    return tables
 
 
-def _measure_chunk(state, omegas, thetas, directions):
-    """Boost ``state``, the 4x4 ``psi`` or its :class:`_Tables`, to every point of one chunk.
+def _measure_chunk(tables, omegas, thetas, columns):
+    """Boost a state's :func:`_tables` to every point of one chunk, point i along ``columns[i]``.
     Returns ``(nu, eg, negativity, bloch)`` per point, ``bloch`` (n, 4, 3) in PA, SA, PB, SB
     order.  ``omega = 0`` rows read the table of ``E_Z`` and keep ``nu = 1`` exactly, so their
     ``delta_*`` are 0.  A ``nu`` out of the float range is a :class:`SweepError`."""
-    tables = state if isinstance(state, _Tables) else _Tables(state)
     rest = omegas == 0.0
-    w = tables.rows(np.where(rest[:, None], E_Z, directions))
+    w = tables[np.where(rest, 0, 1 + columns)]
     with np.errstate(all="ignore"):  # a nu out of range is reported below, with its point
         exponents = np.multiply.outer(omegas, 2.0 - np.arange(5))  # m omega, m = 2 .. -2
         top = np.max(np.where(w[:, ::2, 0] > 0.0, exponents[:, ::2], -np.inf), axis=1)
@@ -134,12 +115,15 @@ def _measure_chunk(state, omegas, thetas, directions):
     return nu, eg, neg, bloch
 
 
+def _polar_directions(thetas):
+    """The unit directions ``(sin theta, 0, cos theta)`` (k, 3) of polar angles in the x-z plane."""
+    return np.stack([np.sin(thetas), np.zeros_like(thetas), np.cos(thetas)], axis=1)
+
+
 def _grid(omega_points, theta_points, start=0, stop=None):
-    """``(omegas, thetas, directions)`` of points ``start:stop`` of the omega-major grid;
-    each direction is ``(sin theta, 0, cos theta)``."""
+    """``(omegas, thetas, columns)`` of points ``start:stop`` of the omega-major grid; a
+    point's column is the index of its theta in ``theta_points``."""
     omega_points, theta_points = np.asarray(omega_points, float), np.asarray(theta_points, float)
     size = len(omega_points) * len(theta_points)
     i, j = np.divmod(np.arange(start, size if stop is None else min(stop, size)), len(theta_points))
-    thetas = theta_points[j]
-    directions = np.stack([np.sin(thetas), np.zeros_like(thetas), np.cos(thetas)], axis=1)
-    return omega_points[i], thetas, directions
+    return omega_points[i], theta_points[j], j

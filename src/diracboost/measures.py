@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernel import _clamp_residue, _measure_chunk
-from .kinematics import E_Z, BoostSpec, helicity_spinor
+from .kernel import _clamp_residue, _grid, _measure_chunk, _tables
+from .kinematics import BoostSpec, helicity_spinor
 from .states import TWO_PARTICLE_LAYOUT, TwoParticleState, assemble_state_vector
 from .tensor import (
     PAULI, SubsystemLayout, _symmetrized_eigenvalues, _trace_labels, check_density,
@@ -128,8 +128,8 @@ def negativity(rho_ss: np.ndarray) -> float:
 def _boost_deltas(st: TwoParticleState, b: BoostSpec) -> tuple[float, float]:
     """(E_G, N) at the boost minus at the origin, from one kernel call, as the sweep's delta_*."""
     theta = np.arccos(np.clip(b.direction[2], -1.0, 1.0))  # names a failed point
-    points = np.array([0.0, b.rapidity]), np.array([0.0, theta]), np.stack([E_Z, b.direction])
-    _, eg, neg, _ = _measure_chunk(assemble_state_vector(st).reshape(4, 4), *points)
+    tables = _tables(assemble_state_vector(st).reshape(4, 4), b.direction[None])
+    _, eg, neg, _ = _measure_chunk(tables, *_grid([0.0, b.rapidity], [theta]))
     return float(eg[1] - eg[0]), float(neg[1] - neg[0])
 
 

@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .kernel import SweepError, _grid, _measure_chunk, _point_error, _Tables
+from .kernel import SweepError, _grid, _measure_chunk, _point_error, _polar_directions, _tables
 from .kinematics import E_Z, FourMomentum, _unit_direction
 from .states import (
     TWO_PARTICLE_LAYOUT,
@@ -225,19 +225,19 @@ def _sweep_columns(cfg: SweepConfig):
 
     Raises :class:`SweepError` naming the first point and column that is not finite.
     """
-    tables = _Tables(scenario_vector(cfg).reshape(4, 4))
-    origin = np.zeros(1)
-    _, (eg0,), (neg0,), _ = _measure_chunk(tables, origin, origin, E_Z[None, :])
     omega_points, theta_points = cfg.omega_grid.points(), cfg.theta_grid.points()
+    # one table per theta step, or for the fixed direction of a one-step theta grid
+    fixed = cfg.boost_direction
+    directions = _polar_directions(theta_points) if fixed is None else np.array([fixed], float)
+    tables = _tables(scenario_vector(cfg).reshape(4, 4), directions)
+    _, (eg0,), (neg0,), _ = _measure_chunk(tables, *_grid([0.0], [0.0]))
     names = [n for m in cfg.measures for n in (_BLOCH_COLUMNS if m == "bloch" else (m,))]
     columns = ["omega", "theta", *names, "nu"]
 
     def blocks():
         for start in range(0, len(omega_points) * len(theta_points), _CHUNK):
-            omegas, thetas, directions = _grid(omega_points, theta_points, start, start + _CHUNK)
-            if cfg.boost_direction is not None:
-                directions = np.broadcast_to(cfg.boost_direction, directions.shape)
-            nu, eg, neg, bloch = _measure_chunk(tables, omegas, thetas, directions)
+            omegas, thetas, steps = _grid(omega_points, theta_points, start, start + _CHUNK)
+            nu, eg, neg, bloch = _measure_chunk(tables, omegas, thetas, steps)
             measured = dict(zip(_BLOCH_COLUMNS, bloch.reshape(-1, 12).T))
             measured.update(eg=eg, delta_eg=eg - eg0, negativity=neg, delta_negativity=neg - neg0)
             block = np.stack([omegas, thetas, *(measured[n] for n in names), nu], axis=1)

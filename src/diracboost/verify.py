@@ -13,7 +13,7 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .kernel import _grid, _measure_chunk
+from .kernel import _grid, _measure_chunk, _polar_directions, _tables
 from .kinematics import (
     GAMMA5,
     BoostSpec,
@@ -88,11 +88,12 @@ def _kernel_grid(st: TwoParticleState, omegas, thetas):
     ``negativity`` shaped (omegas, thetas), and ``bloch`` shaped (points, 4, 3).
     Every grid here fits the few hundred points one kernel call is sized for.
     """
-    w, th, n = _grid(omegas, thetas)
-    psi = assemble_state_vector(st).reshape(4, 4)
-    _, eg, neg, bloch = _measure_chunk(psi, w, th, n)
+    w, th, steps = _grid(omegas, thetas)
+    directions = _polar_directions(thetas)
+    tables = _tables(assemble_state_vector(st).reshape(4, 4), directions)
+    _, eg, neg, bloch = _measure_chunk(tables, w, th, steps)
     grid = (len(omegas), len(thetas))
-    return w, n, eg.reshape(grid), neg.reshape(grid), bloch
+    return w, directions[steps], eg.reshape(grid), neg.reshape(grid), bloch
 
 
 def _check_psi1_rest_eg() -> CheckResult:

@@ -166,8 +166,8 @@ def test_failed_sweep_on_stdout_exits_1(output_format, capsysbinary):
 def test_non_finite_measure_names_point_and_column(monkeypatch):
     kernel = sweep._measure_chunk
 
-    def corrupted(psi, omegas, thetas, directions):
-        nu, eg, neg, bloch = kernel(psi, omegas, thetas, directions)
+    def corrupted(tables, omegas, thetas, columns):
+        nu, eg, neg, bloch = kernel(tables, omegas, thetas, columns)
         if len(omegas) > 1:
             bloch[16, 1, 2] = np.nan  # row 16 of the grid: omega = 0.5, theta = 0.5
         return nu, eg, neg, bloch

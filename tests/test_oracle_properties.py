@@ -1,5 +1,6 @@
 """Property tests: the batched sweep kernel against the closed-form Bloch oracle,
-boost reversibility, and local-unitary invariance of the measures.
+boost reversibility, local-unitary invariance of the measures, and the Lorentz
+invariance of the chirality-block determinants of any coefficient matrix.
 
 States share one momentum per slot, along +z or -z, and superpose one to
 four helicity-pair terms with random complex coefficients; boosts have random
@@ -11,6 +12,7 @@ import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from diracboost.kernel import _tables
 from diracboost.kinematics import E_Z, BoostSpec, FourMomentum, bispinor_boost
 from diracboost.measures import _analytic_bloch_batch, analytic_boosted_bloch
 from diracboost.states import SuperpositionTerm, TwoParticleState, assemble_state_vector
@@ -58,7 +60,10 @@ def boosts(draw):
 def test_kernel_matches_closed_form_oracle(state, batch):
     rapidities, directions = batch
     psi = assemble_state_vector(state).reshape(4, 4)
-    _, eg, neg, bloch = _measure_chunk(psi, rapidities, np.zeros_like(rapidities), directions)
+    columns = np.arange(len(rapidities))
+    _, eg, neg, bloch = _measure_chunk(
+        _tables(psi, directions), rapidities, np.zeros_like(rapidities), columns
+    )
     analytic = _analytic_bloch_batch(state, rapidities, directions)
     assert np.max(np.abs(bloch - analytic)) <= TOL
     # Meyer-Wallach / Brennen: E_G = 1 - mean |a|^2 over the four qubits
@@ -101,12 +106,44 @@ def qubit_unitaries(draw):
 def test_measures_are_invariant_under_local_unitaries_on_slot_a(state, batch, u_parity, u_spin):
     psi = assemble_state_vector(state).reshape(4, 4)
     local = kron(u_parity, u_spin)  # acts on the rows of psi: parity A (x) spin A
-    rest = np.zeros(1)
+    rest, column = np.zeros(1), np.zeros(1, int)
     for w, n in zip(*batch):
         s = bispinor_boost(BoostSpec(float(w), n))
         boosted = s @ psi @ s.T
         boosted /= np.linalg.norm(boosted)
-        _, eg, neg, _ = _measure_chunk(boosted, rest, rest, E_Z[None, :])
-        _, eg_local, neg_local, _ = _measure_chunk(local @ boosted, rest, rest, E_Z[None, :])
+        _, eg, neg, _ = _measure_chunk(_tables(boosted, E_Z[None, :]), rest, rest, column)
+        _, eg_local, neg_local, _ = _measure_chunk(
+            _tables(local @ boosted, E_Z[None, :]), rest, rest, column
+        )
         assert abs(eg_local[0] - eg[0]) <= 1e-12
         assert abs(neg_local[0] - neg[0]) <= 1e-12
+
+
+#: V = H (x) I takes the parity qubit to chirality, where the boost is blockwise in SL(2,C).
+CHIRALITY = kron(np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0), np.eye(2))
+
+
+def _chirality_block_determinants(psi):
+    """``det Psi_fg`` of the four 2x2 blocks of ``V Psi V^T``, indexed [f, g]."""
+    return np.linalg.det((CHIRALITY @ psi @ CHIRALITY.T).reshape(2, 2, 2, 2).transpose(0, 2, 1, 3))
+
+
+@st.composite
+def unit_coefficient_matrices(draw):
+    z = np.array([complex(draw(unit), draw(unit)) for _ in range(16)])
+    assume(np.linalg.norm(z) > 0.1)
+    return (z / np.linalg.norm(z)).reshape(4, 4)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(psi=unit_coefficient_matrices(), rapidity=st.floats(-8.0, 8.0),
+       direction=st.tuples(unit, unit, unit))
+def test_chirality_block_determinants_are_lorentz_invariant(psi, rapidity, direction):
+    """``S`` acts on block (f, g) as ``M_f Psi_fg M_g^T`` with ``det M = 1``, so the four
+    determinants of any unnormalized ``S Psi S^T`` equal those of ``Psi``.  Its entries grow
+    like ``e^|w|``, so the rounding of a determinant grows like ``e^{2|w|}``."""
+    n = np.array(direction)
+    assume(np.linalg.norm(n) > 0.1)
+    s = bispinor_boost(BoostSpec(rapidity, n / np.linalg.norm(n)))
+    drift = _chirality_block_determinants(s @ psi @ s.T) - _chirality_block_determinants(psi)
+    assert np.max(np.abs(drift)) <= 1e-15 * np.exp(2.0 * abs(rapidity))

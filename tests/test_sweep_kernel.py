@@ -27,6 +27,7 @@ from diracboost.measures import (
 )
 from diracboost.states import assemble_state_vector, boost_two_particle, make_psi1
 from diracboost.sweep import (
+    CustomTermSpec,
     GridSpec,
     SweepConfig,
     SweepError,
@@ -107,6 +108,61 @@ def test_first_block_of_a_large_grid_builds_only_its_chunk():
     assert peak < 4 * 2**20, peak
 
 
+def test_a_sweep_holds_one_table_per_theta_step_and_one_chunk():
+    """The tables are built once, into one array of 1160 bytes per theta step, never copied."""
+    steps = 20_000
+    cfg = SweepConfig(
+        scenario="psi2",
+        omega_grid=GridSpec(0.0, 1.0, 2),
+        theta_grid=GridSpec(0.0, 3.0, steps),
+    )
+    tracemalloc.start()
+    try:
+        _, blocks = sweep._sweep_columns(cfg)
+        for _ in blocks:
+            pass
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    tables = (steps + 1) * 5 * 29 * 8
+    grid = steps * 7 * 8  # the theta points, their directions and the copy behind E_Z's
+    assert peak <= tables + grid + 2**20, peak - tables - grid  # one chunk's working set
+
+
+@pytest.mark.parametrize(
+    "cfg,built",
+    [
+        pytest.param(  # five chunks, one table per theta step and one for the rest frame
+            SweepConfig(omega_grid=GridSpec(0.0, 4.0, 40), theta_grid=GridSpec(0.0, math.pi, 30)),
+            31,
+            id="theta-grid",
+        ),
+        pytest.param(  # three chunks along one fixed direction
+            SweepConfig(
+                scenario="custom",
+                custom_terms=(CustomTermSpec(1.0, 0.0, 1, 1.0, 1, 2, 1.0, -1),),
+                omega_grid=GridSpec(-3.0, 3.0, 600),
+                theta_grid=GridSpec(0.0, 0.0, 1),
+                boost_direction=(0.6, 0.0, 0.8),
+            ),
+            2,
+            id="boost-dir",
+        ),
+    ],
+)
+def test_tables_are_built_once_per_sweep_never_per_chunk(monkeypatch, cfg, built):
+    build, counts = kernel._direction_tables, []
+
+    def counting(psi, directions):
+        counts.append(len(directions))
+        return build(psi, directions)
+
+    monkeypatch.setattr(kernel, "_direction_tables", counting)
+    points = cfg.omega_grid.steps * cfg.theta_grid.steps
+    assert len(run_sweep(cfg)) == points > 2 * sweep._CHUNK
+    assert sum(counts) == built, counts
+
+
 def test_rest_rows_are_exact_in_every_chunk():
     cfg = SweepConfig(
         scenario="chiral-psi2",
@@ -160,7 +216,8 @@ def test_one_chunk_mixes_both_routes_in_row_order(scenario, labels):
     omegas = np.repeat(np.linspace(0.0, 6.0, 13), 4)
     thetas = np.tile([0.0, 0.6, 0.0, 2.2], 13)
     n = np.stack([np.sin(thetas), np.zeros_like(thetas), np.cos(thetas)], axis=1)
-    nu, eg, neg, bloch = sweep._measure_chunk(psi, omegas, thetas, n)
+    tables = kernel._tables(psi, n)
+    nu, eg, neg, bloch = sweep._measure_chunk(tables, omegas, thetas, np.arange(len(n)))
 
     references = [_reference_row(rho0, w, th) for w, th in zip(omegas, thetas)]
     bloch_names = [f"bloch_{tag}_{axis}" for tag in ("pa", "sa", "pb", "sb") for axis in "xyz"]
@@ -176,7 +233,8 @@ def test_cancelling_parallel_boost_keeps_nu_at_large_rapidity():
     """psi1 boosted along its momenta keeps nu = 1 and E_G = 1/2 (check c03)."""
     psi = assemble_state_vector(make_psi1(1.0)).reshape(4, 4)
     omegas = np.array([10.0, 15.0])
-    nu, eg, _, _ = sweep._measure_chunk(psi, omegas, np.zeros(2), np.tile(E_Z, (2, 1)))
+    tables = kernel._tables(psi, E_Z[None, :])
+    nu, eg, _, _ = sweep._measure_chunk(tables, omegas, np.zeros(2), np.zeros(2, int))
     assert np.all(np.abs(nu - 1.0) <= 1e-9), nu - 1.0
     assert np.all(np.abs(eg - 0.5) <= 1e-12), eg - 0.5
 
@@ -217,6 +275,26 @@ def test_chiral_singlet_is_invariant_at_any_rapidity(omega):
         assert abs(row.values["eg"] - 0.5) <= TOL
 
 
+@pytest.mark.parametrize("omega0", [0.3, 1.0, 2.0])
+def test_psi2_along_its_momenta_follows_its_closed_forms(omega0):
+    """psi2 at theta = 0: E_G = 1 - [sech^2(w0 - omega) + sech^2(w0 + omega)] / 4 and
+    N = sech(w0 - omega) sech(w0 + omega), up to omega = 300."""
+    cfg = SweepConfig(
+        scenario="psi2",
+        omega0=omega0,
+        omega_grid=GridSpec(0.0, 300.0, 601),
+        theta_grid=GridSpec(0.0, 0.0, 1),
+        measures=("eg", "negativity"),
+    )
+    rows = run_sweep(cfg)
+    omegas = np.array([row.omega for row in rows])
+    minus, plus = 1.0 / np.cosh(omega0 - omegas), 1.0 / np.cosh(omega0 + omegas)
+    eg = np.array([row.values["eg"] for row in rows])
+    neg = np.array([row.values["negativity"] for row in rows])
+    assert np.max(np.abs(eg - (1.0 - (minus**2 + plus**2) / 4.0))) <= TOL
+    assert np.max(np.abs(neg - minus * plus)) <= TOL
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize(
     "scenario,theta",
@@ -255,8 +333,10 @@ def test_rest_rows_take_the_quadratic_route_and_equal_the_origin_row():
     psi = scenario_vector(SweepConfig(scenario="psi3")).reshape(4, 4)
     thetas = np.linspace(0.0, math.pi, 7)
     n = np.stack([np.sin(thetas), np.zeros_like(thetas), np.cos(thetas)], axis=1)
-    rest = sweep._measure_chunk(psi, np.zeros(7), thetas, n)
-    origin = sweep._measure_chunk(psi, np.zeros(1), np.zeros(1), E_Z[None, :])
+    rest = sweep._measure_chunk(kernel._tables(psi, n), np.zeros(7), thetas, np.arange(7))
+    origin = sweep._measure_chunk(
+        kernel._tables(psi, E_Z[None, :]), np.zeros(1), np.zeros(1), np.zeros(1, int)
+    )
     for got, want in zip(rest, origin):
         assert np.array_equal(got, np.repeat(want, 7, axis=0))
     bloch = rest[3].reshape(7, 12)
@@ -268,11 +348,12 @@ def test_rest_rows_take_the_quadratic_route_and_equal_the_origin_row():
 def _chunk_peak(psi, omega):
     thetas = np.linspace(0.0, math.pi, sweep._CHUNK)
     n = np.stack([np.sin(thetas), np.zeros_like(thetas), np.cos(thetas)], axis=1)
-    omegas = np.full(sweep._CHUNK, omega)
-    sweep._measure_chunk(psi, omegas, thetas, n)  # builds and caches the state's tables
+    omegas, columns = np.full(sweep._CHUNK, omega), np.arange(sweep._CHUNK)
+    tables = kernel._tables(psi, n)  # built before the chunk, as the sweep builds them
+    sweep._measure_chunk(tables, omegas, thetas, columns)
     tracemalloc.start()
     try:
-        sweep._measure_chunk(psi, omegas, thetas, n)
+        sweep._measure_chunk(tables, omegas, thetas, columns)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -338,7 +419,9 @@ def test_cancelling_and_near_collinear_boosts_match_a_60_digit_reference():
     for scenario, labels, omega, theta in REFERENCE_POINTS:
         psi = scenario_vector(SweepConfig(scenario=scenario, chiral_labels=labels)).reshape(4, 4)
         n = np.array([[math.sin(theta), 0.0, math.cos(theta)]])
-        got = sweep._measure_chunk(psi, np.array([omega]), np.array([theta]), n)
+        got = sweep._measure_chunk(
+            kernel._tables(psi, n), np.array([omega]), np.array([theta]), np.zeros(1, int)
+        )
         nu, eg, neg, bloch = _reference_60_digits(mp, psi, omega, theta)
         point = (scenario, omega, theta)
         assert abs(got[0][0] - nu) <= TOL * nu, point
@@ -356,10 +439,13 @@ def test_chiral_projections_keep_n_nu_and_eg_from_n(omega0):
     has ``1 - |r|^2 = N^2``.  ``N`` has absolute resolution, so the first bound scales
     with ``nu``.
     """
-    omegas, thetas, n = kernel._grid(np.linspace(0.0, 60.0, 31), np.linspace(0.0, math.pi, 9))
+    theta_points = np.linspace(0.0, math.pi, 9)
+    omegas, thetas, steps = kernel._grid(np.linspace(0.0, 60.0, 31), theta_points)
+    n = kernel._polar_directions(theta_points)
     for scenario, labels in itertools.product(("chiral-psi2", "chiral-psi3"), LABELS):
         cfg = SweepConfig(scenario=scenario, omega0=omega0, chiral_labels=labels)
-        nu, eg, neg, _ = sweep._measure_chunk(scenario_vector(cfg).reshape(4, 4), omegas, thetas, n)
+        tables = kernel._tables(scenario_vector(cfg).reshape(4, 4), n)
+        nu, eg, neg, _ = sweep._measure_chunk(tables, omegas, thetas, steps)
         neg0 = neg[omegas == 0.0][0]
         assert np.all(np.abs(neg * nu - neg0) <= TOL * np.maximum(nu, 1.0)), (scenario, labels)
         assert np.all(np.abs(eg - neg**2 / 2.0) <= TOL), (scenario, labels)
