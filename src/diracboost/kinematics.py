@@ -203,7 +203,7 @@ def helicity_spinor(p: FourMomentum, s: int) -> np.ndarray:
 def _bispinor_blocks(p: FourMomentum, s: int) -> tuple[np.ndarray, np.ndarray, float]:
     chi = helicity_spinor(p, s)
     big = (p.energy + p.mass) * chi
-    small = sigma_dot(p.p3) @ chi
+    small = (3 - 2 * s) * p.p_norm * chi
     norm = math.sqrt(2.0 * p.energy * (p.energy + p.mass))
     return big, small, norm
 
@@ -211,8 +211,8 @@ def _bispinor_blocks(p: FourMomentum, s: int) -> tuple[np.ndarray, np.ndarray, f
 def bispinor_u(p: FourMomentum, s: int) -> Bispinor:
     """Positive-energy bispinor: (E+m)|+> block over the (p.sigma)|-> block.
 
-    The sign of the |-> block comes from applying p.sigma to the helicity
-    spinor directly, so it is +|p| for s=1 and -|p| for s=2 by construction.
+    The helicity spinor is an eigenvector of p.sigma, so the |-> block is
+    +|p| times it for s=1 and -|p| times it for s=2.
     """
     big, small, norm = _bispinor_blocks(p, s)
     return Bispinor(np.concatenate([big, small]) / norm, p, s)

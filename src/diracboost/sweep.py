@@ -10,7 +10,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -267,23 +266,15 @@ def _format_chunks(columns: Sequence[str], blocks, output_format: str):
         for block in blocks:
             yield ((f"{line}\n" * len(block)) % tuple(block.ravel().tolist())).encode("ascii")
     elif output_format == "json":
-        keys = [json.dumps(c).replace("%", "%%") + ":" for c in columns]
-        fast, exact = ("{" + ",".join(k + field for k in keys) + "}" for field in ("%.12g", "%r"))
+        row = "{" + ",".join(json.dumps(c).replace("%", "%%") + ":%s" for c in columns) + "}"
         yield b"["
         for i, block in enumerate(blocks):
-            # A 12-digit token differs from repr(float(token)) only when it reads as
-            # an integer (repr appends ".0") or has exponent e+12..e+15 (repr writes
-            # it positionally).  Both imply |v - rint(v)| <= 1e-11 |v|: rows holding
-            # such a nonzero v take the exact route; exact zeros are patched in bulk.
-            near_integer = np.abs(block - np.rint(block)) <= 1e-11 * np.abs(block)
-            table, templates = block.tolist(), [fast] * len(block)
-            for k in np.flatnonzero(np.any(near_integer & (block != 0.0), axis=1)).tolist():
-                table[k] = [float(token) for token in (line % tuple(table[k])).split(",")]
-                templates[k] = exact
-            text = ",".join(templates) % tuple(chain.from_iterable(table))
-            for token in (":0,", ":0}", ":-0,", ":-0}"):
-                text = text.replace(token, token[:-1] + ".0" + token[-1])
-            yield ("," * (i > 0) + text).encode("ascii")
+            tokens = (",".join([line] * len(block)) % tuple(block.ravel().tolist())).split(",")
+            # each field is repr(float(t)): a positional token (a "." and no exponent) of at
+            # most 12 digits already is that repr, and "0", the commonest token, is "0.0"
+            fields = ["0.0" if t == "0" else t if "." in t and "e" not in t else repr(float(t))
+                      for t in tokens]
+            yield ("," * (i > 0) + ",".join([row] * len(block)) % tuple(fields)).encode("ascii")
         yield b"]\n"
     else:
         raise ConfigError("format", f"unknown format {output_format!r}")

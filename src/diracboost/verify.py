@@ -25,10 +25,10 @@ from .kinematics import (
 )
 from .measures import (
     _analytic_bloch_batch,
+    _linear_entropy,
     bloch_vector,
     global_entanglement,
     negativity,
-    single_qubit_entropies,
     single_qubit_reductions,
     spin_spin_reduced,
 )
@@ -304,10 +304,9 @@ def _suite_dual_path_eg(rng) -> float:
         v = rng.normal(size=16) + 1j * rng.normal(size=16)
         v = v / np.linalg.norm(v)
         rho = np.outer(v, v.conj())
-        direct = sum(single_qubit_entropies(rho).values()) / 4.0
-        via_bloch = 1.0 - sum(
-            bloch_vector(r).norm_sq for r in single_qubit_reductions(rho).values()
-        ) / 4.0
+        reductions = single_qubit_reductions(rho).values()
+        direct = sum(_linear_entropy(r) for r in reductions) / 4.0
+        via_bloch = 1.0 - sum(bloch_vector(r).norm_sq for r in reductions) / 4.0
         worst = max(worst, abs(direct - via_bloch))
     return worst
 

@@ -3,8 +3,8 @@
 ``reference_emit`` formats every value on its own: ``f"{v:.12g}"`` joined by
 commas for CSV, and ``json.dumps`` of ``float(f"{v:.12g}")`` row dicts for
 JSON.  ``emit`` and ``diracboost sweep`` format a whole chunk of rows with one
-template and patch the few tokens whose JSON spelling differs; they must
-write the same bytes.
+template and rewrite each token whose JSON spelling differs; they must write
+the same bytes.
 """
 
 import json
@@ -26,6 +26,7 @@ NAMES = ("eg", "delta_eg", "negativity")
 EDGES = (
     0.0, -0.0, 1.0, -1.0, 5.0, 1e11, 999999999999.4, 999999999999.9, 1e12, 1.5e15,
     1e15 + 3, 1e16, 1e-5, 1.5e-5, 1e-300, -1e-300, 0.99999999999999, 1e300,
+    5e-324, 1.23e-320,
 )
 
 
@@ -63,6 +64,7 @@ def test_emit_matches_reference_on_edge_values(output_format):
 values = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False),
     st.integers(-(10**17), 10**17).map(float),
+    st.floats(-1e-307, 1e-307),  # subnormals included
     st.sampled_from(EDGES),
 )
 
@@ -87,8 +89,8 @@ def test_emit_escapes_percent_in_json_keys():
 
 CUSTOM_TERMS = ["--term=1,0,1,1,1,2,1,-1", "--term=0,0.5,2,1.3,-1,1,0.6,1"]
 # 700 and 601 rows: three chunks, the last one partial.  The omega = 0 rows and
-# rows at integer omega (both take JSON's exact route), exact zeros included,
-# fall in the second chunk and beyond.
+# rows at integer omega (whose integer tokens JSON writes with ".0"), exact
+# zeros included, fall in the second chunk and beyond.
 STREAMED = {
     "psi3-bloch": ["--scenario", "psi3", "--omega=-3:3:7", "--theta", "0:3.141592653589793:100",
                    "--measures", "eg,delta_eg,negativity,delta_negativity,bloch"],
