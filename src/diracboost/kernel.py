@@ -115,11 +115,6 @@ def _measure_chunk(tables, omegas, thetas, columns):
     return nu, eg, neg, bloch
 
 
-def _polar_directions(thetas):
-    """The unit directions ``(sin theta, 0, cos theta)`` (k, 3) of polar angles in the x-z plane."""
-    return np.stack([np.sin(thetas), np.zeros_like(thetas), np.cos(thetas)], axis=1)
-
-
 def _grid(omega_points, theta_points, start=0, stop=None):
     """``(omegas, thetas, columns)`` of points ``start:stop`` of the omega-major grid; a
     point's column is the index of its theta in ``theta_points``."""

@@ -126,6 +126,11 @@ def _unit_direction(direction: np.ndarray) -> np.ndarray:
     return n
 
 
+def _polar_directions(thetas):
+    """Unit directions ``(sin theta, 0, cos theta)`` in the x-z plane: (k, 3), or (3,) for one."""
+    return np.stack([np.sin(thetas), np.zeros_like(thetas), np.cos(thetas)], axis=-1)
+
+
 @dataclass(frozen=True, eq=False)
 class BoostSpec:
     """A pure boost: rapidity (sign allowed) and unit direction."""
@@ -141,7 +146,7 @@ class BoostSpec:
     @classmethod
     def from_polar_angle(cls, rapidity: float, theta: float) -> "BoostSpec":
         """Boost in the x-z plane: n = (sin(theta), 0, cos(theta))."""
-        return cls(rapidity, np.array([math.sin(theta), 0.0, math.cos(theta)]))
+        return cls(rapidity, _polar_directions(theta))
 
     def reversed(self) -> "BoostSpec":
         return BoostSpec(-self.rapidity, self.direction)

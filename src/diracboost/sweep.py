@@ -14,8 +14,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .kernel import SweepError, _grid, _measure_chunk, _point_error, _polar_directions, _tables
-from .kinematics import E_Z, FourMomentum, _unit_direction
+from .kernel import SweepError, _grid, _measure_chunk, _point_error, _tables
+from .kinematics import E_Z, FourMomentum, _polar_directions, _unit_direction
 from .states import (
     TWO_PARTICLE_LAYOUT,
     ChiralLabelPair,
@@ -142,9 +142,8 @@ class SweepConfig:
         if self.chiral_labels is not None:
             if not chiral:
                 raise ConfigError("chiral", "chiral labels only apply to chiral-* scenarios")
-            f, g = self.chiral_labels
-            if f not in (0, 1) or g not in (0, 1):
-                raise ConfigError("chiral", f"labels must be 0 or 1, got {self.chiral_labels!r}")
+            if len(self.chiral_labels) != 2 or not set(self.chiral_labels) <= {0, 1}:
+                raise ConfigError("chiral", f"need two 0/1 labels, got {self.chiral_labels!r}")
         if self.scenario == "custom":
             if not self.custom_terms:
                 raise ConfigError("term", "custom scenario needs at least one term")

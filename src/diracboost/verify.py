@@ -13,11 +13,11 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .kernel import _grid, _measure_chunk, _polar_directions, _tables
 from .kinematics import (
     GAMMA5,
     BoostSpec,
     FourMomentum,
+    _polar_directions,
     bispinor_boost,
     bispinor_u,
     bispinor_v,
@@ -34,8 +34,6 @@ from .measures import (
 )
 from .states import (
     ChiralLabelPair,
-    TwoParticleState,
-    assemble_state_vector,
     boost_two_particle,
     chiral_project,
     density_matrix,
@@ -43,9 +41,11 @@ from .states import (
     make_psi2,
     make_psi3,
 )
+from .sweep import GridSpec, SweepConfig, _sweep_columns
 
-GRID_OMEGAS = np.linspace(0.0, 5.0, 20)
-GRID_THETAS = np.linspace(0.0, math.pi / 2.0, 10)
+GRID_OMEGAS = GridSpec(0.0, 5.0, 20)
+GRID_THETAS = GridSpec(0.0, math.pi / 2.0, 10)
+ALONG_Z = GridSpec(0.0, 0.0, 1)
 
 
 @dataclass(frozen=True)
@@ -81,19 +81,15 @@ def _within(check_id, description, measured, expected, tol, detail="") -> CheckR
     return CheckResult(check_id, description, passed, measured, expected, tol, detail)
 
 
-def _kernel_grid(st: TwoParticleState, omegas, thetas):
-    """Measure ``st`` boosted to every (omega, theta) pair in one sweep-kernel call.
-
-    Returns the flattened, omega-major rapidities and directions, ``eg`` and
-    ``negativity`` shaped (omegas, thetas), and ``bloch`` shaped (points, 4, 3).
-    Every grid here fits the few hundred points one kernel call is sized for.
-    """
-    w, th, steps = _grid(omegas, thetas)
-    directions = _polar_directions(thetas)
-    tables = _tables(assemble_state_vector(st).reshape(4, 4), directions)
-    _, eg, neg, bloch = _measure_chunk(tables, w, th, steps)
-    grid = (len(omegas), len(thetas))
-    return w, directions[steps], eg.reshape(grid), neg.reshape(grid), bloch
+def _sweep_grid(scenario: str, omegas: GridSpec, thetas: GridSpec) -> dict[str, np.ndarray]:
+    """The columns ``diracboost sweep`` writes for ``scenario`` at ``omega0 = 1``, by name and
+    shaped (omega steps, theta steps); ``bloch`` holds the 12 Bloch columns as (points, 4, 3)."""
+    cfg = SweepConfig(scenario, 1.0, omegas, thetas, ("eg", "delta_eg", "negativity", "bloch"))
+    columns, blocks = _sweep_columns(cfg)
+    table = np.concatenate(list(blocks)).reshape(omegas.steps, thetas.steps, -1)
+    grid = dict(zip(columns, np.moveaxis(table, 2, 0)))
+    grid["bloch"] = table[..., 5:-1].reshape(-1, 4, 3)  # after omega, theta, eg, delta_eg, N
+    return grid
 
 
 def _check_psi1_rest_eg() -> CheckResult:
@@ -103,24 +99,22 @@ def _check_psi1_rest_eg() -> CheckResult:
 
 
 def _check_psi1_negativity_grid() -> CheckResult:
-    _, _, _, neg, _ = _kernel_grid(make_psi1(1.0), GRID_OMEGAS, GRID_THETAS)
+    neg = _sweep_grid("psi1", GRID_OMEGAS, GRID_THETAS)["negativity"]
     worst = float(np.max(np.abs(neg)))
     return _within("c02", "opposite-helicity state stays spin-spin separable in every frame",
                    worst, 0.0, 1e-10, "20x10 grid, omega in [0,5], theta in [0,pi/2]")
 
 
 def _check_psi1_parallel_invariance() -> CheckResult:
-    _, _, eg, _, _ = _kernel_grid(make_psi1(1.0), GRID_OMEGAS, [0.0])
-    worst = float(np.max(np.abs(eg - eg[0])))  # GRID_OMEGAS[0] = 0: the unboosted state
+    worst = float(np.max(np.abs(_sweep_grid("psi1", GRID_OMEGAS, ALONG_Z)["delta_eg"])))
     return _within("c03", "boosts parallel to the momenta leave global entanglement unchanged",
                    worst, 0.0, 1e-10, "theta=0, omega in [0,5]")
 
 
 def _check_psi1_saturation() -> CheckResult:
-    st = make_psi1(1.0)
-    _, _, saturated, _, _ = _kernel_grid(st, [10.0], [math.pi / 2.0])
-    measured = float(saturated[0, 0])
-    _, _, eg, _, _ = _kernel_grid(st, GRID_OMEGAS, GRID_THETAS)
+    perpendicular = GridSpec(math.pi / 2.0, math.pi / 2.0, 1)
+    measured = float(_sweep_grid("psi1", GridSpec(10.0, 10.0, 1), perpendicular)["eg"][0, 0])
+    eg = _sweep_grid("psi1", GRID_OMEGAS, GRID_THETAS)["eg"]
     steps = np.diff(eg, axis=0)
     min_step = float(steps.min())
     monotone = bool(np.all(steps >= -1e-12))
@@ -138,8 +132,9 @@ def _check_psi1_saturation() -> CheckResult:
 
 
 def _check_psi2_angle_independence() -> CheckResult:
-    thetas = (0.0, math.pi / 8.0, math.pi / 4.0, math.pi / 2.0)
-    _, _, eg, neg, _ = _kernel_grid(make_psi2(1.0), GRID_OMEGAS, thetas)
+    grid = _sweep_grid("psi2", GRID_OMEGAS, GridSpec(0.0, math.pi / 2.0, 5))
+    # the step pi/8 is exact, so columns 0, 1, 2 and 4 are 0, pi/8, pi/4 and pi/2 bit for bit
+    eg, neg = grid["eg"][:, [0, 1, 2, 4]], grid["negativity"][:, [0, 1, 2, 4]]
     spread_eg = float(np.max(np.ptp(eg, axis=1)))
     spread_neg = float(np.max(np.ptp(neg, axis=1)))
     return _within("c05", "equal-helicity-pair state measures are independent of the boost angle",
@@ -151,8 +146,7 @@ def _check_psi2_angle_independence() -> CheckResult:
 def _check_psi2_degradation() -> CheckResult:
     expected = 1.0 / math.cosh(1.0) ** 2
     tol = 1e-9
-    _, _, _, neg, _ = _kernel_grid(make_psi2(1.0), np.linspace(0.0, 10.0, 41), [0.0])
-    values = neg[:, 0]
+    values = _sweep_grid("psi2", GridSpec(0.0, 10.0, 41), ALONG_Z)["negativity"][:, 0]
     measured = float(values[0])  # omega = 0: the unboosted state
     nonincreasing = bool(np.all(np.diff(values) <= 1e-12))
     tail = float(values[-1])
@@ -226,11 +220,11 @@ def _check_chiral_invariance() -> CheckResult:
 
 def _check_analytic_bloch() -> CheckResult:
     worst = 0.0
-    for maker in (make_psi2, make_psi3):
-        st = maker(1.0)
-        w, n, _, _, numeric = _kernel_grid(st, GRID_OMEGAS, GRID_THETAS)
-        analytic = _analytic_bloch_batch(st, w, n)
-        worst = max(worst, float(np.max(np.abs(numeric - analytic))))
+    for scenario, maker in (("psi2", make_psi2), ("psi3", make_psi3)):
+        grid = _sweep_grid(scenario, GRID_OMEGAS, GRID_THETAS)
+        n = _polar_directions(grid["theta"].ravel())
+        analytic = _analytic_bloch_batch(maker(1.0), grid["omega"].ravel(), n)
+        worst = max(worst, float(np.max(np.abs(grid["bloch"] - analytic))))
     return _within("c09", "closed-form boosted Bloch vectors match the numeric pipeline",
                    worst, 0.0, 1e-9, "both shared-momentum scenarios, 20x10 grid")
 

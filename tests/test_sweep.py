@@ -119,8 +119,9 @@ def test_config_validation_reports_field(overrides, field):
     assert str(err.value).startswith(f"{field}:")
 
 
-def test_config_chiral_labels_checked():
-    cfg = tiny_config(scenario="chiral-psi3", chiral_labels=(0, 2))
+@pytest.mark.parametrize("labels", [(0, 2), (0,), (0, 1, 1)])
+def test_config_chiral_labels_checked(labels):
+    cfg = tiny_config(scenario="chiral-psi3", chiral_labels=labels)
     with pytest.raises(ConfigError) as err:
         cfg.validate()
     assert err.value.field == "chiral"

@@ -16,7 +16,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from diracboost import kernel, sweep
+from diracboost import kernel, kinematics, sweep
 from diracboost.kinematics import BOOST_GENERATORS, E_Z, BoostSpec
 from diracboost.measures import (
     bloch_vector,
@@ -441,7 +441,7 @@ def test_chiral_projections_keep_n_nu_and_eg_from_n(omega0):
     """
     theta_points = np.linspace(0.0, math.pi, 9)
     omegas, thetas, steps = kernel._grid(np.linspace(0.0, 60.0, 31), theta_points)
-    n = kernel._polar_directions(theta_points)
+    n = kinematics._polar_directions(theta_points)
     for scenario, labels in itertools.product(("chiral-psi2", "chiral-psi3"), LABELS):
         cfg = SweepConfig(scenario=scenario, omega0=omega0, chiral_labels=labels)
         tables = kernel._tables(scenario_vector(cfg).reshape(4, 4), n)

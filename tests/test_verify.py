@@ -9,12 +9,14 @@ import pytest
 
 import diracboost.measures
 import diracboost.states
+import diracboost.sweep
 from diracboost import cli
 from diracboost.kinematics import BoostSpec, bispinor_boost
 from diracboost.verify import (
     CheckResult,
     _check_analytic_bloch,
     _check_chiral_invariance,
+    _check_psi1_negativity_grid,
     _check_psi3_extremum,
     run_verification,
 )
@@ -85,6 +87,19 @@ def test_c09_catches_a_perturbed_closed_form_trace(monkeypatch):
     corrupted = _check_analytic_bloch()
     assert not corrupted.passed
     assert corrupted.check_id == "c09"
+
+
+@pytest.mark.parametrize("check, skew", [
+    (_check_psi1_negativity_grid, lambda nu, eg, neg, bloch: (nu, eg, neg + 1e-8, bloch)),
+    (_check_analytic_bloch, lambda nu, eg, neg, bloch: (nu, eg, neg, bloch + 1e-8)),
+], ids=["c02", "c09"])
+def test_grid_checks_measure_through_the_sweep(monkeypatch, check, skew):
+    """c02 and c09 read the numbers `diracboost sweep` writes, so a 1e-8 error in
+    the sweep's own kernel binding must fail them."""
+    assert check().passed
+    exact = diracboost.sweep._measure_chunk
+    monkeypatch.setattr(diracboost.sweep, "_measure_chunk", lambda *a: skew(*exact(*a)))
+    assert not check().passed
 
 
 def test_verify_reports_seconds_per_check_in_json_only(capsys):
