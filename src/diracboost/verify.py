@@ -8,6 +8,7 @@ acceptance test module both consume :func:`run_verification`.
 from __future__ import annotations
 
 import math
+import random
 import time
 from dataclasses import asdict, dataclass, replace
 
@@ -194,12 +195,14 @@ def _check_psi3_extremum() -> CheckResult:
     )
 
 
+def _chiral_samples() -> list[tuple[float, float]]:
+    """c08's 25 boosts ``(omega, theta)``, omega in [0, 5] and theta in [0, pi]."""
+    rng = random.Random(20250821)
+    return [(rng.uniform(0.0, 5.0), rng.uniform(0.0, math.pi)) for _ in range(25)]
+
+
 def _check_chiral_invariance() -> CheckResult:
-    rng = np.random.default_rng(20250821)
-    samples = [
-        (float(om), float(th))
-        for om, th in zip(rng.uniform(0.0, 5.0, 25), rng.uniform(0.0, math.pi, 25))
-    ]
+    samples = _chiral_samples()
     worst = 0.0
     details = []
     for name, maker in (("psi2", make_psi2), ("psi3", make_psi3)):
@@ -229,15 +232,20 @@ def _check_analytic_bloch() -> CheckResult:
                    worst, 0.0, 1e-9, "both shared-momentum scenarios, 20x10 grid")
 
 
-def _random_momentum(rng) -> FourMomentum:
-    mass = rng.uniform(0.5, 2.0)
-    rap = rng.uniform(0.0, 3.0)
-    n = rng.normal(size=3)
-    n = n / np.linalg.norm(n)
-    return FourMomentum.from_rapidity(mass, rap, n)
+# Samples come only from `random.Random.uniform`, whose sequence per seed Python keeps.
+def _unit_vector(rng: random.Random) -> np.ndarray:
+    """A direction uniform on the sphere: z uniform in [-1, 1], azimuth in [0, 2 pi]."""
+    z, phi = rng.uniform(-1.0, 1.0), rng.uniform(0.0, 2.0 * math.pi)
+    r = math.sqrt(1.0 - z * z)
+    return np.array([r * math.cos(phi), r * math.sin(phi), z])
 
 
-def _suite_orthonormality(rng) -> float:
+def _random_momentum(rng: random.Random) -> FourMomentum:
+    mass, rapidity = rng.uniform(0.5, 2.0), rng.uniform(0.0, 3.0)
+    return FourMomentum.from_rapidity(mass, rapidity, _unit_vector(rng))
+
+
+def _suite_orthonormality(rng: random.Random) -> float:
     worst = 0.0
     for _ in range(50):
         p = _random_momentum(rng)
@@ -252,13 +260,12 @@ def _suite_orthonormality(rng) -> float:
     return float(worst)
 
 
-def _suite_boost_algebra(rng) -> float:
+def _suite_boost_algebra(rng: random.Random) -> float:
     worst = 0.0
     eye = np.eye(4)
     for _ in range(50):
-        n = rng.normal(size=3)
-        n = n / np.linalg.norm(n)
-        w1, w2 = rng.uniform(-2.5, 2.5, 2)
+        n = _unit_vector(rng)
+        w1, w2 = rng.uniform(-2.5, 2.5), rng.uniform(-2.5, 2.5)
         s1 = bispinor_boost(BoostSpec(w1, n))
         s1_inv = bispinor_boost(BoostSpec(-w1, n))
         s2 = bispinor_boost(BoostSpec(w2, n))
@@ -268,34 +275,27 @@ def _suite_boost_algebra(rng) -> float:
     return worst
 
 
-def _suite_chiral_commutator(rng) -> float:
+def _suite_chiral_commutator(rng: random.Random) -> float:
     worst = 0.0
     for _ in range(50):
-        n = rng.normal(size=3)
-        n = n / np.linalg.norm(n)
-        s = bispinor_boost(BoostSpec(rng.uniform(-3.0, 3.0), n))
+        s = bispinor_boost(BoostSpec(rng.uniform(-3.0, 3.0), _unit_vector(rng)))
         worst = max(worst, float(np.max(np.abs(GAMMA5 @ s - s @ GAMMA5))))
     return worst
 
 
-def _suite_minkowski(rng) -> float:
+def _suite_minkowski(rng: random.Random) -> float:
     worst = 0.0
     for _ in range(50):
         p = _random_momentum(rng)
-        n = rng.normal(size=3)
-        n = n / np.linalg.norm(n)
-        boosted = boost_four_vector(p, BoostSpec(rng.uniform(-3.0, 3.0), n))
-        worst = max(
-            worst,
-            abs(boosted.minkowski_norm_sq() - p.mass**2) / p.mass**2,
-        )
+        boosted = boost_four_vector(p, BoostSpec(rng.uniform(-3.0, 3.0), _unit_vector(rng)))
+        worst = max(worst, abs(boosted.minkowski_norm_sq() - p.mass**2) / p.mass**2)
     return worst
 
 
-def _suite_dual_path_eg(rng) -> float:
+def _suite_dual_path_eg(rng: random.Random) -> float:
     worst = 0.0
     for _ in range(50):
-        v = rng.normal(size=16) + 1j * rng.normal(size=16)
+        v = np.array([complex(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)) for _ in range(16)])
         v = v / np.linalg.norm(v)
         rho = np.outer(v, v.conj())
         reductions = single_qubit_reductions(rho).values()
@@ -306,7 +306,7 @@ def _suite_dual_path_eg(rng) -> float:
 
 
 def _check_algebraic_suites() -> CheckResult:
-    rng = np.random.default_rng(20250822)
+    rng = random.Random(20250822)
     suites = (
         ("orthonormality/completeness", _suite_orthonormality(rng), 1e-12),
         ("boost inverse/composition", _suite_boost_algebra(rng), 1e-12),

@@ -12,12 +12,20 @@ import diracboost.states
 import diracboost.sweep
 from diracboost import cli
 from diracboost.kinematics import BoostSpec, bispinor_boost
+from diracboost.states import (
+    ChiralLabelPair,
+    boost_two_particle,
+    chiral_project,
+    make_psi2,
+    make_psi3,
+)
 from diracboost.verify import (
     CheckResult,
     _check_analytic_bloch,
     _check_chiral_invariance,
     _check_psi1_negativity_grid,
     _check_psi3_extremum,
+    _chiral_samples,
     run_verification,
 )
 
@@ -113,11 +121,50 @@ def test_verify_reports_seconds_per_check_in_json_only(capsys):
     assert len(text.splitlines()) == 11
 
 
-def test_cli_import_leaves_verify_unloaded():
-    code = "import sys, diracboost.cli; print('diracboost.verify' in sys.modules)"
+def _run_fresh(code: str) -> subprocess.CompletedProcess:
+    """Run ``code`` in a new interpreter that imports this checkout's package."""
     src = str(Path(diracboost.__file__).resolve().parents[1])
-    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": src}, timeout=60, check=True)
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=60)
+
+
+def test_cli_import_leaves_verify_unloaded():
+    done = _run_fresh("import sys, diracboost.cli; print('diracboost.verify' in sys.modules)")
+    assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "False"
     with pytest.raises(AttributeError, match="no_such_name"):
         diracboost.no_such_name
+
+
+def test_verify_leaves_numpy_random_unloaded():
+    """`python -m diracboost.cli verify --json` samples c08 and c10 from the stdlib
+    `random`, so numpy's random package is never imported."""
+    done = _run_fresh(
+        "import runpy, sys\n"
+        "sys.argv = ['diracboost', 'verify', '--json']\n"
+        "try:\n"
+        "    runpy.run_module('diracboost.cli', run_name='__main__')\n"
+        "finally:\n"
+        "    print('numpy.random' in sys.modules, file=sys.stderr)\n"
+    )
+    assert done.returncode == 2, done.stderr
+    assert json.loads(done.stdout)["total"] == 10
+    assert done.stderr.strip() == "False"
+
+
+@pytest.mark.parametrize("maker, f, g", [
+    (maker, f, g) for maker in (make_psi2, make_psi3) for f in (0, 1) for g in (0, 1)
+], ids=lambda v: getattr(v, "__name__", str(v)))
+def test_c08_finding_holds_on_its_own_samples(maker, f, g):
+    """On c08's samples the psi3 f=g projections stay within 1e-12 of rho and the
+    other six move by at least 0.5, so a change of sampler can neither hide nor
+    invent c08's failure."""
+    rho = chiral_project(maker(1.0), ChiralLabelPair(f, g))
+    moved = max(
+        float(np.linalg.norm(boost_two_particle(rho, BoostSpec.from_polar_angle(om, th))[0] - rho))
+        for om, th in _chiral_samples()
+    )
+    if maker is make_psi3 and f == g:
+        assert moved <= 1e-12
+    else:
+        assert moved >= 0.5
