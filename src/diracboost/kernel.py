@@ -15,8 +15,9 @@ from .kinematics import E_Z, _boost_eigenbasis
 from .tensor import PAULI
 
 _EPS = np.finfo(float).eps
-#: Masks of the blocks of Phi that the boost scales by e^w, 1 and e^-w.
-_BLOCKS = np.add.outer([0, 0, 1, 1], [0, 0, 1, 1]) == np.arange(3)[:, None, None]
+#: The block of each entry of Phi: the boost scales blocks 0, 1 and 2 by e^w, 1 and e^-w.
+_LEVELS = np.add.outer([0, 0, 1, 1], [0, 0, 1, 1])
+_BLOCKS = _LEVELS == np.arange(3)[:, None, None]
 #: ``_PAIRS[r, 3 i + j] = 1`` where blocks i and j together carry e^{(2 - r) w}.
 _PAIRS = np.equal.outer(np.arange(5), np.add.outer(np.arange(3), np.arange(3)).ravel()) * 1.0
 #: The 29 outputs are u^dag O_q u for u = vec(Psi'): nu (O = I), the Bloch numerators

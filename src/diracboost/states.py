@@ -14,16 +14,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .kernel import _EPS, _LEVELS
 from .kinematics import (
     E_Z,
     BoostSpec,
     FourMomentum,
+    _boost_eigenbasis,
     _check_helicity,
-    bispinor_boost,
     bispinor_u,
     chiral_projector,
 )
-from .tensor import SubsystemLayout, check_density, kron, outer
+from .tensor import HERMITICITY_TOL, SubsystemLayout, check_density, kron, outer
 
 #: Global factor ordering for the 16-dimensional two-particle space.
 TWO_PARTICLE_LAYOUT = SubsystemLayout(("PA", "SA", "PB", "SB"))
@@ -175,25 +176,38 @@ def chiral_project(st: TwoParticleState, labels: ChiralLabelPair) -> np.ndarray:
 
 
 def boost_two_particle(rho: np.ndarray, b: BoostSpec) -> tuple[np.ndarray, float]:
-    """Boost a two-particle density matrix; returns (rho', nu).
+    """Boost a two-particle density matrix; returns (rho', nu), nu the trace the boost removes.
 
-    The spinor-space boost is not unitary, so the transformed matrix is
-    rescaled by its trace nu to restore unit trace; nu is returned for
-    diagnostics.  Purity is preserved.  A rho' that fails the density-matrix
-    rule (its rounding grows as ``eps cond(S (x) S)^2``) is a ValueError naming the rapidity.
+    ``rho = sum_k vec(L_k) vec(L_k)^dag`` by pivoted Cholesky (one ``L_k`` if rho is pure, with its
+    amplitudes' digits), and each 4x4 ``L_k`` is boosted as the sweep kernel boosts a state: in
+    the eigenbasis of the generator the boost only scales entries.  Nothing cancels, so rho' is a
+    density matrix at any rapidity; a rho that is not positive semidefinite, or a nu out of the
+    float range, is a ValueError.
     """
     rho = check_density(rho, 16)
     if b.rapidity == 0.0:
         # the identity boost, exactly: no rounding residue enters rho
         return rho.copy(), 1.0
-    s_single = bispinor_boost(b)
-    s_pair = kron(s_single, s_single)
-    with np.errstate(all="ignore"):  # overflow is reported below, with its rapidity
-        transformed = s_pair @ rho @ s_pair.conj().T
-        nu = float(transformed.trace().real)
-    if not (math.isfinite(nu) and nu > _ZERO_NORM_TOL):
+    columns, rest = [], rho.copy()
+    for _ in range(16):  # each step takes out the largest diagonal entry left
+        j = np.argmax(rest.diagonal().real)
+        if rest[j, j].real <= 16 * _EPS:  # what is left is rounding residue
+            break
+        columns.append(rest[:, j] / math.sqrt(rest[j, j].real))
+        rest -= np.outer(columns[-1], columns[-1].conj())
+    residue = abs(rest).max()  # rounding only, if rho is positive semidefinite
+    if residue > HERMITICITY_TOL:
+        raise ValueError(f"density matrix is not positive semidefinite: residue {residue:.1e}")
+    u = _boost_eigenbasis(b.direction[None, :])
+    phi = u.conj().transpose(0, 2, 1) @ np.reshape(columns, (-1, 4, 4)) @ u.conj()
+    phi[np.abs(phi) <= 16 * _EPS * np.linalg.norm(columns, axis=1)[:, None, None]] = 0.0
+    weights = b.rapidity * (1.0 - _LEVELS)
+    top = weights[phi.any(axis=0)].max()  # the largest weight, factored out as in the kernel
+    phi *= np.exp(np.minimum(weights - top, 0.0))
+    trace = np.vdot(phi, phi).real
+    with np.errstate(over="ignore"):  # a nu out of range is reported below, with its rapidity
+        nu = float(np.exp(2.0 * top) * trace)
+    if not np.finfo(float).tiny <= nu < math.inf:
         raise ValueError(f"boost normalization failed at rapidity {b.rapidity:.6g} (nu = {nu!r})")
-    try:
-        return check_density(transformed / nu, 16), nu
-    except ValueError as exc:
-        raise ValueError(f"boost at rapidity {b.rapidity:.6g} lost precision: {exc}") from None
+    boosted = (u @ phi @ u.transpose(0, 2, 1)).reshape(-1, 16)
+    return boosted.T @ boosted.conj() / trace, nu

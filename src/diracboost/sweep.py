@@ -68,6 +68,9 @@ class GridSpec:
             raise ConfigError(field_name, f"steps must be >= 1, got {self.steps}")
         if self.stop < self.start:
             raise ConfigError(field_name, f"max {self.stop!r} below min {self.start!r}")
+        if self.steps == 1 and self.stop != self.start:  # linspace would return min alone
+            message = f"a one-step grid needs min == max, got {self.start!r} and {self.stop!r}"
+            raise ConfigError(field_name, message)
 
 
 @dataclass(frozen=True)

@@ -155,7 +155,7 @@ def test_per_point_function_rejects_each_broken_rule_with_its_message(name, defe
 
 def test_each_per_point_function_validates_its_input_once(monkeypatch):
     """check_density runs once per public call; what a function derives from the matrix is not
-    checked again.  boost_two_particle checks its input and its output."""
+    checked again, boost_two_particle's output included."""
     calls = []
 
     def counted(rho, dim):
@@ -170,7 +170,7 @@ def test_each_per_point_function_validates_its_input_once(monkeypatch):
     for name, (function, dim) in PER_POINT.items():
         calls.clear()
         function(valid_density(dim))
-        assert calls == [dim] * (2 if name == "boost_two_particle" else 1), name
+        assert calls == [dim], name
 
 
 def test_reductions_equal_partial_trace():

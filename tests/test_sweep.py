@@ -109,6 +109,8 @@ def test_term_validation_rejects_bad_fields(text):
         (dict(workers=0), "workers"),
         (dict(omega_grid=GridSpec(math.nan, 1.0, 3)), "omega"),
         (dict(omega_grid=GridSpec(0.0, math.inf, 2)), "omega"),
+        (dict(omega_grid=GridSpec(0.0, 5.0, 1)), "omega"),
+        (dict(theta_grid=GridSpec(0.0, 1.0, 1)), "theta"),
     ],
 )
 def test_config_validation_reports_field(overrides, field):
@@ -581,6 +583,11 @@ def test_cli_validation_failures_exit_1(tmp_path, capsys):
     assert "error: scenario:" in capsys.readouterr().err
     assert cli.main(["sweep", "--omega", "5:0:3"]) == 1
     assert "error: omega:" in capsys.readouterr().err
+    # one step of linspace is its min, so 0:5:1 would print omega = 0 alone
+    assert cli.main(["sweep", "--omega", "0:5:1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: omega: a one-step grid needs min == max, got 0.0 and 5.0\n"
     assert cli.main(["sweep", "--no-such-flag"]) == 1
     assert cli.main([]) == 1
     capsys.readouterr()

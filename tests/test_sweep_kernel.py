@@ -3,9 +3,9 @@
 The sweep evaluates its grid in chunks of ``sweep._CHUNK`` points.  These
 tests run grids that span several chunks, evenly and unevenly, and at
 negative rapidities, and compare every row with ``boost_two_particle``
-followed by the per-point measures.  Past the rapidities where that pipeline
-keeps its digits, rows of boosts that cancel or nearly cancel the state are
-held to the same float state boosted with mpmath at 60 digits, and the
+followed by the per-point measures.  Both routes use the eigenbasis of the
+boost generator, so boosts that cancel or nearly cancel the state are held,
+on both, to the same float state boosted with mpmath at 60 digits, and the
 chiral projections to the identities ``N nu = N(0)`` and ``E_G = N^2 / 2``.
 """
 
@@ -35,6 +35,7 @@ from diracboost.sweep import (
     scenario_density,
     scenario_vector,
 )
+from diracboost.tensor import outer
 
 ALL_MEASURES = ("eg", "delta_eg", "negativity", "delta_negativity", "bloch")
 LABELS = list(itertools.product((0, 1), repeat=2))
@@ -409,7 +410,8 @@ REFERENCE_POINTS = (
 
 
 def test_cancelling_and_near_collinear_boosts_match_a_60_digit_reference():
-    """psi1 along or nearly along its momenta, and the chiral singlet, up to omega = 60.
+    """psi1 along or nearly along its momenta, and the chiral singlet, up to omega = 60, on the
+    sweep kernel and on ``boost_two_particle`` followed by the per-point measures.
 
     The reference boosts the float state's 16 amplitudes exactly, so it shares the
     state's rounding: near-collinear rows (true E_G 0.99999989... at theta = 1e-12,
@@ -428,6 +430,11 @@ def test_cancelling_and_near_collinear_boosts_match_a_60_digit_reference():
         assert abs(got[1][0] - eg) <= TOL, point
         assert abs(got[2][0] - neg) <= TOL, point
         assert np.max(np.abs(got[3][0] - bloch)) <= TOL, point
+        # the per-point route, from the state's density matrix
+        boosted, per_point_nu = boost_two_particle(outer(psi.ravel()), BoostSpec(omega, n[0]))
+        assert abs(per_point_nu - nu) <= TOL * nu, point
+        assert abs(global_entanglement(boosted) - eg) <= TOL, point
+        assert abs(negativity(spin_spin_reduced(boosted)) - neg) <= TOL, point
 
 
 @pytest.mark.parametrize("omega0", [0.3, 1.0, 2.0])

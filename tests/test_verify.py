@@ -11,7 +11,7 @@ import diracboost.measures
 import diracboost.states
 import diracboost.sweep
 from diracboost import cli
-from diracboost.kinematics import BoostSpec, bispinor_boost
+from diracboost.kinematics import BoostSpec, _boost_eigenbasis
 from diracboost.states import (
     ChiralLabelPair,
     boost_two_particle,
@@ -50,16 +50,18 @@ def test_check_result_line_format():
 def test_corrupted_boost_sign_is_caught(monkeypatch):
     """Flipping the boost rapidity sign must trip the rest-frame extremum
     check: the shared-momentum state then never reaches its rest frame on
-    the scanned grid, so the minimum leaves omega = omega0."""
+    the scanned grid, so the minimum leaves omega = omega0.  Swapping the
+    eigenbasis columns of eigenvalues -1 and 1 turns S(omega) into S(-omega)."""
     assert _check_psi3_extremum().passed
 
-    def flipped(b: BoostSpec) -> np.ndarray:
-        return bispinor_boost(BoostSpec(-b.rapidity, b.direction))
+    def flipped(directions: np.ndarray) -> np.ndarray:
+        return _boost_eigenbasis(directions)[..., [2, 3, 0, 1]]
 
-    monkeypatch.setattr(diracboost.states, "bispinor_boost", flipped)
+    monkeypatch.setattr(diracboost.states, "_boost_eigenbasis", flipped)
     corrupted = _check_psi3_extremum()
     assert not corrupted.passed
     assert corrupted.check_id == "c07"
+    assert "argmin at omega=0.00" in corrupted.detail
     # the chiral-invariance check also reports its named id under corruption
     chiral = _check_chiral_invariance()
     assert not chiral.passed
