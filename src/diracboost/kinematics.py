@@ -152,25 +152,6 @@ class BoostSpec:
         return BoostSpec(-self.rapidity, self.direction)
 
 
-@dataclass(frozen=True, eq=False)
-class Bispinor:
-    """A unit-norm four-component bispinor tagged with its momentum and helicity."""
-
-    amplitudes: np.ndarray
-    momentum: FourMomentum
-    helicity: int
-
-    def __post_init__(self) -> None:
-        amps = np.asarray(self.amplitudes, dtype=complex).reshape(-1)
-        if amps.shape != (4,):
-            raise ValueError(f"bispinor amplitudes must have length 4, got {amps.shape}")
-        object.__setattr__(self, "amplitudes", amps)
-        _check_helicity(self.helicity)
-        norm = math.sqrt(np.vdot(amps, amps).real)
-        if abs(norm - 1.0) > 1e-10:
-            raise ValueError(f"bispinor must have unit norm, got {norm!r}")
-
-
 def _spin_eigenvectors(t, nz) -> np.ndarray:
     """Unnormalized eigenvectors ``(2, 2, ...)`` of n.sigma for +1 and -1, given ``t = nx + i ny``
     and ``nz`` as scalars or arrays.  The branch keeps the large component in the numerator."""
@@ -213,20 +194,21 @@ def _bispinor_blocks(p: FourMomentum, s: int) -> tuple[np.ndarray, np.ndarray, f
     return big, small, norm
 
 
-def bispinor_u(p: FourMomentum, s: int) -> Bispinor:
-    """Positive-energy bispinor: (E+m)|+> block over the (p.sigma)|-> block.
+def bispinor_u(p: FourMomentum, s: int) -> np.ndarray:
+    """Unit-norm positive-energy bispinor, a (4,) complex array: (E+m)|+> block over the
+    (p.sigma)|-> block.
 
     The helicity spinor is an eigenvector of p.sigma, so the |-> block is
     +|p| times it for s=1 and -|p| times it for s=2.
     """
     big, small, norm = _bispinor_blocks(p, s)
-    return Bispinor(np.concatenate([big, small]) / norm, p, s)
+    return np.concatenate([big, small]) / norm
 
 
-def bispinor_v(p: FourMomentum, s: int) -> Bispinor:
+def bispinor_v(p: FourMomentum, s: int) -> np.ndarray:
     """Negative-energy bispinor: parity blocks of :func:`bispinor_u` swapped."""
     big, small, norm = _bispinor_blocks(p, s)
-    return Bispinor(np.concatenate([small, big]) / norm, p, s)
+    return np.concatenate([small, big]) / norm
 
 
 def boost_four_vector(p: FourMomentum, b: BoostSpec) -> FourMomentum:

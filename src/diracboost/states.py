@@ -24,7 +24,7 @@ from .kinematics import (
     bispinor_u,
     chiral_projector,
 )
-from .tensor import HERMITICITY_TOL, SubsystemLayout, check_density, kron, outer
+from .tensor import HERMITICITY_TOL, SubsystemLayout, check_density, outer
 
 #: Global factor ordering for the 16-dimensional two-particle space.
 TWO_PARTICLE_LAYOUT = SubsystemLayout(("PA", "SA", "PB", "SB"))
@@ -87,21 +87,25 @@ class ChiralLabelPair:
 
 
 def assemble_state_vector(st: TwoParticleState) -> np.ndarray:
-    """Assemble and normalize the 16-component state vector.
+    """Assemble and normalize the 16-component state vector: ``Psi = sum_i c_i u(A_i) u(B_i)^T``
+    as a 4x4 matrix, raveled.
 
-    Raises if the superposition cancels to (numerically) zero.
+    One exact power of two first brings the largest coefficient part into [0.5, 1), so the state
+    does not depend on the coefficients' scale anywhere in the float range.  Raises if the
+    superposition cancels to (numerically) zero.
     """
-    vec = np.zeros(16, dtype=complex)
+    top = max(max(abs(t.coefficient.real), abs(t.coefficient.imag)) for t in st.terms)
+    shift = -math.frexp(top)[1]
+    psi = np.zeros((4, 4), dtype=complex)
     for t in st.terms:
-        ua = bispinor_u(*t.slot_a).amplitudes
-        ub = bispinor_u(*t.slot_b).amplitudes
-        vec += t.coefficient * kron(ua, ub)
-    norm = float(np.linalg.norm(vec))
+        c = complex(math.ldexp(t.coefficient.real, shift), math.ldexp(t.coefficient.imag, shift))
+        psi += c * np.outer(bispinor_u(*t.slot_a), bispinor_u(*t.slot_b))
+    norm = float(np.linalg.norm(psi))
     if norm < _ZERO_NORM_TOL:
         raise ValueError(
             f"superposition cancels to the zero vector (norm {norm:.3e})"
         )
-    return vec / norm
+    return psi.ravel() / norm
 
 
 def density_matrix(st: TwoParticleState) -> np.ndarray:
@@ -159,9 +163,8 @@ def chiral_project_vector(st: TwoParticleState, labels: ChiralLabelPair) -> np.n
 
     Raises if the projector annihilates the superposition.
     """
-    psi = assemble_state_vector(st)
-    projector = kron(chiral_projector(labels.f), chiral_projector(labels.g))
-    projected = projector @ psi
+    psi = assemble_state_vector(st).reshape(4, 4)
+    projected = (chiral_projector(labels.f) @ psi @ chiral_projector(labels.g).T).ravel()
     norm = float(np.linalg.norm(projected))
     if norm <= _ZERO_NORM_TOL:
         raise ValueError(
@@ -195,7 +198,9 @@ def boost_two_particle(rho: np.ndarray, b: BoostSpec) -> tuple[np.ndarray, float
             break
         columns.append(rest[:, j] / math.sqrt(rest[j, j].real))
         rest -= np.outer(columns[-1], columns[-1].conj())
-    residue = abs(rest).max()  # rounding only, if rho is positive semidefinite
+    # rounding only, if rho is positive semidefinite; a pivot d near 16 eps can magnify an
+    # eigenvalue check_density tolerates, as b^2 / d in the block [[d, b], [b, 0]]
+    residue = abs(rest).max()
     if residue > HERMITICITY_TOL:
         raise ValueError(f"density matrix is not positive semidefinite: residue {residue:.1e}")
     u = _boost_eigenbasis(b.direction[None, :])

@@ -9,6 +9,7 @@ index is ``8*pA + 4*sA + 2*pB + sB``.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -20,7 +21,8 @@ PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 PAULI = (PAULI_X, PAULI_Y, PAULI_Z)
 ID2 = np.eye(2, dtype=complex)
 
-#: Absolute tolerance on ``max|H - H†|`` of a matrix taken as Hermitian.
+#: Absolute tolerance on ``max|H - H†|`` of a matrix taken as Hermitian, and on how far below 0
+#: a density matrix's smallest eigenvalue may lie.
 HERMITICITY_TOL = 1e-10
 #: Absolute tolerance on ``|Tr rho - 1|`` accepted by :func:`check_density`.
 TRACE_TOL = 1e-10
@@ -56,18 +58,10 @@ class SubsystemLayout:
 
 
 def kron(*factors: np.ndarray) -> np.ndarray:
-    """Kronecker product of one or more arrays, left to right, bit for bit ``np.kron``: as there,
-    a lower-rank factor gets leading length-1 axes, and broadcasting puts a_ij b_kl at (ik, jl)."""
+    """Complex Kronecker product of one or more arrays, left to right: ``np.kron`` folded."""
     if not factors:
         raise ValueError("kron needs at least one factor")
-    out = np.asarray(factors[0], dtype=complex)
-    for f in factors[1:]:
-        f = np.asarray(f, dtype=complex)
-        a, b = ((1,) * (max(out.ndim, f.ndim) - x.ndim) + x.shape for x in (out, f))
-        spread_a = out.reshape([n for s in a for n in (s, 1)])
-        spread_b = f.reshape([n for s in b for n in (1, s)])
-        out = (spread_a * spread_b).reshape([x * y for x, y in zip(a, b)])
-    return out
+    return functools.reduce(np.kron, (np.asarray(f, dtype=complex) for f in factors))
 
 
 def _check_square(rho: np.ndarray, layout: SubsystemLayout) -> np.ndarray:
@@ -81,7 +75,8 @@ def _check_square(rho: np.ndarray, layout: SubsystemLayout) -> np.ndarray:
 
 
 def check_density(rho: np.ndarray, dim: int) -> np.ndarray:
-    """``rho`` as a complex ``dim x dim`` density matrix: unit trace and Hermitian, to tolerance."""
+    """``rho`` as a complex ``dim x dim`` density matrix: unit trace, Hermitian and positive
+    semidefinite, to tolerance."""
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (dim, dim):
         raise ValueError(f"expected a {dim}x{dim} density matrix, got shape {rho.shape}")
@@ -89,6 +84,11 @@ def check_density(rho: np.ndarray, dim: int) -> np.ndarray:
     if abs(trace - 1.0) > TRACE_TOL:
         raise ValueError(f"density matrix must have unit trace, got {trace!r}")
     _check_hermitian(rho, "density matrix")
+    smallest = np.linalg.eigvalsh(rho)[0]
+    if smallest < -HERMITICITY_TOL:
+        raise ValueError(
+            f"density matrix is not positive semidefinite: smallest eigenvalue {smallest:.3e}"
+        )
     return rho
 
 

@@ -251,7 +251,7 @@ def _suite_orthonormality(rng: random.Random) -> float:
         p = _random_momentum(rng)
         minus_p = FourMomentum(p.mass, p.energy, -p.p3)
         # rows: u_1, u_2, v_1, v_2 at p and v_1, v_2 at -p; err[i, j] = |<row_i|row_j> - delta_ij|
-        rows = np.array([make(q, s).amplitudes for make, q in
+        rows = np.array([make(q, s) for make, q in
                          ((bispinor_u, p), (bispinor_v, p), (bispinor_v, minus_p)) for s in (1, 2)])
         err = np.abs(rows.conj() @ rows.T - np.eye(6))
         pairs = rows[[0, 1, 4, 5]]  # u(p) and v(-p) complete the space

@@ -140,11 +140,14 @@ def defective(name, dim, defect):
     rho = valid_density(dim)
     if defect == "trace":
         return rho * (1.0 + 1e-8), "density matrix must have unit trace, got ("
+    if defect == "psd":  # Hermitian with unit trace, but with an eigenvalue of -0.1
+        rho = np.diag([1.1] + [0.0] * (dim - 2) + [-0.1]).astype(complex)
+        return rho, "density matrix is not positive semidefinite: smallest eigenvalue -1.000e-01"
     rho[0, 1] += 1e-6  # the trace stays 1
     return rho, "density matrix is not Hermitian: max|H - H†| = 1.000e-06 exceeds 1e-10"
 
 
-@pytest.mark.parametrize("defect", ["shape", "trace", "hermitian"])
+@pytest.mark.parametrize("defect", ["shape", "trace", "hermitian", "psd"])
 @pytest.mark.parametrize("name", PER_POINT)
 def test_per_point_function_rejects_each_broken_rule_with_its_message(name, defect):
     function, dim = PER_POINT[name]

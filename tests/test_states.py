@@ -25,7 +25,7 @@ from diracboost.states import (
     make_psi2,
     make_psi3,
 )
-from diracboost.tensor import kron
+from diracboost.tensor import check_density, kron
 
 M = 1.0
 SECH2_1 = 1.0 / math.cosh(1.0) ** 2  # 0.4199743416140261
@@ -78,8 +78,23 @@ def test_single_term_assembles_to_kron():
     p, q = momentum(0.9), momentum(1.4, -1)
     st = TwoParticleState((SuperpositionTerm(2.0, (p, 1), (q, 2)),), M)
     vec = assemble_state_vector(st)
-    expected = kron(bispinor_u(p, 1).amplitudes, bispinor_u(q, 2).amplitudes)
+    expected = kron(bispinor_u(p, 1), bispinor_u(q, 2))
     assert_allclose(vec, expected, atol=1e-15)  # coefficient scale divides out
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("scale", [1e300, 1.7e308, 1e-320, 5e-324])
+def test_coefficients_are_scale_free_across_the_float_range(scale):
+    """Neither the squared norm's overflow nor a subnormal coefficient reaches the state."""
+    p, q = momentum(0.9), momentum(1.4, -1)
+
+    def state(c):
+        terms = (SuperpositionTerm(c, (p, 1), (q, 2)), SuperpositionTerm(1j * c, (q, 1), (p, 1)))
+        return TwoParticleState(terms, M)
+
+    vec = assemble_state_vector(state(scale))
+    assert abs(np.linalg.norm(vec) - 1.0) <= 1e-15
+    assert_allclose(vec, assemble_state_vector(state(1.0)), rtol=0, atol=1e-16)
 
 
 def test_cancelling_superposition_raises():
@@ -103,7 +118,7 @@ def test_density_matrix_matches_blockwise_oracle():
         vec = np.zeros(16, dtype=complex)
         for t in st.terms:
             vec += t.coefficient * kron(
-                bispinor_u(*t.slot_a).amplitudes, bispinor_u(*t.slot_b).amplitudes
+                bispinor_u(*t.slot_a), bispinor_u(*t.slot_b)
             )
         norm_sq = float(np.real(np.vdot(vec, vec)))
         if norm_sq < 1e-12:
@@ -111,10 +126,10 @@ def test_density_matrix_matches_blockwise_oracle():
         expected = np.zeros((16, 16), dtype=complex)
         for ti in st.terms:
             for tj in st.terms:
-                ua_i = bispinor_u(*ti.slot_a).amplitudes
-                ua_j = bispinor_u(*tj.slot_a).amplitudes
-                ub_i = bispinor_u(*ti.slot_b).amplitudes
-                ub_j = bispinor_u(*tj.slot_b).amplitudes
+                ua_i = bispinor_u(*ti.slot_a)
+                ua_j = bispinor_u(*tj.slot_a)
+                ub_i = bispinor_u(*ti.slot_b)
+                ub_j = bispinor_u(*tj.slot_b)
                 w = ti.coefficient * np.conj(tj.coefficient)
                 expected += w * kron(np.outer(ua_i, ua_j.conj()), np.outer(ub_i, ub_j.conj()))
         assert_allclose(density_matrix(st), expected / norm_sq, atol=1e-12)
@@ -140,8 +155,8 @@ def test_psi1_term_overlap_and_norm():
     for w0 in (0.5, 1.0, 2.0):
         st = make_psi1(w0)
         t1, t2 = st.terms
-        v1 = kron(bispinor_u(*t1.slot_a).amplitudes, bispinor_u(*t1.slot_b).amplitudes)
-        v2 = kron(bispinor_u(*t2.slot_a).amplitudes, bispinor_u(*t2.slot_b).amplitudes)
+        v1 = kron(bispinor_u(*t1.slot_a), bispinor_u(*t1.slot_b))
+        v2 = kron(bispinor_u(*t2.slot_a), bispinor_u(*t2.slot_b))
         overlap = np.vdot(v1, v2)
         assert_allclose(overlap, 1.0 / math.cosh(w0) ** 2, atol=1e-13)
         raw = t1.coefficient * v1 + t2.coefficient * v2
@@ -153,8 +168,8 @@ def test_psi1_at_zero_rapidity_is_rest_singlet():
     labels from the (vanishing) momentum directions, so the construction
     degenerates to the rest-frame spin singlet instead of cancelling."""
     vec = assemble_state_vector(make_psi1(0.0))
-    u1 = bispinor_u(FourMomentum.at_rest(M), 1).amplitudes
-    u2 = bispinor_u(FourMomentum.at_rest(M), 2).amplitudes
+    u1 = bispinor_u(FourMomentum.at_rest(M), 1)
+    u2 = bispinor_u(FourMomentum.at_rest(M), 2)
     expected = INV_SQRT2 * (kron(u1, u2) - kron(u2, u1))
     assert_allclose(vec, expected, atol=1e-14)
 
@@ -374,8 +389,16 @@ def test_boost_input_validation():
         boost_two_particle(skewed, b)
     # Hermitian with unit trace, but with an eigenvalue of -0.1
     indefinite = np.diag([0.6, 0.5, -0.1] + [0.0] * 13).astype(complex)
-    with pytest.raises(ValueError, match="not positive semidefinite: residue 1.0e-01"):
+    message = "not positive semidefinite: smallest eigenvalue -1.000e-01"
+    with pytest.raises(ValueError, match=message):
         boost_two_particle(indefinite, b)
+    # smallest eigenvalue -9e-11 passes check_density, but the pivot 1e-14 magnifies it into a
+    # Cholesky residue b^2 / d = 8.1e-7 that the factors would silently drop
+    block = np.diag([1.0 - 1e-14, 1e-14] + [0.0] * 14).astype(complex)
+    block[1, 2] = block[2, 1] = 0.9e-10
+    check_density(block, 16)
+    with pytest.raises(ValueError, match="not positive semidefinite: residue 8.1e-07"):
+        boost_two_particle(block, b)
 
 
 @pytest.mark.parametrize("omega", [16.5, 20.0, 28.0, 40.0, 60.0, 350.0, 1000.0])

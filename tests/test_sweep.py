@@ -578,6 +578,19 @@ def test_cli_answers_a_boost_that_cancels_the_state(omega, capsys):
     assert abs(row["eg"] - 0.5) <= 1e-12
 
 
+@pytest.mark.filterwarnings("error")
+def test_cli_custom_coefficients_are_scale_free(capsys):
+    """A coefficient whose square overflows gives the bytes of the unit coefficient."""
+    outputs = []
+    for re_part in ("1", "1e300"):
+        term = f"--term={re_part},0,1,1,1,2,1,-1"
+        assert cli.main(["sweep", "--scenario=custom", term, "--omega=0:1:2", "--theta=0:0:1"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        outputs.append(captured.out)
+    assert outputs[0] == outputs[1]
+
+
 def test_cli_validation_failures_exit_1(tmp_path, capsys):
     assert cli.main(["sweep", "--scenario", "nope"]) == 1
     assert "error: scenario:" in capsys.readouterr().err
