@@ -30,7 +30,6 @@ from .measures import (
 )
 from .states import (
     TWO_PARTICLE_LAYOUT,
-    ChiralLabelPair,
     SuperpositionTerm,
     TwoParticleState,
     assemble_state_vector,
@@ -61,7 +60,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BlochVector",
     "BoostSpec",
-    "ChiralLabelPair",
     "ConfigError",
     "CustomTermSpec",
     "FourMomentum",

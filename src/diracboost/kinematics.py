@@ -77,7 +77,7 @@ class FourMomentum:
         # rounding in E^2 - p^2 grows as eps E^2, so the tolerance scales with E^2
         e2 = self.energy**2
         residue = abs(e2 - float(p3 @ p3) - self.mass**2)
-        if residue > ONSHELL_RTOL * e2:
+        if not residue <= ONSHELL_RTOL * e2:  # a NaN component fails too
             raise ValueError(
                 f"four-momentum off shell: |E^2 - p^2 - m^2| = {residue:.3e} "
                 f"exceeds {ONSHELL_RTOL:.0e} relative to E^2"

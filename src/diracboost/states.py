@@ -9,6 +9,7 @@ need not be orthogonal, so ``sum |c_i|^2`` is not the right normalizer.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -44,6 +45,8 @@ class SuperpositionTerm:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "coefficient", complex(self.coefficient))
+        if not cmath.isfinite(self.coefficient):
+            raise ValueError(f"coefficient must be finite, got {self.coefficient!r}")
         for name, slot in (("slot_a", self.slot_a), ("slot_b", self.slot_b)):
             momentum, helicity = slot
             if not isinstance(momentum, FourMomentum):
@@ -71,19 +74,6 @@ class TwoParticleState:
                         f"term momentum mass {momentum.mass!r} differs from "
                         f"state mass {self.mass!r}"
                     )
-
-
-@dataclass(frozen=True)
-class ChiralLabelPair:
-    """Chirality labels (f, g) for the two slots, each 0 or 1."""
-
-    f: int
-    g: int
-
-    def __post_init__(self) -> None:
-        for name, value in (("f", self.f), ("g", self.g)):
-            if value not in (0, 1):
-                raise ValueError(f"chiral label {name} must be 0 or 1, got {value!r}")
 
 
 def assemble_state_vector(st: TwoParticleState) -> np.ndarray:
@@ -158,24 +148,23 @@ def make_psi3(omega0: float) -> TwoParticleState:
     return _antisymmetric_pair(((p, 1), (p, 2)), ((p, 2), (p, 1)))
 
 
-def chiral_project_vector(st: TwoParticleState, labels: ChiralLabelPair) -> np.ndarray:
-    """Project both slots onto fixed chirality; returns the normalized 16-vector.
+def chiral_project_vector(st: TwoParticleState, f: int, g: int) -> np.ndarray:
+    """Project slot A onto chirality label ``f`` and slot B onto ``g``, each 0 or 1; returns the
+    normalized 16-vector.
 
     Raises if the projector annihilates the superposition.
     """
     psi = assemble_state_vector(st).reshape(4, 4)
-    projected = (chiral_projector(labels.f) @ psi @ chiral_projector(labels.g).T).ravel()
+    projected = (chiral_projector(f) @ psi @ chiral_projector(g).T).ravel()
     norm = float(np.linalg.norm(projected))
     if norm <= _ZERO_NORM_TOL:
-        raise ValueError(
-            f"chiral projection (f={labels.f}, g={labels.g}) annihilates the state"
-        )
+        raise ValueError(f"chiral projection (f={f}, g={g}) annihilates the state")
     return projected / norm
 
 
-def chiral_project(st: TwoParticleState, labels: ChiralLabelPair) -> np.ndarray:
+def chiral_project(st: TwoParticleState, f: int, g: int) -> np.ndarray:
     """Pure 16x16 density matrix of :func:`chiral_project_vector`."""
-    return outer(chiral_project_vector(st, labels))
+    return outer(chiral_project_vector(st, f, g))
 
 
 def boost_two_particle(rho: np.ndarray, b: BoostSpec) -> tuple[np.ndarray, float]:

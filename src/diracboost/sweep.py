@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -18,7 +19,6 @@ from .kernel import SweepError, _grid, _measure_chunk, _point_error, _tables
 from .kinematics import E_Z, FourMomentum, _polar_directions, _unit_direction
 from .states import (
     TWO_PARTICLE_LAYOUT,
-    ChiralLabelPair,
     SuperpositionTerm,
     TwoParticleState,
     assemble_state_vector,
@@ -64,6 +64,10 @@ class GridSpec:
     def _validate(self, field_name: str) -> None:
         if not (math.isfinite(self.start) and math.isfinite(self.stop)):
             raise ConfigError(field_name, "grid endpoints must be finite")
+        try:
+            operator.index(self.steps)  # as np.linspace requires
+        except TypeError:
+            raise ConfigError(field_name, f"steps must be an integer, got {self.steps!r}") from None
         if self.steps < 1:
             raise ConfigError(field_name, f"steps must be >= 1, got {self.steps}")
         if self.stop < self.start:
@@ -71,6 +75,8 @@ class GridSpec:
         if self.steps == 1 and self.stop != self.start:  # linspace would return min alone
             message = f"a one-step grid needs min == max, got {self.start!r} and {self.stop!r}"
             raise ConfigError(field_name, message)
+        if not math.isfinite(self.stop - self.start):  # np.linspace would overflow
+            raise ConfigError(field_name, f"max - min overflows: {self.stop!r} - {self.start!r}")
 
 
 @dataclass(frozen=True)
@@ -171,27 +177,6 @@ class SweepConfig:
             raise ConfigError("workers", f"must be >= 1, got {self.workers}")
 
 
-@dataclass(frozen=True)
-class SweepRow:
-    """One grid point: coordinates, measure columns in request order, and nu."""
-
-    omega: float
-    theta: float
-    values: dict[str, float]
-    nu: float
-
-    def __post_init__(self) -> None:
-        if not all(map(math.isfinite, (self.omega, self.theta, *self.values.values(), self.nu))):
-            name, v = next((k, v) for k, v in self.as_mapping().items() if not math.isfinite(v))
-            raise ValueError(f"non-finite value for {name!r}: {v!r}")
-
-    def as_mapping(self) -> dict[str, float]:
-        out = {"omega": self.omega, "theta": self.theta}
-        out.update(self.values)
-        out["nu"] = self.nu
-        return out
-
-
 def scenario_vector(cfg: SweepConfig) -> np.ndarray:
     """Build the configured scenario's unboosted, normalized 16-component state.
 
@@ -210,8 +195,7 @@ def scenario_vector(cfg: SweepConfig) -> np.ndarray:
         if base == cfg.scenario:
             return assemble_state_vector(state)
         field = "chiral"
-        labels = ChiralLabelPair(*(cfg.chiral_labels or DEFAULT_CHIRAL_LABELS))
-        return chiral_project_vector(state, labels)
+        return chiral_project_vector(state, *(cfg.chiral_labels or DEFAULT_CHIRAL_LABELS))
     except ValueError as exc:
         raise ConfigError(field, f"cannot build scenario {cfg.scenario!r}: {exc}") from exc
 
@@ -226,11 +210,12 @@ def _sweep_columns(cfg: SweepConfig):
 
     Raises :class:`SweepError` naming the first point and column that is not finite.
     """
+    psi = scenario_vector(cfg).reshape(4, 4)  # validates cfg, so its grids are safe to expand
     omega_points, theta_points = cfg.omega_grid.points(), cfg.theta_grid.points()
     # one table per theta step, or for the fixed direction of a one-step theta grid
     fixed = cfg.boost_direction
     directions = _polar_directions(theta_points) if fixed is None else np.array([fixed], float)
-    tables = _tables(scenario_vector(cfg).reshape(4, 4), directions)
+    tables = _tables(psi, directions)
     _, (eg0,), (neg0,), _ = _measure_chunk(tables, *_grid([0.0], [0.0]))
     names = [n for m in cfg.measures for n in (_BLOCH_COLUMNS if m == "bloch" else (m,))]
     columns = ["omega", "theta", *names, "nu"]
@@ -251,12 +236,11 @@ def _sweep_columns(cfg: SweepConfig):
     return columns, blocks()
 
 
-def run_sweep(cfg: SweepConfig) -> list[SweepRow]:
-    """Run the configured sweep; rows come back in row-major grid order."""
+def run_sweep(cfg: SweepConfig) -> list[dict[str, float]]:
+    """Run the configured sweep: one dict per grid point, keyed like the CSV header
+    ``omega, theta, <measures>, nu``, in row-major grid order."""
     columns, blocks = _sweep_columns(cfg)
-    names = columns[2:-1]
-    rows = (row for block in blocks for row in block.tolist())
-    return [SweepRow(om, th, dict(zip(names, v)), nu) for om, th, *v, nu in rows]
+    return [dict(zip(columns, row)) for block in blocks for row in block.tolist()]
 
 
 def _format_chunks(columns: Sequence[str], blocks, output_format: str):
@@ -282,10 +266,11 @@ def _format_chunks(columns: Sequence[str], blocks, output_format: str):
         raise ConfigError("format", f"unknown format {output_format!r}")
 
 
-def emit(rows: Sequence[SweepRow], output_format: str = "csv") -> bytes:
-    """Serialize rows to CSV or JSON bytes.
+def emit(rows: Sequence[dict[str, float]], output_format: str = "csv") -> bytes:
+    """Serialize rows, dicts with identical keys such as :func:`run_sweep` returns, to CSV or
+    JSON bytes.
 
-    CSV carries a header `omega,theta,<measures>,nu`, 12 significant digits
+    CSV carries the keys as its header, `omega,theta,<measures>,nu`, 12 significant digits
     (each token is ``f"{v:.12g}"``), LF line endings.  JSON is an array of row
     objects with identical keys; each number is ``repr(float(f"{v:.12g}"))``,
     as ``json.dumps`` writes it.  Identical inputs produce identical bytes.
@@ -293,8 +278,11 @@ def emit(rows: Sequence[SweepRow], output_format: str = "csv") -> bytes:
     rows = list(rows)
     if not rows:
         raise ConfigError("rows", "nothing to emit: empty row list")
-    names = list(rows[0].values)
-    if any(list(r.values) != names for r in rows):
+    columns = list(rows[0])
+    if any(list(r) != columns for r in rows):
         raise ValueError("rows have inconsistent columns")
-    block = np.array([(r.omega, r.theta, *r.values.values(), r.nu) for r in rows], dtype=float)
-    return b"".join(_format_chunks(list(rows[0].as_mapping()), [block], output_format))
+    block = np.array([list(r.values()) for r in rows], dtype=float)
+    if not np.isfinite(block).all():
+        k, j = np.argwhere(~np.isfinite(block))[0]
+        raise ValueError(f"non-finite value for {columns[j]!r}: {float(block[k, j])!r}")
+    return b"".join(_format_chunks(columns, [block], output_format))

@@ -80,6 +80,8 @@ def check_density(rho: np.ndarray, dim: int) -> np.ndarray:
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (dim, dim):
         raise ValueError(f"expected a {dim}x{dim} density matrix, got shape {rho.shape}")
+    if not np.isfinite(rho).all():
+        raise ValueError("density matrix has a non-finite entry")
     trace = complex(rho.trace())
     if abs(trace - 1.0) > TRACE_TOL:
         raise ValueError(f"density matrix must have unit trace, got {trace!r}")

@@ -34,7 +34,6 @@ from .measures import (
     spin_spin_reduced,
 )
 from .states import (
-    ChiralLabelPair,
     boost_two_particle,
     chiral_project,
     density_matrix,
@@ -208,7 +207,7 @@ def _check_chiral_invariance() -> CheckResult:
     for name, maker in (("psi2", make_psi2), ("psi3", make_psi3)):
         for f in (0, 1):
             for g in (0, 1):
-                rho = chiral_project(maker(1.0), ChiralLabelPair(f, g))
+                rho = chiral_project(maker(1.0), f, g)
                 dist = 0.0
                 for om, th in samples:
                     boosted, _ = boost_two_particle(

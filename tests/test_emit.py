@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from diracboost import cli, sweep
-from diracboost.sweep import _CHUNK, SweepError, SweepRow, emit, run_sweep
+from diracboost.sweep import _CHUNK, SweepError, emit, run_sweep
 from test_golden import CASES
 
 FORMATS = ("csv", "json")
@@ -31,17 +31,17 @@ EDGES = (
 
 
 def reference_emit(rows, output_format):
-    columns = list(rows[0].as_mapping())
+    columns = list(rows[0])
     if output_format == "csv":
         lines = [",".join(columns)]
-        lines.extend(",".join(f"{v:.12g}" for v in r.as_mapping().values()) for r in rows)
+        lines.extend(",".join(f"{v:.12g}" for v in r.values()) for r in rows)
         return ("\n".join(lines) + "\n").encode("ascii")
-    payload = [{k: float(f"{v:.12g}") for k, v in r.as_mapping().items()} for r in rows]
+    payload = [{k: float(f"{v:.12g}") for k, v in r.items()} for r in rows]
     return (json.dumps(payload, separators=(",", ":")) + "\n").encode("ascii")
 
 
 def _row(values):
-    return SweepRow(values[0], values[1], dict(zip(NAMES, values[2:-1])), values[-1])
+    return dict(zip(("omega", "theta", *NAMES, "nu"), values))
 
 
 @pytest.mark.parametrize("output_format", FORMATS)
@@ -78,7 +78,7 @@ def test_emit_matches_reference_on_random_floats(table):
 
 
 def test_emit_escapes_percent_in_json_keys():
-    rows = [SweepRow(0.0, 1.5, {"a%d": 2.0, "b%%s": -0.0}, 1.0)]
+    rows = [{"omega": 0.0, "theta": 1.5, "a%d": 2.0, "b%%s": -0.0, "nu": 1.0}]
     for output_format in FORMATS:
         assert emit(rows, output_format) == reference_emit(rows, output_format)
 
@@ -111,8 +111,8 @@ def test_cli_streams_reference_bytes(name, output_format, tmp_path, capsysbinary
     cfg = _config(argv)
     rows = run_sweep(cfg)
     assert 2 * _CHUNK < len(rows) < 3 * _CHUNK
-    assert {0.0, 1.0, 2.0} <= {r.omega for r in rows[_CHUNK:]}
-    assert any(v == 0.0 for r in rows[_CHUNK:] for v in r.values.values())
+    assert {0.0, 1.0, 2.0} <= {r["omega"] for r in rows[_CHUNK:]}
+    assert any(v == 0.0 for r in rows[_CHUNK:] for v in list(r.values())[2:-1])
     expected = reference_emit(rows, output_format)
 
     out = tmp_path / f"rows.{output_format}"

@@ -63,9 +63,9 @@ CASES = {
 
 
 def _render(rows) -> str:
-    columns = list(rows[0].as_mapping())
+    columns = list(rows[0])
     lines = [",".join(columns)]
-    lines.extend(",".join(repr(v) for v in r.as_mapping().values()) for r in rows)
+    lines.extend(",".join(repr(v) for v in r.values()) for r in rows)
     return "\n".join(lines) + "\n"
 
 
@@ -75,11 +75,10 @@ def test_sweep_matches_golden(name):
     rows = run_sweep(CASES[name])
     assert len(rows) == len(expected)
     for row, want in zip(rows, expected):
-        got = row.as_mapping()
-        assert list(got) == list(want)
-        for column, value in got.items():
+        assert list(row) == list(want)
+        for column, value in row.items():
             assert abs(value - float(want[column])) <= TOL, (
-                f"{name} omega={row.omega} theta={row.theta} {column}: "
+                f"{name} omega={row['omega']} theta={row['theta']} {column}: "
                 f"{value!r} vs golden {want[column]}"
             )
 

@@ -143,11 +143,19 @@ def defective(name, dim, defect):
     if defect == "psd":  # Hermitian with unit trace, but with an eigenvalue of -0.1
         rho = np.diag([1.1] + [0.0] * (dim - 2) + [-0.1]).astype(complex)
         return rho, "density matrix is not positive semidefinite: smallest eigenvalue -1.000e-01"
+    if defect == "nonfinite-nan":  # NaN passes every comparison the rules above make
+        rho[0, 0] = np.nan
+        return rho, "density matrix has a non-finite entry"
+    if defect == "nonfinite-inf":  # a Hermitian pair of infinite entries
+        rho[0, 1] = rho[1, 0] = np.inf
+        return rho, "density matrix has a non-finite entry"
     rho[0, 1] += 1e-6  # the trace stays 1
     return rho, "density matrix is not Hermitian: max|H - H†| = 1.000e-06 exceeds 1e-10"
 
 
-@pytest.mark.parametrize("defect", ["shape", "trace", "hermitian", "psd"])
+@pytest.mark.parametrize(
+    "defect", ["shape", "trace", "hermitian", "psd", "nonfinite-nan", "nonfinite-inf"]
+)
 @pytest.mark.parametrize("name", PER_POINT)
 def test_per_point_function_rejects_each_broken_rule_with_its_message(name, defect):
     function, dim = PER_POINT[name]
@@ -313,9 +321,9 @@ def test_deltas_match_the_sweep_delta_columns(scenario):
     )
     st = {"psi1": make_psi1, "psi2": make_psi2, "psi3": make_psi3}[scenario](cfg.omega0)
     for row in run_sweep(cfg):
-        b = BoostSpec.from_polar_angle(row.omega, row.theta)
-        assert abs(delta_global(st, b) - row.values["delta_eg"]) <= 1e-12
-        assert abs(delta_negativity(st, b) - row.values["delta_negativity"]) <= 1e-12
+        b = BoostSpec.from_polar_angle(row["omega"], row["theta"])
+        assert abs(delta_global(st, b) - row["delta_eg"]) <= 1e-12
+        assert abs(delta_negativity(st, b) - row["delta_negativity"]) <= 1e-12
 
 
 @pytest.mark.filterwarnings("error")

@@ -14,7 +14,6 @@ from diracboost.kinematics import (
 )
 from diracboost.measures import global_entanglement
 from diracboost.states import (
-    ChiralLabelPair,
     SuperpositionTerm,
     TwoParticleState,
     assemble_state_vector,
@@ -60,6 +59,14 @@ def test_term_validation():
         SuperpositionTerm(1.0, ("p", 1), (p, 1))
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("c", [math.nan, complex(0.0, math.inf)])
+def test_term_rejects_a_non_finite_coefficient(c):
+    p = momentum(1.0)
+    with pytest.raises(ValueError, match="coefficient must be finite"):
+        SuperpositionTerm(c, (p, 1), (p, 2))
+
+
 def test_state_validation():
     p = momentum(1.0)
     with pytest.raises(ValueError, match="at least one term"):
@@ -71,7 +78,7 @@ def test_state_validation():
 
 def test_chiral_label_validation():
     with pytest.raises(ValueError, match="must be 0 or 1"):
-        ChiralLabelPair(0, 2)
+        chiral_project(make_psi2(1.0), 0, 2)
 
 
 def test_single_term_assembles_to_kron():
@@ -273,7 +280,7 @@ def test_chiral_project_matches_direct_projection():
             proj = kron(chiral_projector(f), chiral_projector(g))
             raw = proj @ rho @ proj
             expected = raw / np.trace(raw).real
-            got = chiral_project(st, ChiralLabelPair(f, g))
+            got = chiral_project(st, f, g)
             assert_allclose(got, expected, atol=1e-12)
 
 
@@ -283,7 +290,7 @@ def test_chiral_project_output_is_chirality_eigenstate():
     st = make_psi3(1.0)
     for f in (0, 1):
         for g in (0, 1):
-            rho = chiral_project(st, ChiralLabelPair(f, g))
+            rho = chiral_project(st, f, g)
             assert abs(np.trace(rho) - 1.0) < 1e-12
             assert abs(np.trace(rho @ rho).real - 1.0) < 1e-12
             assert_allclose(gamma5_a @ rho, (-1.0) ** f * rho, atol=1e-12)
@@ -308,9 +315,9 @@ def test_chiral_project_annihilation_raises():
         M,
     )
     with pytest.raises(ValueError, match="annihilates"):
-        chiral_project(st, ChiralLabelPair(0, 0))
+        chiral_project(st, 0, 0)
     # the complementary label survives
-    rho = chiral_project(st, ChiralLabelPair(1, 0))
+    rho = chiral_project(st, 1, 0)
     assert abs(np.trace(rho) - 1.0) < 1e-12
 
 
@@ -319,7 +326,7 @@ def test_equal_label_chiral_projection_boost_invariant_for_shared_momentum():
     boosts untouched (spot check; the verification suite sweeps this)."""
     st = make_psi3(1.0)
     for f in (0, 1):
-        rho = chiral_project(st, ChiralLabelPair(f, f))
+        rho = chiral_project(st, f, f)
         for w, th in ((0.8, 0.3), (2.0, 1.2)):
             boosted, _ = boost_two_particle(rho, BoostSpec.from_polar_angle(w, th))
             assert np.max(np.abs(boosted - rho)) < 1e-12

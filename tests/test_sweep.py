@@ -15,7 +15,6 @@ from diracboost.sweep import (
     GridSpec,
     SweepConfig,
     SweepError,
-    SweepRow,
     emit,
     run_sweep,
     scenario_density,
@@ -110,6 +109,8 @@ def test_term_validation_rejects_bad_fields(text):
         (dict(omega_grid=GridSpec(math.nan, 1.0, 3)), "omega"),
         (dict(omega_grid=GridSpec(0.0, math.inf, 2)), "omega"),
         (dict(omega_grid=GridSpec(0.0, 5.0, 1)), "omega"),
+        (dict(omega_grid=GridSpec(0.0, 1.0, 2.5)), "omega"),
+        (dict(omega_grid=GridSpec(-1e308, 1e308, 3)), "omega"),
         (dict(theta_grid=GridSpec(0.0, 1.0, 1)), "theta"),
     ],
 )
@@ -216,7 +217,7 @@ def test_rows_come_back_in_row_major_order():
         omega_grid=GridSpec(0.0, 1.0, 2), theta_grid=GridSpec(0.0, 1.0, 3)
     )
     rows = run_sweep(cfg)
-    coords = [(r.omega, r.theta) for r in rows]
+    coords = [(r["omega"], r["theta"]) for r in rows]
     assert coords == [
         (0.0, 0.0), (0.0, 0.5), (0.0, 1.0),
         (1.0, 0.0), (1.0, 0.5), (1.0, 1.0),
@@ -248,7 +249,7 @@ def test_parallel_sweep_matches_serial():
 def test_measures_subset_controls_columns():
     cfg = tiny_config(measures=("negativity", "eg"))
     rows = run_sweep(cfg)
-    assert list(rows[0].values.keys()) == ["negativity", "eg"]
+    assert list(rows[0]) == ["omega", "theta", "negativity", "eg", "nu"]
     header = emit(rows, "csv").split(b"\n", 1)[0]
     assert header == b"omega,theta,negativity,eg,nu"
 
@@ -264,7 +265,7 @@ def test_bloch_measure_expands_to_twelve_columns():
     expected = [
         f"bloch_{tag}_{axis}" for tag in ("pa", "sa", "pb", "sb") for axis in "xyz"
     ]
-    assert list(rows[0].values.keys()) == expected
+    assert list(rows[0]) == ["omega", "theta", *expected, "nu"]
 
 
 def test_chiral_scenario_with_equal_labels_is_boost_invariant():
@@ -275,14 +276,14 @@ def test_chiral_scenario_with_equal_labels_is_boost_invariant():
         theta_grid=GridSpec(0.0, math.pi, 3),
     )
     for row in run_sweep(cfg):
-        assert abs(row.values["delta_eg"]) < 1e-12
-        assert abs(row.values["delta_negativity"]) < 1e-12
+        assert abs(row["delta_eg"]) < 1e-12
+        assert abs(row["delta_negativity"]) < 1e-12
 
 
 @pytest.mark.parametrize("omega0", [7.5, 10.0, 15.0])
 def test_psi2_rest_negativity_at_large_omega0(omega0):
     (row,) = run_sweep(tiny_config(scenario="psi2", omega0=omega0))
-    assert abs(row.values["negativity"] - 1.0 / math.cosh(omega0) ** 2) <= 1e-12
+    assert abs(row["negativity"] - 1.0 / math.cosh(omega0) ** 2) <= 1e-12
 
 
 @pytest.mark.filterwarnings("error")
@@ -296,13 +297,15 @@ def test_failed_point_reports_coordinates():
         run_sweep(cfg)
 
 
-def test_sweep_row_rejects_non_finite():
+def test_emit_rejects_non_finite():
+    finite = {"omega": 0.0, "theta": 0.0, "eg": 0.5, "nu": 1.0}
     with pytest.raises(ValueError, match="non-finite"):
-        SweepRow(0.0, 0.0, {"eg": math.nan}, 1.0)
+        emit([{**finite, "eg": math.nan}])
+    two_bad = {"omega": 0.0, "theta": 0.0, "eg": 0.5, "negativity": math.inf, "delta_eg": math.nan}
     with pytest.raises(ValueError, match=r"non-finite value for 'negativity': inf"):
-        SweepRow(0.0, 0.0, {"eg": 0.5, "negativity": math.inf, "delta_eg": math.nan}, 1.0)
+        emit([{**two_bad, "nu": 1.0}])
     with pytest.raises(ValueError, match=r"non-finite value for 'nu': nan"):
-        SweepRow(0.0, 0.0, {"eg": 0.5}, math.nan)
+        emit([finite, {**finite, "nu": math.nan}], "json")
 
 
 # --------------------------------------------------------------------------
@@ -323,7 +326,7 @@ def test_emit_csv_round_trips_through_parser():
     parsed = list(csv.DictReader(io.StringIO(text)))
     assert len(parsed) == len(rows)
     for line, row in zip(parsed, rows):
-        for key, value in row.as_mapping().items():
+        for key, value in row.items():
             assert abs(float(line[key]) - value) < 1e-11 * max(1.0, abs(value))
 
 
@@ -333,8 +336,8 @@ def test_emit_json_mirrors_csv_columns():
     payload = json.loads(emit(rows, "json").decode("ascii"))
     assert isinstance(payload, list) and len(payload) == 2
     for obj, row in zip(payload, rows):
-        assert list(obj.keys()) == list(row.as_mapping().keys())
-        assert obj["eg"] == pytest.approx(row.values["eg"], abs=1e-11)
+        assert list(obj) == list(row)
+        assert obj["eg"] == pytest.approx(row["eg"], abs=1e-11)
 
 
 def test_emit_rejects_bad_input():
@@ -343,11 +346,11 @@ def test_emit_rejects_bad_input():
     rows = run_sweep(tiny_config())
     with pytest.raises(ConfigError, match="unknown format"):
         emit(rows, "yaml")
-    reordered = dict(reversed(rows[0].values.items()))
+    reordered = dict(reversed(list(rows[0].items())[2:-1]))
     for output_format in ("csv", "json"):
         for other in ({"eg": 0.5}, reordered):
             with pytest.raises(ValueError, match="inconsistent columns"):
-                emit(rows + [SweepRow(1.0, 0.0, other, 1.0)], output_format)
+                emit(rows + [{"omega": 1.0, "theta": 0.0, **other, "nu": 1.0}], output_format)
 
 
 # --------------------------------------------------------------------------
@@ -562,6 +565,13 @@ def test_config_file_terms_give_way_to_the_term_flag(tmp_path):
 def test_cli_rejects_non_finite_grid_endpoints(capsys):
     assert cli.main(["sweep", "--omega=nan:1:3"]) == 1
     assert capsys.readouterr().err == "error: omega: grid endpoints must be finite\n"
+
+
+def test_cli_rejects_a_grid_span_that_overflows(capsys, recwarn):
+    """Both endpoints are finite but their difference is not, which np.linspace needs."""
+    assert cli.main(["sweep", "--omega=-1e308:1e308:3", "--theta=0:0:1"]) == 1
+    assert capsys.readouterr().err == "error: omega: max - min overflows: 1e+308 - -1e+308\n"
+    assert not recwarn.list
 
 
 @pytest.mark.filterwarnings("error")

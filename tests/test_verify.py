@@ -13,7 +13,6 @@ import diracboost.sweep
 from diracboost import cli
 from diracboost.kinematics import BoostSpec, _boost_eigenbasis
 from diracboost.states import (
-    ChiralLabelPair,
     boost_two_particle,
     chiral_project,
     make_psi2,
@@ -161,7 +160,7 @@ def test_c08_finding_holds_on_its_own_samples(maker, f, g):
     """On c08's samples the psi3 f=g projections stay within 1e-12 of rho and the
     other six move by at least 0.5, so a change of sampler can neither hide nor
     invent c08's failure."""
-    rho = chiral_project(maker(1.0), ChiralLabelPair(f, g))
+    rho = chiral_project(maker(1.0), f, g)
     moved = max(
         float(np.linalg.norm(boost_two_particle(rho, BoostSpec.from_polar_angle(om, th))[0] - rho))
         for om, th in _chiral_samples()
