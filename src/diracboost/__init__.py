@@ -34,8 +34,7 @@ from .states import (
     TwoParticleState,
     assemble_state_vector,
     boost_two_particle,
-    chiral_project,
-    density_matrix,
+    chiral_project_vector,
     make_psi1,
     make_psi2,
     make_psi3,
@@ -78,11 +77,10 @@ __all__ = [
     "bloch_vector",
     "boost_four_vector",
     "boost_two_particle",
-    "chiral_project",
+    "chiral_project_vector",
     "chiral_projector",
     "delta_global",
     "delta_negativity",
-    "density_matrix",
     "emit",
     "global_entanglement",
     "helicity_spinor",

@@ -44,12 +44,19 @@ def _clamp_residue(values):
     return np.where((values >= -1e-12) & (values < 0.0), 0.0, values)
 
 
-def _direction_tables(psi, directions):
-    """Real tables (k, 5, 29) of the 4x4 ``psi`` for k unit directions, rows m = 2 .. -2."""
+def _eigenbasis_amplitudes(psi, directions):
+    """Eigenbases ``U`` (k, 4, 4) for k unit directions and the 4x4 ``psi`` in each, ``Phi = U^dag
+    Psi U^*`` (k, 4, 4), whose entry [i, j] the boost scales by ``e^{(1 - _LEVELS[i, j]) w}``."""
     u = _boost_eigenbasis(directions)
     phi = u.conj().transpose(0, 2, 1) @ psi @ u.conj()
     # below the float state's own resolution; left in, the boost would amplify the residue
     phi[np.abs(phi) <= 16 * _EPS * np.linalg.norm(psi)] = 0.0
+    return u, phi
+
+
+def _direction_tables(psi, directions):
+    """Real tables (k, 5, 29) of the 4x4 ``psi`` for k unit directions, rows m = 2 .. -2."""
+    u, phi = _eigenbasis_amplitudes(psi, directions)
     blocks = (u[:, None] @ (phi[:, None] * _BLOCKS) @ u[:, None].swapaxes(2, 3)).reshape(-1, 3, 16)
     applied = blocks[:, np.arange(3)[:, None], _COL.T[:, None]]  # [k, l, j, q]: O_q block j
     applied *= _COEF.T[:, None]

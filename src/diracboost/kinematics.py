@@ -67,6 +67,8 @@ class FourMomentum:
         object.__setattr__(self, "p3", p3)
         if not (self.mass > 0.0 and math.isfinite(self.mass)):
             raise ValueError(f"mass must be positive and finite, got {self.mass!r}")
+        if not math.isfinite(self.energy):
+            raise ValueError(f"energy must be finite, got {self.energy!r}")
         if self.energy < self.mass * (1.0 - 1e-12):
             raise ValueError(
                 f"energy {self.energy!r} below mass {self.mass!r}"

@@ -1,13 +1,13 @@
 """Entanglement measures and the closed-form boosted Bloch vectors.
 
 Two independent routes to the same physics meet here.  The numeric route
-reduces a boosted state: the functions below take one 16x16 density matrix
-and validate it once (what they derive from it is not checked again), and the
-batched kernel (``kernel._measure_chunk``, also behind ``delta_*``) boosts
-whole grids.  The analytic route (``analytic_boosted_bloch``, batched in
-``_analytic_bloch_batch``) evaluates closed-form transformed Bloch vectors
-from the superposition data without boosting any state; verify check c09
-and the test suite hold the two routes to each other.
+reduces a boosted state: the functions below take a unit 16-vector of
+amplitudes, or the 4x4 or 2x2 density matrix of a reduction, and validate it
+once, and the batched kernel (``kernel._measure_chunk``, also behind
+``delta_*``) boosts whole grids.  The analytic route (``analytic_boosted_bloch``,
+batched in ``_analytic_bloch_batch``) evaluates closed-form transformed Bloch
+vectors from the superposition data without boosting any state; verify check
+c09 and the test suite hold the two routes to each other.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from .kernel import _clamp_residue, _grid, _measure_chunk, _tables
 from .kinematics import BoostSpec, helicity_spinor
 from .states import TWO_PARTICLE_LAYOUT, TwoParticleState, assemble_state_vector
 from .tensor import (
-    PAULI, SubsystemLayout, _symmetrized_eigenvalues, _trace_labels, check_density,
+    PAULI, SubsystemLayout, _symmetrized_eigenvalues, _trace_labels, check_density, check_state,
     partial_transpose,
 )
 
@@ -29,12 +29,16 @@ SUBSYSTEM_TAGS = TWO_PARTICLE_LAYOUT.labels
 
 SPIN_PAIR_LAYOUT = SubsystemLayout(("SA", "SB"))
 
-#: ``partial_trace``'s einsum labels on the ``[2] * 8`` reshape onto each qubit and the spin pair
-_ONE_QUBIT = {tag: _trace_labels(TWO_PARTICLE_LAYOUT, (tag,)) for tag in SUBSYSTEM_TAGS}
-_SPIN_PAIR = _trace_labels(TWO_PARTICLE_LAYOUT, ("SA", "SB"))
 
-#: Largest shortfall of ``Tr rho^2`` below 1 that :func:`global_entanglement` calls pure.
-_PURITY_TOL = 1e-8
+def _reduction(keep):
+    """Reduce ``psi psi^dag`` onto ``keep`` from the ``[2] * 4`` amplitudes of ``psi``: the rows of
+    ``partial_trace``'s einsum labels go on ``psi``, its columns on ``psi^*``."""
+    labels, out = _trace_labels(TWO_PARTICLE_LAYOUT, keep)
+    return lambda amp: np.einsum(amp, labels[:4], amp.conj(), labels[4:], out)
+
+
+_ONE_QUBIT = {tag: _reduction((tag,)) for tag in SUBSYSTEM_TAGS}
+_SPIN_PAIR = _reduction(("SA", "SB"))
 
 
 @dataclass(frozen=True)
@@ -86,32 +90,25 @@ def bloch_vector(rho_qubit: np.ndarray) -> BlochVector:
     return BlochVector(2.0 * off.real, 2.0 * off.imag, float((rho[0, 0] - rho[1, 1]).real))
 
 
-def single_qubit_reductions(rho: np.ndarray) -> dict[str, np.ndarray]:
-    """All four 2x2 reduced matrices of a two-particle density matrix."""
-    qubits = check_density(rho, 16).reshape([2] * 8)
-    return {tag: np.einsum(qubits, *labels) for tag, labels in _ONE_QUBIT.items()}
+def single_qubit_reductions(psi: np.ndarray) -> dict[str, np.ndarray]:
+    """All four 2x2 reduced matrices of a two-particle state vector."""
+    amp = check_state(psi).reshape([2] * 4)
+    return {tag: reduce(amp) for tag, reduce in _ONE_QUBIT.items()}
 
 
-def single_qubit_entropies(rho: np.ndarray) -> dict[str, float]:
-    return {tag: _linear_entropy(r) for tag, r in single_qubit_reductions(rho).items()}
+def single_qubit_entropies(psi: np.ndarray) -> dict[str, float]:
+    return {tag: _linear_entropy(r) for tag, r in single_qubit_reductions(psi).items()}
 
 
-def global_entanglement(rho: np.ndarray) -> float:
-    """Mean linear entropy 2 (1 - sum_k Tr rho_k^2 / 4) of the four qubits (pure states only)."""
-    rho = check_density(rho, 16)
-    purity = _purity(rho)
-    if purity < 1.0 - _PURITY_TOL:
-        raise ValueError(
-            f"global entanglement is defined for pure states; Tr rho^2 = {purity!r}"
-        )
-    qubits = rho.reshape([2] * 8)
-    purities = sum(_purity(np.einsum(qubits, *labels)) for labels in _ONE_QUBIT.values())
+def global_entanglement(psi: np.ndarray) -> float:
+    """Mean linear entropy 2 (1 - sum_k Tr rho_k^2 / 4) of the four qubits of a state vector."""
+    purities = sum(_purity(r) for r in single_qubit_reductions(psi).values())
     return float(_clamp_residue(2.0 * (1.0 - purities / 4.0)))
 
 
-def spin_spin_reduced(rho: np.ndarray) -> np.ndarray:
-    """Trace both parity qubits out of a 16x16 two-particle matrix."""
-    return np.einsum(check_density(rho, 16).reshape([2] * 8), *_SPIN_PAIR).reshape(4, 4)
+def spin_spin_reduced(psi: np.ndarray) -> np.ndarray:
+    """Trace both parity qubits out of a two-particle state vector."""
+    return _SPIN_PAIR(check_state(psi).reshape([2] * 4)).reshape(4, 4)
 
 
 def negativity(rho_ss: np.ndarray) -> float:

@@ -15,17 +15,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernel import _EPS, _LEVELS
+from .kernel import _LEVELS, _eigenbasis_amplitudes
 from .kinematics import (
     E_Z,
     BoostSpec,
     FourMomentum,
-    _boost_eigenbasis,
     _check_helicity,
     bispinor_u,
     chiral_projector,
 )
-from .tensor import HERMITICITY_TOL, SubsystemLayout, check_density, outer
+from .tensor import SubsystemLayout, check_state
 
 #: Global factor ordering for the 16-dimensional two-particle space.
 TWO_PARTICLE_LAYOUT = SubsystemLayout(("PA", "SA", "PB", "SB"))
@@ -98,11 +97,6 @@ def assemble_state_vector(st: TwoParticleState) -> np.ndarray:
     return psi.ravel() / norm
 
 
-def density_matrix(st: TwoParticleState) -> np.ndarray:
-    """Pure 16x16 density matrix of the assembled state."""
-    return outer(assemble_state_vector(st))
-
-
 def _scenario_momenta(omega0: float) -> tuple[FourMomentum, FourMomentum]:
     if omega0 < 0.0:
         raise ValueError(f"omega0 must be nonnegative, got {omega0!r}")
@@ -162,46 +156,22 @@ def chiral_project_vector(st: TwoParticleState, f: int, g: int) -> np.ndarray:
     return projected / norm
 
 
-def chiral_project(st: TwoParticleState, f: int, g: int) -> np.ndarray:
-    """Pure 16x16 density matrix of :func:`chiral_project_vector`."""
-    return outer(chiral_project_vector(st, f, g))
+def boost_two_particle(psi: np.ndarray, b: BoostSpec) -> tuple[np.ndarray, float]:
+    """Boost a unit 16-vector; returns (psi', nu), nu = |(S (x) S) psi|^2, which psi' divides out.
 
-
-def boost_two_particle(rho: np.ndarray, b: BoostSpec) -> tuple[np.ndarray, float]:
-    """Boost a two-particle density matrix; returns (rho', nu), nu the trace the boost removes.
-
-    ``rho = sum_k vec(L_k) vec(L_k)^dag`` by pivoted Cholesky (one ``L_k`` if rho is pure, with its
-    amplitudes' digits), and each 4x4 ``L_k`` is boosted as the sweep kernel boosts a state: in
-    the eigenbasis of the generator the boost only scales entries.  Nothing cancels, so rho' is a
-    density matrix at any rapidity; a rho that is not positive semidefinite, or a nu out of the
-    float range, is a ValueError.
-    """
-    rho = check_density(rho, 16)
+    As in the sweep kernel, the boost only scales psi's amplitudes in the generator's eigenbasis,
+    so nothing cancels at any rapidity; only a nu out of the float range is a ValueError."""
+    psi = check_state(psi)
     if b.rapidity == 0.0:
-        # the identity boost, exactly: no rounding residue enters rho
-        return rho.copy(), 1.0
-    columns, rest = [], rho.copy()
-    for _ in range(16):  # each step takes out the largest diagonal entry left
-        j = np.argmax(rest.diagonal().real)
-        if rest[j, j].real <= 16 * _EPS:  # what is left is rounding residue
-            break
-        columns.append(rest[:, j] / math.sqrt(rest[j, j].real))
-        rest -= np.outer(columns[-1], columns[-1].conj())
-    # rounding only, if rho is positive semidefinite; a pivot d near 16 eps can magnify an
-    # eigenvalue check_density tolerates, as b^2 / d in the block [[d, b], [b, 0]]
-    residue = abs(rest).max()
-    if residue > HERMITICITY_TOL:
-        raise ValueError(f"density matrix is not positive semidefinite: residue {residue:.1e}")
-    u = _boost_eigenbasis(b.direction[None, :])
-    phi = u.conj().transpose(0, 2, 1) @ np.reshape(columns, (-1, 4, 4)) @ u.conj()
-    phi[np.abs(phi) <= 16 * _EPS * np.linalg.norm(columns, axis=1)[:, None, None]] = 0.0
+        # the identity boost, exactly: no rounding residue enters psi
+        return psi.copy(), 1.0
+    u, phi = _eigenbasis_amplitudes(psi.reshape(4, 4), b.direction[None, :])
     weights = b.rapidity * (1.0 - _LEVELS)
-    top = weights[phi.any(axis=0)].max()  # the largest weight, factored out as in the kernel
+    top = weights[phi[0] != 0.0].max()  # the largest weight, factored out as in the kernel
     phi *= np.exp(np.minimum(weights - top, 0.0))
-    trace = np.vdot(phi, phi).real
+    norm_sq = np.vdot(phi, phi).real
     with np.errstate(over="ignore"):  # a nu out of range is reported below, with its rapidity
-        nu = float(np.exp(2.0 * top) * trace)
+        nu = float(np.exp(2.0 * top) * norm_sq)
     if not np.finfo(float).tiny <= nu < math.inf:
         raise ValueError(f"boost normalization failed at rapidity {b.rapidity:.6g} (nu = {nu!r})")
-    boosted = (u @ phi @ u.transpose(0, 2, 1)).reshape(-1, 16)
-    return boosted.T @ boosted.conj() / trace, nu
+    return (u @ phi @ u.transpose(0, 2, 1)).ravel() / math.sqrt(norm_sq), nu

@@ -24,7 +24,7 @@ ID2 = np.eye(2, dtype=complex)
 #: Absolute tolerance on ``max|H - H†|`` of a matrix taken as Hermitian, and on how far below 0
 #: a density matrix's smallest eigenvalue may lie.
 HERMITICITY_TOL = 1e-10
-#: Absolute tolerance on ``|Tr rho - 1|`` accepted by :func:`check_density`.
+#: Absolute tolerance on ``|Tr rho - 1|`` (``check_density``) and ``|psi|^2 - 1`` (``check_state``).
 TRACE_TOL = 1e-10
 
 
@@ -92,6 +92,19 @@ def check_density(rho: np.ndarray, dim: int) -> np.ndarray:
             f"density matrix is not positive semidefinite: smallest eigenvalue {smallest:.3e}"
         )
     return rho
+
+
+def check_state(psi: np.ndarray) -> np.ndarray:
+    """``psi`` as a complex two-particle state vector: shape (16,), finite and of unit norm."""
+    psi = np.asarray(psi, dtype=complex)
+    if psi.shape != (16,):
+        raise ValueError(f"expected a state vector of shape (16,), got shape {psi.shape}")
+    if not np.isfinite(psi).all():
+        raise ValueError("state vector has a non-finite entry")
+    norm_sq = float(np.vdot(psi, psi).real)  # BLAS: an overflow is inf, with no warning
+    if abs(norm_sq - 1.0) > TRACE_TOL:
+        raise ValueError(f"state vector must have unit norm, got |psi|^2 = {norm_sq!r}")
+    return psi
 
 
 def _check_hermitian(h: np.ndarray, name: str) -> None:

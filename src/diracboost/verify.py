@@ -34,14 +34,15 @@ from .measures import (
     spin_spin_reduced,
 )
 from .states import (
+    assemble_state_vector,
     boost_two_particle,
-    chiral_project,
-    density_matrix,
+    chiral_project_vector,
     make_psi1,
     make_psi2,
     make_psi3,
 )
 from .sweep import GridSpec, SweepConfig, _sweep_columns
+from .tensor import outer
 
 GRID_OMEGAS = GridSpec(0.0, 5.0, 20)
 GRID_THETAS = GridSpec(0.0, math.pi / 2.0, 10)
@@ -93,7 +94,7 @@ def _sweep_grid(scenario: str, omegas: GridSpec, thetas: GridSpec) -> dict[str, 
 
 
 def _check_psi1_rest_eg() -> CheckResult:
-    measured = global_entanglement(density_matrix(make_psi1(1.0)))
+    measured = global_entanglement(assemble_state_vector(make_psi1(1.0)))
     return _within("c01", "unboosted opposite-helicity state has global entanglement 1/2",
                    measured, 0.5, 1e-10)
 
@@ -163,11 +164,11 @@ def _check_psi2_degradation() -> CheckResult:
 
 
 def _check_psi3_extremum() -> CheckResult:
-    rho0 = density_matrix(make_psi3(1.0))
+    psi0 = assemble_state_vector(make_psi3(1.0))
     omegas = np.linspace(0.0, 3.0, 61)
     egs, negs = [], []
     for om in omegas:  # on the public per-point API, as c08
-        boosted, _ = boost_two_particle(rho0, BoostSpec.from_polar_angle(float(om), 0.0))
+        boosted, _ = boost_two_particle(psi0, BoostSpec.from_polar_angle(float(om), 0.0))
         egs.append(global_entanglement(boosted))
         negs.append(negativity(spin_spin_reduced(boosted)))
     i_min = int(np.argmin(egs))
@@ -207,13 +208,12 @@ def _check_chiral_invariance() -> CheckResult:
     for name, maker in (("psi2", make_psi2), ("psi3", make_psi3)):
         for f in (0, 1):
             for g in (0, 1):
-                rho = chiral_project(maker(1.0), f, g)
+                psi = chiral_project_vector(maker(1.0), f, g)
+                rho = outer(psi)  # c08 measures the Frobenius distance of psi' psi'^dag to rho
                 dist = 0.0
                 for om, th in samples:
-                    boosted, _ = boost_two_particle(
-                        rho, BoostSpec.from_polar_angle(om, th)
-                    )
-                    dist = max(dist, float(np.linalg.norm(boosted - rho)))
+                    boosted, _ = boost_two_particle(psi, BoostSpec.from_polar_angle(om, th))
+                    dist = max(dist, float(np.linalg.norm(outer(boosted) - rho)))
                 worst = max(worst, dist)
                 details.append(f"{name} f={f} g={g}: {dist:.3g}")
     return _within("c08", "chirality-projected states are unchanged by every boost",
@@ -295,9 +295,7 @@ def _suite_dual_path_eg(rng: random.Random) -> float:
     worst = 0.0
     for _ in range(50):
         v = np.array([complex(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)) for _ in range(16)])
-        v = v / np.linalg.norm(v)
-        rho = np.outer(v, v.conj())
-        reductions = single_qubit_reductions(rho).values()
+        reductions = single_qubit_reductions(v / np.linalg.norm(v)).values()
         direct = sum(_linear_entropy(r) for r in reductions) / 4.0
         via_bloch = 1.0 - sum(bloch_vector(r).norm_sq for r in reductions) / 4.0
         worst = max(worst, abs(direct - via_bloch))

@@ -21,7 +21,7 @@ from diracboost.kinematics import BoostSpec
 from diracboost.measures import global_entanglement, negativity, spin_spin_reduced
 from diracboost.states import boost_two_particle
 from diracboost.sweep import SweepConfig, scenario_vector
-from diracboost.tensor import ID2, PAULI, kron, outer
+from diracboost.tensor import ID2, PAULI, kron
 
 EPSILON = np.array([[0.0, 1.0], [-1.0, 0.0]])  # i sigma_y
 CHIRALITY = kron(np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0), ID2)
@@ -46,7 +46,7 @@ def kernel_point(psi, b):
 
 def per_point(psi, b):
     """``(nu, E_G, N)`` of ``psi`` boosted by ``b`` with ``boost_two_particle``."""
-    boosted, nu = boost_two_particle(outer(psi.ravel()), b)
+    boosted, nu = boost_two_particle(psi.ravel(), b)
     return nu, global_entanglement(boosted), negativity(spin_spin_reduced(boosted))
 
 
@@ -80,7 +80,7 @@ def test_the_blocks_build_psi1_and_a_slot_antisymmetric_state():
 @given(v=null_four_vectors(), rapidity=st.floats(0.0, 60.0), n=unit_directions())
 def test_a_null_four_vector_keeps_the_spins_unentangled_in_every_frame(v, rapidity, n):
     psi = antisymmetric_state(0.0, 0.0, v)
-    assert negativity(spin_spin_reduced(outer(psi.ravel()))) <= 1e-12
+    assert negativity(spin_spin_reduced(psi.ravel())) <= 1e-12
     b = BoostSpec(rapidity, n)
     assert per_point(psi, b)[2] <= 1e-12
     assert kernel_point(psi, b)[2] <= 1e-12
@@ -90,7 +90,7 @@ def test_a_boost_entangles_the_spins_of_a_generic_four_vector():
     """The control: with ``V.V != 0`` the same boost takes N from 0.0097 to 0.79."""
     v = np.array([0.2 + 0.5j, 0.7, -0.3j, 0.1 - 0.4j])  # V.V = -0.46 + 0.28i
     psi = antisymmetric_state(0.0, 0.0, v)
-    assert negativity(spin_spin_reduced(outer(psi.ravel()))) < 0.05
+    assert negativity(spin_spin_reduced(psi.ravel())) < 0.05
     b = BoostSpec(1.5, np.array([1.0, -1.0, -2.0]) / math.sqrt(6.0))
     n = per_point(psi, b)[2]
     assert n > 0.5
@@ -101,8 +101,8 @@ def test_a_boost_entangles_the_spins_of_a_generic_four_vector():
 def test_amplitudes_near_the_rounding_level_survive_the_per_point_boost(omega):
     """This null ``V`` gives the state amplitudes of about 6e-10 that a boost along z scales by
     ``e^w``.  Their squares, 4e-19, are below the rounding of ``W^dag rho W``, so a boost that
-    works on that 16x16 matrix loses them (E_G = -5.7e7 at omega = 30); boosting the columns of
-    rho's Cholesky factor keeps them, and matches the kernel."""
+    works on that 16x16 matrix loses them (E_G = -5.7e7 at omega = 30); boosting the amplitudes
+    keeps them, and matches the kernel."""
     psi = antisymmetric_state(0.0, 0.0, np.array([-2e-9 - 0.5j, 1.0, 1e-9 + 1.0j, -0.5j]))
     b = BoostSpec(omega, np.array([0.0, 0.0, 1.0]))
     (nu, eg, n), (kernel_nu, kernel_eg, kernel_n) = per_point(psi, b), kernel_point(psi, b)

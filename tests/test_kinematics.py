@@ -87,6 +87,13 @@ def test_four_momentum_rejects_a_non_finite_component(bad):
         FourMomentum(M, 1.0, [bad, 0.0, 0.0])
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_four_momentum_rejects_a_non_finite_energy(bad):
+    with pytest.raises(ValueError, match=f"^energy must be finite, got {bad!r}$"):
+        FourMomentum(M, bad, [0.0, 0.0, 0.0])
+
+
 def test_boost_spec_validation():
     with pytest.raises(ValueError, match="unit vector"):
         BoostSpec(1.0, [0.0, 0.0, 2.0])

@@ -24,14 +24,14 @@ from diracboost.states import (
     TWO_PARTICLE_LAYOUT,
     SuperpositionTerm,
     TwoParticleState,
+    assemble_state_vector,
     boost_two_particle,
-    density_matrix,
     make_psi1,
     make_psi2,
     make_psi3,
 )
 from diracboost.sweep import GridSpec, SweepConfig, SweepError, run_sweep
-from diracboost.tensor import check_density, kron, outer, partial_trace
+from diracboost.tensor import check_density, check_state, kron, outer, partial_trace
 
 M = 1.0
 SECH2_1 = 1.0 / math.cosh(1.0) ** 2
@@ -104,15 +104,16 @@ def test_per_point_measures_reject_a_non_hermitian_or_off_trace_matrix():
     for measure in (bloch_vector, linear_entropy):
         with pytest.raises(ValueError, match="Hermitian"):
             measure(skewed)
-    off_trace = density_matrix(make_psi2(1.0)) * (1.0 + 5e-9)
+    off_norm = assemble_state_vector(make_psi2(1.0)) * (1.0 + 5e-9)
     for measure in (spin_spin_reduced, global_entanglement, single_qubit_reductions):
-        with pytest.raises(ValueError, match="unit trace"):
-            measure(off_trace)
+        with pytest.raises(ValueError, match="unit norm"):
+            measure(off_norm)
 
 
-#: The per-point functions, each as a one-argument call, with the matrix size it takes.
+#: The per-point functions, each as a one-argument call, with the size of what it takes: 16 is
+#: a state vector of shape (16,), any other size a density matrix of that size.
 PER_POINT = {
-    "boost_two_particle": (lambda rho: boost_two_particle(rho, BoostSpec(0.7, E_Z)), 16),
+    "boost_two_particle": (lambda psi: boost_two_particle(psi, BoostSpec(0.7, E_Z)), 16),
     "global_entanglement": (global_entanglement, 16),
     "single_qubit_reductions": (single_qubit_reductions, 16),
     "single_qubit_entropies": (single_qubit_entropies, 16),
@@ -121,23 +122,47 @@ PER_POINT = {
     "bloch_vector": (bloch_vector, 2),
     "linear_entropy": (linear_entropy, 2),
 }
+STATE_DEFECTS = ("shape", "length", "norm", "zero", "nonfinite-nan", "nonfinite-inf")
+DENSITY_DEFECTS = ("shape", "trace", "hermitian", "psd", "nonfinite-nan", "nonfinite-inf")
 
 
-def valid_density(dim):
+def valid_vector(dim):
     rng = np.random.default_rng(90 + dim)
     v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-    return outer(v / np.linalg.norm(v))
+    return v / np.linalg.norm(v)
+
+
+def valid_input(dim):
+    return valid_vector(16) if dim == 16 else outer(valid_vector(dim))
+
+
+def defective_state(defect):
+    """A vector that breaks one part of the state-vector rule, with the message it must give."""
+    psi = valid_vector(16)
+    if defect == "shape":  # the state's density matrix
+        return outer(psi), "expected a state vector of shape (16,), got shape (16, 16)"
+    if defect == "length":  # a unit two-qubit state, one particle's worth of slots
+        return valid_vector(4), "expected a state vector of shape (16,), got shape (4,)"
+    if defect == "norm":  # |psi|^2 = 16 * 0.375^2, exactly
+        return np.full(16, 0.375, complex), "state vector must have unit norm, got |psi|^2 = 2.25"
+    if defect == "zero":  # what a projection that annihilates the state leaves
+        return np.zeros(16, complex), "state vector must have unit norm, got |psi|^2 = 0.0"
+    psi[3] = np.nan if defect == "nonfinite-nan" else np.inf
+    return psi, "state vector has a non-finite entry"
 
 
 def defective(name, dim, defect):
-    """A matrix that breaks one part of the density-matrix rule, with the message it must give."""
+    """An input that breaks one part of the state-vector (dim 16) or density-matrix rule, with
+    the message it must give."""
+    if dim == 16:
+        return defective_state(defect)
     if defect == "shape":
         if name == "linear_entropy":
             return np.eye(2, 3) / 2, "expected a square matrix, got shape (2, 3)"
         other = 4 if dim != 4 else 2
         message = f"expected a {dim}x{dim} density matrix, got shape ({other}, {other})"
-        return valid_density(other), message
-    rho = valid_density(dim)
+        return valid_input(other), message
+    rho = valid_input(dim)
     if defect == "trace":
         return rho * (1.0 + 1e-8), "density matrix must have unit trace, got ("
     if defect == "psd":  # Hermitian with unit trace, but with an eigenvalue of -0.1
@@ -153,47 +178,53 @@ def defective(name, dim, defect):
     return rho, "density matrix is not Hermitian: max|H - H†| = 1.000e-06 exceeds 1e-10"
 
 
-@pytest.mark.parametrize(
-    "defect", ["shape", "trace", "hermitian", "psd", "nonfinite-nan", "nonfinite-inf"]
-)
-@pytest.mark.parametrize("name", PER_POINT)
+@pytest.mark.parametrize("name, defect", [
+    (name, defect) for name, (_, dim) in PER_POINT.items()
+    for defect in (STATE_DEFECTS if dim == 16 else DENSITY_DEFECTS)
+])
 def test_per_point_function_rejects_each_broken_rule_with_its_message(name, defect):
     function, dim = PER_POINT[name]
-    rho, message = defective(name, dim, defect)
+    value, message = defective(name, dim, defect)
     with pytest.raises(ValueError, match=re.escape(message)):
-        function(rho)
+        function(value)
 
 
 def test_each_per_point_function_validates_its_input_once(monkeypatch):
-    """check_density runs once per public call; what a function derives from the matrix is not
-    checked again, boost_two_particle's output included."""
+    """check_state or check_density runs once per public call; what a function derives from
+    its input is not checked again, boost_two_particle's output included."""
     calls = []
 
-    def counted(rho, dim):
+    def counted_state(psi):
+        calls.append(16)
+        return check_state(psi)
+
+    def counted_density(rho, dim):
         calls.append(dim)
         return check_density(rho, dim)
 
     # patch every binding, as `from .tensor import check_density` copies it into each module
-    for name, module in list(sys.modules.items()):
-        bound = getattr(module, "check_density", None)
-        if name.startswith("diracboost.") and bound is check_density:
-            monkeypatch.setattr(module, "check_density", counted)
+    for check, counted in ((check_state, counted_state), (check_density, counted_density)):
+        for name, module in list(sys.modules.items()):
+            bound = getattr(module, check.__name__, None)
+            if name.startswith("diracboost.") and bound is check:
+                monkeypatch.setattr(module, check.__name__, counted)
     for name, (function, dim) in PER_POINT.items():
         calls.clear()
-        function(valid_density(dim))
+        function(valid_input(dim))
         assert calls == [dim], name
 
 
 def test_reductions_equal_partial_trace():
     rng = np.random.default_rng(97)
     for _ in range(10):
-        a = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
-        rho = a @ a.conj().T
-        rho /= np.trace(rho).real
-        for tag, reduced in single_qubit_reductions(rho).items():
-            assert np.array_equal(reduced, partial_trace(rho, TWO_PARTICLE_LAYOUT, (tag,)))
+        psi = rng.normal(size=16) + 1j * rng.normal(size=16)
+        psi /= np.linalg.norm(psi)
+        rho = outer(psi)
+        for tag, reduced in single_qubit_reductions(psi).items():
+            want = partial_trace(rho, TWO_PARTICLE_LAYOUT, (tag,))
+            assert np.max(np.abs(reduced - want)) <= 1e-15
         spin_pair = partial_trace(rho, TWO_PARTICLE_LAYOUT, ("SA", "SB"))
-        assert np.array_equal(spin_spin_reduced(rho), spin_pair)
+        assert np.max(np.abs(spin_spin_reduced(psi) - spin_pair)) <= 1e-15
 
 
 def test_bloch_vector_ball_constraint():
@@ -216,22 +247,17 @@ def test_linear_entropy_complements_bloch_norm():
 
 
 def test_global_entanglement_product_state_vanishes():
-    rho = density_matrix(product_rest_state())
-    assert abs(global_entanglement(rho)) < 1e-12
+    psi = assemble_state_vector(product_rest_state())
+    assert abs(global_entanglement(psi)) < 1e-12
 
 
 def test_global_entanglement_reference_values():
-    assert_allclose(global_entanglement(density_matrix(make_psi1(1.0))), 0.5, atol=1e-12)
+    assert_allclose(global_entanglement(assemble_state_vector(make_psi1(1.0))), 0.5, atol=1e-12)
     assert_allclose(
-        global_entanglement(density_matrix(make_psi2(1.0))),
+        global_entanglement(assemble_state_vector(make_psi2(1.0))),
         0.790012829192987,
         atol=1e-12,
     )
-
-
-def test_global_entanglement_requires_purity():
-    with pytest.raises(ValueError, match="pure states"):
-        global_entanglement(np.eye(16) / 16)
 
 
 def test_global_entanglement_equals_bloch_reconstruction():
@@ -240,15 +266,13 @@ def test_global_entanglement_equals_bloch_reconstruction():
     for _ in range(10):
         v = rng.normal(size=16) + 1j * rng.normal(size=16)
         v /= np.linalg.norm(v)
-        rho = outer(v)
-        blochs = [bloch_vector(r) for r in single_qubit_reductions(rho).values()]
+        blochs = [bloch_vector(r) for r in single_qubit_reductions(v).values()]
         reconstructed = 1.0 - sum(b.norm_sq for b in blochs) / 4.0
-        assert_allclose(global_entanglement(rho), reconstructed, atol=1e-12)
+        assert_allclose(global_entanglement(v), reconstructed, atol=1e-12)
 
 
 def test_single_qubit_entropies_keys():
-    rho = density_matrix(make_psi1(1.0))
-    ent = single_qubit_entropies(rho)
+    ent = single_qubit_entropies(assemble_state_vector(make_psi1(1.0)))
     assert set(ent) == {"PA", "SA", "PB", "SB"}
     for value in ent.values():
         assert 0.0 <= value <= 1.0 + 1e-12
@@ -262,7 +286,7 @@ def test_single_qubit_entropies_keys():
 def test_spin_spin_reduced_psi2_matrix():
     """Frozen reference: the equal-label pair reduces to a singlet-like block
     with coherence damped by sech^2(w0)."""
-    ss = spin_spin_reduced(density_matrix(make_psi2(1.0)))
+    ss = spin_spin_reduced(assemble_state_vector(make_psi2(1.0)))
     expected = np.zeros((4, 4), dtype=complex)
     expected[1, 1] = expected[2, 2] = 0.5
     expected[1, 2] = expected[2, 1] = -SECH2_1 / 2.0
@@ -270,13 +294,13 @@ def test_spin_spin_reduced_psi2_matrix():
 
 
 def test_spin_spin_reduced_psi3_at_rest_is_singlet():
-    rho, _ = boost_two_particle(
-        density_matrix(make_psi3(1.0)), BoostSpec.from_polar_angle(1.0, 0.0)
+    psi, _ = boost_two_particle(
+        assemble_state_vector(make_psi3(1.0)), BoostSpec.from_polar_angle(1.0, 0.0)
     )
     singlet = np.zeros(4, dtype=complex)
     singlet[1] = 1.0 / math.sqrt(2.0)
     singlet[2] = -1.0 / math.sqrt(2.0)
-    assert_allclose(spin_spin_reduced(rho), outer(singlet), atol=1e-12)
+    assert_allclose(spin_spin_reduced(psi), outer(singlet), atol=1e-12)
 
 
 def test_negativity_reference_points():
@@ -287,7 +311,7 @@ def test_negativity_reference_points():
     )
     assert negativity(product) == 0.0
     assert_allclose(
-        negativity(spin_spin_reduced(density_matrix(make_psi2(1.0)))),
+        negativity(spin_spin_reduced(assemble_state_vector(make_psi2(1.0)))),
         SECH2_1,
         atol=1e-12,
     )
@@ -357,7 +381,7 @@ def test_psi1_transverse_boost_saturates():
     b = BoostSpec.from_polar_angle(10.0, math.pi / 2.0)
     gain = delta_global(st, b)
     assert gain > 0.49
-    boosted, _ = boost_two_particle(density_matrix(st), b)
+    boosted, _ = boost_two_particle(assemble_state_vector(st), b)
     assert global_entanglement(boosted) > 0.99
 
 
@@ -366,9 +390,9 @@ def test_psi2_parallel_boost_closed_forms():
     E_G = 1 - [sech^2(w0-w) + sech^2(w0+w)]/4 and
     N = sech(w0-w) sech(w0+w), for w0 = 1."""
     st = make_psi2(1.0)
-    rho0 = density_matrix(st)
+    psi0 = assemble_state_vector(st)
     for w in np.linspace(0.0, 4.0, 17):
-        boosted, _ = boost_two_particle(rho0, BoostSpec.from_polar_angle(float(w), 0.0))
+        boosted, _ = boost_two_particle(psi0, BoostSpec.from_polar_angle(float(w), 0.0))
         eg = global_entanglement(boosted)
         neg = negativity(spin_spin_reduced(boosted))
         eg_ref = 1.0 - (1.0 / math.cosh(1.0 - w) ** 2 + 1.0 / math.cosh(1.0 + w) ** 2) / 4.0
@@ -386,7 +410,7 @@ def test_analytic_bloch_identity_boost_matches_reductions():
     for st in (make_psi2(1.0), make_psi3(1.0)):
         direct = {
             tag: bloch_vector(r)
-            for tag, r in single_qubit_reductions(density_matrix(st)).items()
+            for tag, r in single_qubit_reductions(assemble_state_vector(st)).items()
         }
         analytic = analytic_boosted_bloch(st, BoostSpec(0.0, E_Z))
         for tag in direct:
@@ -402,7 +426,7 @@ def test_analytic_bloch_matches_numeric_pipeline():
             b = BoostSpec.from_polar_angle(
                 rng.uniform(0.0, 4.0), rng.uniform(0.0, math.pi)
             )
-            boosted, _ = boost_two_particle(density_matrix(st), b)
+            boosted, _ = boost_two_particle(assemble_state_vector(st), b)
             numeric = {
                 tag: bloch_vector(r)
                 for tag, r in single_qubit_reductions(boosted).items()

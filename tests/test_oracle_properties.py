@@ -1,7 +1,7 @@
 """Property tests: the batched sweep kernel against the closed-form Bloch oracle,
 boost reversibility, local-unitary invariance of the measures, the Lorentz
 invariance of the chirality-block determinants of any coefficient matrix, and the
-per-point density-matrix boost against the cosh/sinh formula of ``bispinor_boost``.
+per-point state-vector boost against the cosh/sinh formula of ``bispinor_boost``.
 
 States share one momentum per slot, along +z or -z, and superpose one to
 four helicity-pair terms with random complex coefficients; boosts have random
@@ -156,13 +156,11 @@ def test_chirality_block_determinants_are_lorentz_invariant(psi, rapidity, direc
 
 
 @st.composite
-def mixed_densities(draw):
-    """A 16x16 density matrix of rank 1 to 4."""
-    rank = draw(st.integers(1, 4))
-    a = np.array([[complex(draw(unit), draw(unit)) for _ in range(rank)] for _ in range(16)])
-    rho = a @ a.conj().T
-    assume(np.trace(rho).real > 0.1)
-    return rho / np.trace(rho).real
+def state_vectors(draw):
+    """A unit 16-vector of amplitudes."""
+    psi = np.array([complex(draw(unit), draw(unit)) for _ in range(16)])
+    assume(np.linalg.norm(psi) > 0.3)
+    return psi / np.linalg.norm(psi)
 
 
 @st.composite
@@ -173,28 +171,27 @@ def unit_directions(draw):
 
 
 @settings(max_examples=50, deadline=None, derandomize=True, database=None)
-@given(rho=mixed_densities(), rapidity=st.floats(-4.0, 4.0), n=unit_directions())
-def test_density_boost_matches_the_cosh_sinh_formula(rho, rapidity, n):
+@given(psi=state_vectors(), rapidity=st.floats(-4.0, 4.0), n=unit_directions())
+def test_state_boost_matches_the_cosh_sinh_formula(psi, rapidity, n):
     """``boost_two_particle`` works in the generator's eigenbasis; the reference forms the
-    16x16 product ``(S (x) S) rho (S (x) S)^dag`` from ``bispinor_boost``, whose rounding grows
-    as ``eps e^{2|w|}``, which stays far below the tolerance for |w| <= 4."""
+    16x16 product ``(S (x) S) psi`` from ``bispinor_boost``, whose rounding grows as
+    ``eps e^{|w|}``, which stays far below the tolerance for |w| <= 4."""
     b = BoostSpec(rapidity, n)
-    s_pair = kron(bispinor_boost(b), bispinor_boost(b))
-    product = s_pair @ rho @ s_pair.conj().T
-    nu = np.trace(product).real
-    boosted, got_nu = boost_two_particle(rho, b)
+    product = kron(bispinor_boost(b), bispinor_boost(b)) @ psi
+    nu = np.vdot(product, product).real
+    boosted, got_nu = boost_two_particle(psi, b)
     assert abs(got_nu - nu) <= 1e-12 * nu
-    assert np.max(np.abs(boosted - product / nu)) <= 1e-12
+    assert np.max(np.abs(boosted - product / np.sqrt(nu))) <= 1e-12
 
 
 @settings(max_examples=50, deadline=None, derandomize=True, database=None)
-@given(rho=mixed_densities(), rapidity=st.floats(-1.0, 1.0), n=unit_directions())
-def test_density_boost_round_trip(rho, rapidity, n):
-    """A boost shrinks some components of rho' by up to ``e^{-4|w|}``, and a float matrix keeps
-    them only to ``eps`` of its largest, so the way back restores rho to about ``eps e^{4|w|}``:
-    within 1e-13 for |w| <= 1 (at |w| = 8 it is off by about 1e-2)."""
+@given(psi=state_vectors(), rapidity=st.floats(-1.0, 1.0), n=unit_directions())
+def test_state_boost_round_trip(psi, rapidity, n):
+    """A boost shrinks some amplitudes of psi' by up to ``e^{-2|w|}``, and a float vector keeps
+    them only to ``eps`` of its largest, so the way back restores psi to about ``eps e^{2|w|}``:
+    within 1e-13 for |w| <= 1."""
     b = BoostSpec(rapidity, n)
-    boosted, nu = boost_two_particle(rho, b)
+    boosted, nu = boost_two_particle(psi, b)
     back, nu_back = boost_two_particle(boosted, b.reversed())
-    assert np.max(np.abs(back - rho)) <= 1e-13
+    assert np.max(np.abs(back - psi)) <= 1e-13
     assert abs(nu * nu_back - 1.0) <= 1e-13

@@ -18,13 +18,12 @@ from diracboost.states import (
     TwoParticleState,
     assemble_state_vector,
     boost_two_particle,
-    chiral_project,
-    density_matrix,
+    chiral_project_vector,
     make_psi1,
     make_psi2,
     make_psi3,
 )
-from diracboost.tensor import check_density, kron
+from diracboost.tensor import kron, outer
 
 M = 1.0
 SECH2_1 = 1.0 / math.cosh(1.0) ** 2  # 0.4199743416140261
@@ -78,7 +77,7 @@ def test_state_validation():
 
 def test_chiral_label_validation():
     with pytest.raises(ValueError, match="must be 0 or 1"):
-        chiral_project(make_psi2(1.0), 0, 2)
+        chiral_project_vector(make_psi2(1.0), 0, 2)
 
 
 def test_single_term_assembles_to_kron():
@@ -117,7 +116,7 @@ def test_cancelling_superposition_raises():
         assemble_state_vector(st)
 
 
-def test_density_matrix_matches_blockwise_oracle():
+def test_outer_of_state_vector_matches_blockwise_oracle():
     """Independent construction: rho = sum_ij c_i c_j^* (uA_i uA_j^+) x (uB_i uB_j^+)."""
     rng = np.random.default_rng(201)
     for _ in range(6):
@@ -139,17 +138,15 @@ def test_density_matrix_matches_blockwise_oracle():
                 ub_j = bispinor_u(*tj.slot_b)
                 w = ti.coefficient * np.conj(tj.coefficient)
                 expected += w * kron(np.outer(ua_i, ua_j.conj()), np.outer(ub_i, ub_j.conj()))
-        assert_allclose(density_matrix(st), expected / norm_sq, atol=1e-12)
+        assert_allclose(outer(assemble_state_vector(st)), expected / norm_sq, atol=1e-12)
 
 
-def test_density_matrix_is_pure():
+def test_state_vector_has_unit_norm():
     rng = np.random.default_rng(202)
     for _ in range(5):
-        rho = density_matrix(random_state(rng))
-        assert abs(np.trace(rho) - 1.0) < 1e-12
-        assert np.max(np.abs(rho - rho.conj().T)) < 1e-14
-        assert abs(np.trace(rho @ rho).real - 1.0) < 1e-12
-        assert np.linalg.eigvalsh(rho).min() > -1e-12
+        vec = assemble_state_vector(random_state(rng))
+        assert vec.shape == (16,)
+        assert abs(np.linalg.norm(vec) - 1.0) < 1e-15
 
 
 # --------------------------------------------------------------------------
@@ -270,18 +267,28 @@ def test_psi2_differs_from_antisymmetrized_variant():
 # --------------------------------------------------------------------------
 
 
+def test_the_package_exports_the_vector_edge_only():
+    """The 16-index edge takes state vectors: the density-matrix builders are gone."""
+    import diracboost
+
+    assert "chiral_project_vector" in diracboost.__all__
+    assert "assemble_state_vector" in diracboost.__all__
+    for gone in ("density_matrix", "chiral_project"):
+        assert gone not in diracboost.__all__
+        assert not hasattr(diracboost, gone)
+        assert not hasattr(diracboost.states, gone)
+
+
 def test_chiral_project_matches_direct_projection():
     from diracboost.kinematics import chiral_projector
 
     st = make_psi2(1.0)
-    rho = density_matrix(st)
+    vec = assemble_state_vector(st)
     for f in (0, 1):
         for g in (0, 1):
-            proj = kron(chiral_projector(f), chiral_projector(g))
-            raw = proj @ rho @ proj
-            expected = raw / np.trace(raw).real
-            got = chiral_project(st, f, g)
-            assert_allclose(got, expected, atol=1e-12)
+            raw = kron(chiral_projector(f), chiral_projector(g)) @ vec
+            got = chiral_project_vector(st, f, g)
+            assert_allclose(got, raw / np.linalg.norm(raw), atol=1e-15)
 
 
 def test_chiral_project_output_is_chirality_eigenstate():
@@ -290,11 +297,10 @@ def test_chiral_project_output_is_chirality_eigenstate():
     st = make_psi3(1.0)
     for f in (0, 1):
         for g in (0, 1):
-            rho = chiral_project(st, f, g)
-            assert abs(np.trace(rho) - 1.0) < 1e-12
-            assert abs(np.trace(rho @ rho).real - 1.0) < 1e-12
-            assert_allclose(gamma5_a @ rho, (-1.0) ** f * rho, atol=1e-12)
-            assert_allclose(gamma5_b @ rho, (-1.0) ** g * rho, atol=1e-12)
+            vec = chiral_project_vector(st, f, g)
+            assert abs(np.linalg.norm(vec) - 1.0) < 1e-15
+            assert_allclose(gamma5_a @ vec, (-1.0) ** f * vec, atol=1e-15)
+            assert_allclose(gamma5_b @ vec, (-1.0) ** g * vec, atol=1e-15)
 
 
 def test_chiral_project_annihilation_raises():
@@ -315,10 +321,10 @@ def test_chiral_project_annihilation_raises():
         M,
     )
     with pytest.raises(ValueError, match="annihilates"):
-        chiral_project(st, 0, 0)
+        chiral_project_vector(st, 0, 0)
     # the complementary label survives
-    rho = chiral_project(st, 1, 0)
-    assert abs(np.trace(rho) - 1.0) < 1e-12
+    vec = chiral_project_vector(st, 1, 0)
+    assert abs(np.linalg.norm(vec) - 1.0) < 1e-15
 
 
 def test_equal_label_chiral_projection_boost_invariant_for_shared_momentum():
@@ -326,86 +332,72 @@ def test_equal_label_chiral_projection_boost_invariant_for_shared_momentum():
     boosts untouched (spot check; the verification suite sweeps this)."""
     st = make_psi3(1.0)
     for f in (0, 1):
-        rho = chiral_project(st, f, f)
+        vec = chiral_project_vector(st, f, f)
         for w, th in ((0.8, 0.3), (2.0, 1.2)):
-            boosted, _ = boost_two_particle(rho, BoostSpec.from_polar_angle(w, th))
-            assert np.max(np.abs(boosted - rho)) < 1e-12
+            boosted, nu = boost_two_particle(vec, BoostSpec.from_polar_angle(w, th))
+            assert abs(nu - 1.0) < 1e-12
+            assert np.max(np.abs(boosted - vec)) < 1e-12
 
 
 # --------------------------------------------------------------------------
-# boosts of two-particle density matrices
+# boosts of two-particle state vectors
 # --------------------------------------------------------------------------
 
 
-def test_boost_preserves_purity_and_trace():
+def test_boost_keeps_a_unit_vector():
     rng = np.random.default_rng(211)
     for _ in range(6):
-        rho = density_matrix(random_state(rng))
+        vec = assemble_state_vector(random_state(rng))
         b = BoostSpec.from_polar_angle(rng.uniform(0.0, 3.0), rng.uniform(0.0, math.pi))
-        boosted, nu = boost_two_particle(rho, b)
+        boosted, nu = boost_two_particle(vec, b)
         assert nu > 0.0
-        assert abs(np.trace(boosted) - 1.0) < 1e-12
-        assert abs(np.trace(boosted @ boosted).real - 1.0) < 1e-10
-        assert np.max(np.abs(boosted - boosted.conj().T)) < 1e-12
+        assert boosted.shape == (16,)
+        assert abs(np.linalg.norm(boosted) - 1.0) < 1e-15
 
 
 def test_boost_inverse_recovers_state():
-    rho = density_matrix(make_psi2(1.0))
+    vec = assemble_state_vector(make_psi2(1.0))
     b = BoostSpec.from_polar_angle(1.7, 0.6)
-    boosted, _ = boost_two_particle(rho, b)
+    boosted, _ = boost_two_particle(vec, b)
     back, _ = boost_two_particle(boosted, b.reversed())
-    assert np.max(np.abs(back - rho)) < 1e-10
+    assert np.max(np.abs(back - vec)) < 1e-10
 
 
 def test_boost_identity_is_exact():
-    rho = density_matrix(make_psi1(1.0))
-    out, nu = boost_two_particle(rho, BoostSpec(0.0, E_Z))
+    vec = assemble_state_vector(make_psi1(1.0))
+    out, nu = boost_two_particle(vec, BoostSpec(0.0, E_Z))
     assert nu == 1.0
-    assert np.array_equal(out, rho)
-    assert out is not rho  # a copy, so callers cannot mutate the input
+    assert np.array_equal(out, vec)
+    assert out is not vec  # a copy, so callers cannot mutate the input
 
 
 def test_boost_normalizer_equals_trace_form():
     """nu agrees with Tr[(S x S)^2 rho] — the operator is Hermitian."""
-    rho = density_matrix(make_psi2(1.0))
+    vec = assemble_state_vector(make_psi2(1.0))
     for w, th in ((0.5, 0.0), (1.5, 1.0), (3.0, math.pi / 2)):
         b = BoostSpec.from_polar_angle(w, th)
-        _, nu = boost_two_particle(rho, b)
+        _, nu = boost_two_particle(vec, b)
         s_pair = kron(bispinor_boost(b), bispinor_boost(b))
-        expected = float(np.real(np.trace(s_pair @ s_pair @ rho)))
+        expected = float(np.real(np.trace(s_pair @ s_pair @ outer(vec))))
         assert_allclose(nu, expected, atol=1e-10)
 
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("omega", [400.0, 1500.0])
 def test_boost_overflow_names_the_rapidity(omega):
-    rho = density_matrix(make_psi2(1.0))
+    vec = assemble_state_vector(make_psi2(1.0))
     with pytest.raises(ValueError, match=f"rapidity {omega:g} "):
-        boost_two_particle(rho, BoostSpec(omega, E_Z))
+        boost_two_particle(vec, BoostSpec(omega, E_Z))
 
 
 def test_boost_input_validation():
+    """The boost takes a state's unit 16-vector; its density matrix is refused."""
     b = BoostSpec(1.0, E_Z)
-    with pytest.raises(ValueError, match="16x16"):
-        boost_two_particle(np.eye(4) / 4, b)
-    with pytest.raises(ValueError, match="unit trace"):
-        boost_two_particle(np.eye(16), b)
-    skewed = np.eye(16, dtype=complex) / 16
-    skewed[0, 1] = 1e-3
-    with pytest.raises(ValueError, match="Hermitian"):
-        boost_two_particle(skewed, b)
-    # Hermitian with unit trace, but with an eigenvalue of -0.1
-    indefinite = np.diag([0.6, 0.5, -0.1] + [0.0] * 13).astype(complex)
-    message = "not positive semidefinite: smallest eigenvalue -1.000e-01"
-    with pytest.raises(ValueError, match=message):
-        boost_two_particle(indefinite, b)
-    # smallest eigenvalue -9e-11 passes check_density, but the pivot 1e-14 magnifies it into a
-    # Cholesky residue b^2 / d = 8.1e-7 that the factors would silently drop
-    block = np.diag([1.0 - 1e-14, 1e-14] + [0.0] * 14).astype(complex)
-    block[1, 2] = block[2, 1] = 0.9e-10
-    check_density(block, 16)
-    with pytest.raises(ValueError, match="not positive semidefinite: residue 8.1e-07"):
-        boost_two_particle(block, b)
+    vec = assemble_state_vector(make_psi2(1.0))
+    with pytest.raises(ValueError, match=r"shape \(16,\), got shape \(16, 16\)"):
+        boost_two_particle(outer(vec), b)
+    with pytest.raises(ValueError, match="unit norm"):
+        boost_two_particle(2.0 * vec, b)
 
 
 @pytest.mark.parametrize("omega", [16.5, 20.0, 28.0, 40.0, 60.0, 350.0, 1000.0])
@@ -414,9 +406,9 @@ def test_boost_along_the_momenta_keeps_nu_and_eg_at_any_rapidity(omega):
     (S (x) S) rho (S (x) S)^dag lost this from omega = 16.5 (its rounding grows as
     eps cond(S (x) S)^2); in the eigenbasis of the boost nothing cancels, so it holds up to
     the largest rapidity a float boost can carry."""
-    rho = density_matrix(make_psi1(1.0))
-    boosted, nu = boost_two_particle(rho, BoostSpec(omega, E_Z))
-    assert np.max(np.abs(boosted - boosted.conj().T)) <= 1e-12
+    vec = assemble_state_vector(make_psi1(1.0))
+    boosted, nu = boost_two_particle(vec, BoostSpec(omega, E_Z))
+    assert abs(np.linalg.norm(boosted) - 1.0) <= 1e-12
     assert abs(nu - 1.0) <= 1e-12
     assert abs(global_entanglement(boosted) - 0.5) <= 1e-12
 

@@ -32,18 +32,16 @@ from diracboost.sweep import (
     SweepConfig,
     SweepError,
     run_sweep,
-    scenario_density,
     scenario_vector,
 )
-from diracboost.tensor import outer
 
 ALL_MEASURES = ("eg", "delta_eg", "negativity", "delta_negativity", "bloch")
 LABELS = list(itertools.product((0, 1), repeat=2))
 TOL = 1e-12
 
 
-def _reference_row(rho0, omega, theta):
-    boosted, nu = boost_two_particle(rho0, BoostSpec.from_polar_angle(omega, theta))
+def _reference_row(psi0, omega, theta):
+    boosted, nu = boost_two_particle(psi0, BoostSpec.from_polar_angle(omega, theta))
     values = {
         "eg": global_entanglement(boosted),
         "negativity": negativity(spin_spin_reduced(boosted)),
@@ -78,12 +76,12 @@ def test_chunked_sweep_matches_per_point_pipeline(
         theta_grid=GridSpec(0.0, math.pi, theta_steps),
         measures=ALL_MEASURES,
     )
-    rho0 = scenario_density(cfg)
-    eg0, neg0 = global_entanglement(rho0), negativity(spin_spin_reduced(rho0))
+    psi0 = scenario_vector(cfg)
+    eg0, neg0 = global_entanglement(psi0), negativity(spin_spin_reduced(psi0))
     rows = run_sweep(cfg)
     assert len(rows) == points
     for row in rows:
-        want, nu = _reference_row(rho0, row["omega"], row["theta"])
+        want, nu = _reference_row(psi0, row["omega"], row["theta"])
         want["delta_eg"] = want["eg"] - eg0
         want["delta_negativity"] = want["negativity"] - neg0
         assert abs(row["nu"] - nu) <= TOL * max(1.0, nu)
@@ -213,14 +211,15 @@ def test_eigensolver_failure_names_its_point(monkeypatch):
 def test_one_chunk_mixes_both_routes_in_row_order(scenario, labels):
     """Rows whose boost cancels the state (theta = 0) and rows whose boost does not, mixed."""
     cfg = SweepConfig(scenario=scenario, omega0=1.0, chiral_labels=labels)
-    psi, rho0 = scenario_vector(cfg).reshape(4, 4), scenario_density(cfg)
+    psi0 = scenario_vector(cfg)
+    psi = psi0.reshape(4, 4)
     omegas = np.repeat(np.linspace(0.0, 6.0, 13), 4)
     thetas = np.tile([0.0, 0.6, 0.0, 2.2], 13)
     n = np.stack([np.sin(thetas), np.zeros_like(thetas), np.cos(thetas)], axis=1)
     tables = kernel._tables(psi, n)
     nu, eg, neg, bloch = sweep._measure_chunk(tables, omegas, thetas, np.arange(len(n)))
 
-    references = [_reference_row(rho0, w, th) for w, th in zip(omegas, thetas)]
+    references = [_reference_row(psi0, w, th) for w, th in zip(omegas, thetas)]
     bloch_names = [f"bloch_{tag}_{axis}" for tag in ("pa", "sa", "pb", "sb") for axis in "xyz"]
     for p, (want, ref_nu) in enumerate(references):
         assert abs(nu[p] - ref_nu) <= TOL * max(1.0, ref_nu)
@@ -431,8 +430,8 @@ def test_cancelling_and_near_collinear_boosts_match_a_60_digit_reference():
         assert abs(got[1][0] - eg) <= TOL, point
         assert abs(got[2][0] - neg) <= TOL, point
         assert np.max(np.abs(got[3][0] - bloch)) <= TOL, point
-        # the per-point route, from the state's density matrix
-        boosted, per_point_nu = boost_two_particle(outer(psi.ravel()), BoostSpec(omega, n[0]))
+        # the per-point route, from the state vector
+        boosted, per_point_nu = boost_two_particle(psi.ravel(), BoostSpec(omega, n[0]))
         assert abs(per_point_nu - nu) <= TOL * nu, point
         assert abs(global_entanglement(boosted) - eg) <= TOL, point
         assert abs(negativity(spin_spin_reduced(boosted)) - neg) <= TOL, point

@@ -8,7 +8,9 @@ from diracboost.tensor import (
     ID2,
     PAULI_X,
     PAULI_Z,
+    TRACE_TOL,
     SubsystemLayout,
+    check_state,
     hermitian_eigenvalues,
     kron,
     outer,
@@ -379,3 +381,22 @@ def test_outer_projector_properties():
     assert_allclose(rho, rho.conj().T, atol=0)
     assert_allclose(rho @ rho, rho, atol=1e-14)
     assert abs(np.trace(rho) - 1.0) < 1e-14
+
+
+# --------------------------------------------------------------------------
+# check_state
+# --------------------------------------------------------------------------
+
+
+def test_check_state_norm_rule_is_trace_tol_wide():
+    """|psi|^2 may miss 1 by up to TRACE_TOL, on either side; a real vector comes back complex."""
+    e0 = np.zeros(16)
+    for miss in (0.5 * TRACE_TOL, -0.5 * TRACE_TOL):
+        e0[0] = np.sqrt(1.0 + miss)
+        psi = check_state(e0)
+        assert psi.dtype == complex
+        assert_allclose(psi, e0, rtol=0, atol=0)
+    for miss in (2.0 * TRACE_TOL, -2.0 * TRACE_TOL):
+        e0[0] = np.sqrt(1.0 + miss)
+        with pytest.raises(ValueError, match="unit norm"):
+            check_state(e0)

@@ -7,17 +7,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import diracboost.kernel
 import diracboost.measures
-import diracboost.states
 import diracboost.sweep
 from diracboost import cli
 from diracboost.kinematics import BoostSpec, _boost_eigenbasis
 from diracboost.states import (
     boost_two_particle,
-    chiral_project,
+    chiral_project_vector,
     make_psi2,
     make_psi3,
 )
+from diracboost.tensor import outer
 from diracboost.verify import (
     CheckResult,
     _check_analytic_bloch,
@@ -56,7 +57,7 @@ def test_corrupted_boost_sign_is_caught(monkeypatch):
     def flipped(directions: np.ndarray) -> np.ndarray:
         return _boost_eigenbasis(directions)[..., [2, 3, 0, 1]]
 
-    monkeypatch.setattr(diracboost.states, "_boost_eigenbasis", flipped)
+    monkeypatch.setattr(diracboost.kernel, "_boost_eigenbasis", flipped)
     corrupted = _check_psi3_extremum()
     assert not corrupted.passed
     assert corrupted.check_id == "c07"
@@ -160,10 +161,10 @@ def test_c08_finding_holds_on_its_own_samples(maker, f, g):
     """On c08's samples the psi3 f=g projections stay within 1e-12 of rho and the
     other six move by at least 0.5, so a change of sampler can neither hide nor
     invent c08's failure."""
-    rho = chiral_project(maker(1.0), f, g)
+    psi = chiral_project_vector(maker(1.0), f, g)
     moved = max(
-        float(np.linalg.norm(boost_two_particle(rho, BoostSpec.from_polar_angle(om, th))[0] - rho))
-        for om, th in _chiral_samples()
+        float(np.linalg.norm(outer(boost_two_particle(psi, b)[0]) - outer(psi)))
+        for b in (BoostSpec.from_polar_angle(om, th) for om, th in _chiral_samples())
     )
     if maker is make_psi3 and f == g:
         assert moved <= 1e-12
