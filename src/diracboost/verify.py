@@ -41,7 +41,7 @@ from .states import (
     make_psi2,
     make_psi3,
 )
-from .sweep import GridSpec, SweepConfig, _sweep_columns
+from .sweep import GridSpec, SweepConfig, _sweep_columns, scenario_vector
 from .tensor import outer
 
 GRID_OMEGAS = GridSpec(0.0, 5.0, 20)
@@ -222,13 +222,15 @@ def _check_chiral_invariance() -> CheckResult:
 
 def _check_analytic_bloch() -> CheckResult:
     worst = 0.0
-    for scenario, maker in (("psi2", make_psi2), ("psi3", make_psi3)):
+    for scenario in ("psi1", "psi2", "psi3", "chiral-psi2", "chiral-psi3"):
         grid = _sweep_grid(scenario, GRID_OMEGAS, GRID_THETAS)
-        n = _polar_directions(grid["theta"].ravel())
-        analytic = _analytic_bloch_batch(maker(1.0), grid["omega"].ravel(), n)
-        worst = max(worst, float(np.max(np.abs(grid["bloch"] - analytic))))
-    return _within("c09", "closed-form boosted Bloch vectors match the numeric pipeline",
-                   worst, 0.0, 1e-9, "both shared-momentum scenarios, 20x10 grid")
+        directions = _polar_directions(grid["theta"].ravel())
+        psi = scenario_vector(SweepConfig(scenario, 1.0))
+        bloch, nu = _analytic_bloch_batch(psi, grid["omega"].ravel(), directions)
+        worst = max(worst, float(np.max(np.abs(grid["bloch"] - bloch))),
+                    float(np.max(np.abs(grid["nu"].ravel() / nu - 1.0))))
+    return _within("c09", "the textbook boost S Psi S^T gives the sweep's Bloch vectors and nu",
+                   worst, 0.0, 1e-9, "psi1-3 and chiral-psi2/3 (0,0), 20x10 grid; nu relative")
 
 
 # Samples come only from `random.Random.uniform`, whose sequence per seed Python keeps.

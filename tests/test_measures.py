@@ -6,9 +6,12 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import diracboost.kernel
+import diracboost.measures
 from diracboost.kinematics import E_Z, BoostSpec, FourMomentum
 from diracboost.measures import (
     BlochVector,
+    _analytic_bloch_batch,
     analytic_boosted_bloch,
     bloch_vector,
     delta_global,
@@ -402,7 +405,7 @@ def test_psi2_parallel_boost_closed_forms():
 
 
 # --------------------------------------------------------------------------
-# closed-form transformed Bloch vectors
+# the boosted Bloch-vector oracle
 # --------------------------------------------------------------------------
 
 
@@ -444,15 +447,36 @@ def test_analytic_bloch_parity_y_components_vanish():
     assert analytic["PB"].y == 0.0
 
 
-def test_analytic_bloch_requires_common_axis_momenta():
-    with pytest.raises(ValueError, match="mixes momenta"):
-        analytic_boosted_bloch(make_psi1(1.0), BoostSpec(1.0, E_Z))
+def test_analytic_bloch_answers_states_without_one_axis_momentum_per_slot():
+    """psi1 mixes momenta in each slot and the second state's momentum is off the z axis; the
+    oracle boosts any state, so both meet the per-point boost and reductions."""
     off_axis = FourMomentum.from_rapidity(M, 1.0, np.array([1.0, 0.0, 0.0]))
-    st = TwoParticleState(
-        (SuperpositionTerm(1.0, (off_axis, 1), (off_axis, 2)),), M
-    )
-    with pytest.raises(ValueError, match="z axis"):
-        analytic_boosted_bloch(st, BoostSpec(1.0, E_Z))
+    st = TwoParticleState((SuperpositionTerm(1.0, (off_axis, 1), (off_axis, 2)),), M)
+    for state in (make_psi1(1.0), st):
+        for b in (BoostSpec(1.0, E_Z), BoostSpec.from_polar_angle(2.5, 0.9)):
+            boosted, _ = boost_two_particle(assemble_state_vector(state), b)
+            analytic = analytic_boosted_bloch(state, b)
+            for tag, r in single_qubit_reductions(boosted).items():
+                assert_allclose(analytic[tag].as_array(), bloch_vector(r).as_array(), atol=1e-12)
+
+
+def test_analytic_bloch_shares_no_code_with_the_kernel(monkeypatch):
+    """The oracle answers with the kernel's tables, chunk measure and eigenbasis all broken,
+    which is what makes c09 an independent check of the sweep."""
+    state, b = make_psi1(1.0), BoostSpec.from_polar_angle(1.5, 0.4)
+    psi, batch = assemble_state_vector(state), ([0.0, 1.5], np.array([E_Z, b.direction]))
+    single, (bloch, nu) = analytic_boosted_bloch(state, b), _analytic_bloch_batch(psi, *batch)
+
+    def broken(*args):
+        raise AssertionError("the oracle called into the kernel")
+
+    for module, name in ((diracboost.measures, "_tables"), (diracboost.measures, "_measure_chunk"),
+                         (diracboost.kernel, "_boost_eigenbasis")):
+        monkeypatch.setattr(module, name, broken)
+    assert analytic_boosted_bloch(state, b) == single
+    again, again_nu = _analytic_bloch_batch(psi, *batch)
+    np.testing.assert_array_equal(again, bloch)
+    np.testing.assert_array_equal(again_nu, nu)
 
 
 def test_bloch_vector_rejects_non_finite_components():

@@ -1,12 +1,13 @@
-"""Property tests: the batched sweep kernel against the closed-form Bloch oracle,
+"""Property tests: the batched sweep kernel against the boosted Bloch-vector oracle,
 boost reversibility, local-unitary invariance of the measures, the Lorentz
 invariance of the chirality-block determinants of any coefficient matrix, and the
 per-point state-vector boost against the cosh/sinh formula of ``bispinor_boost``.
 
-States share one momentum per slot, along +z or -z, and superpose one to
-four helicity-pair terms with random complex coefficients; boosts have random
-rapidities and directions.  The kernel boosts the state's coefficient matrix;
-the oracle never builds a boosted state, so agreement checks both routes.
+States either share one momentum per slot, along +z or -z, and superpose one to
+four helicity-pair terms with random complex coefficients, or are general unit
+16-vectors; boosts have random rapidities and directions.  The kernel boosts the
+state in the boost generator's eigenbasis; the oracle builds ``S Psi S^T`` from the
+cosh/sinh formula and shares no code with it, so agreement checks both routes.
 """
 
 import numpy as np
@@ -61,27 +62,38 @@ def boosts(draw):
     return rapidities, directions / norms[:, None]
 
 
+@st.composite
+def state_vectors(draw):
+    """A unit 16-vector of amplitudes."""
+    psi = np.array([complex(draw(unit), draw(unit)) for _ in range(16)])
+    assume(np.linalg.norm(psi) > 0.3)
+    return psi / np.linalg.norm(psi)
+
+
 @settings(max_examples=50, deadline=None, derandomize=True, database=None)
-@given(state=shared_momentum_states(), batch=boosts())
-def test_kernel_matches_closed_form_oracle(state, batch):
+@given(state=st.one_of(shared_momentum_states(), state_vectors()), batch=boosts())
+def test_kernel_matches_the_boost_oracle(state, batch):
     rapidities, directions = batch
-    psi = assemble_state_vector(state).reshape(4, 4)
+    psi = state if isinstance(state, np.ndarray) else assemble_state_vector(state)
     columns = np.arange(len(rapidities))
-    _, eg, neg, bloch = _measure_chunk(
-        _tables(psi, directions), rapidities, np.zeros_like(rapidities), columns
+    nu, eg, neg, bloch = _measure_chunk(
+        _tables(psi.reshape(4, 4), directions), rapidities, np.zeros_like(rapidities), columns
     )
-    analytic = _analytic_bloch_batch(state, rapidities, directions)
+    analytic, analytic_nu = _analytic_bloch_batch(psi, rapidities, directions)
     assert np.max(np.abs(bloch - analytic)) <= TOL
+    assert np.max(np.abs(nu / analytic_nu - 1.0)) <= TOL
     # Meyer-Wallach / Brennen: E_G = 1 - mean |a|^2 over the four qubits
     assert np.max(np.abs(eg - (1.0 - np.mean(np.sum(analytic**2, axis=2), axis=1)))) <= TOL
     assert np.all((eg >= 0.0) & (eg <= 1.0))
     assert np.all((neg >= 0.0) & (neg <= 1.0))
-    # a batch row is bit-identical to the public oracle on that boost alone
+    # a batch row is bit-identical to the oracle on that boost alone
     for k, (w, n) in enumerate(zip(rapidities, directions)):
-        single = analytic_boosted_bloch(state, BoostSpec(float(w), n))
-        np.testing.assert_array_equal(
-            np.stack([single[tag].as_array() for tag in ("PA", "SA", "PB", "SB")]), analytic[k]
-        )
+        if isinstance(state, np.ndarray):
+            single = _analytic_bloch_batch(psi, rapidities[k : k + 1], directions[k : k + 1])[0][0]
+        else:
+            vectors = analytic_boosted_bloch(state, BoostSpec(float(w), n))
+            single = np.stack([vectors[tag].as_array() for tag in ("PA", "SA", "PB", "SB")])
+        np.testing.assert_array_equal(single, analytic[k])
 
 
 @settings(max_examples=50, deadline=None, derandomize=True, database=None)
@@ -153,14 +165,6 @@ def test_chirality_block_determinants_are_lorentz_invariant(psi, rapidity, direc
     s = bispinor_boost(BoostSpec(rapidity, n / np.linalg.norm(n)))
     drift = _chirality_block_determinants(s @ psi @ s.T) - _chirality_block_determinants(psi)
     assert np.max(np.abs(drift)) <= 1e-15 * np.exp(2.0 * abs(rapidity))
-
-
-@st.composite
-def state_vectors(draw):
-    """A unit 16-vector of amplitudes."""
-    psi = np.array([complex(draw(unit), draw(unit)) for _ in range(16)])
-    assume(np.linalg.norm(psi) > 0.3)
-    return psi / np.linalg.norm(psi)
 
 
 @st.composite

@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 import diracboost.kernel
-import diracboost.measures
 import diracboost.sweep
+import diracboost.verify
 from diracboost import cli
 from diracboost.kinematics import BoostSpec, _boost_eigenbasis
 from diracboost.states import (
@@ -82,21 +82,33 @@ def test_run_verification_matches_golden():
         assert abs(result.measured - want["measured"]) <= 1e-12, result.line()
 
 
-def test_c09_catches_a_perturbed_closed_form_trace(monkeypatch):
-    """c09 compares the sweep kernel with the closed-form oracle, so a 1e-8
-    error in one oracle trace table must fail it.  The parity table is the
-    one skewed: both c09 states have vanishing spin Bloch vectors."""
+@pytest.mark.parametrize("skew", [
+    lambda bloch, nu: (bloch * (1.0 + 1e-8), nu),
+    lambda bloch, nu: (bloch, nu * (1.0 + 1e-8)),
+], ids=["bloch", "nu"])
+def test_c09_catches_a_skewed_oracle(monkeypatch, skew):
+    """c09 compares the sweep kernel with the textbook-boost oracle, so a 1e-8 relative error
+    in the oracle's Bloch vectors or in its nu must fail it."""
     assert _check_analytic_bloch().passed
-    exact = diracboost.measures._slot_tables
-
-    def skewed(*args):
-        gram, mu, t_spin, t_parity = exact(*args)
-        return gram, mu, t_spin, t_parity * (1.0 + 1e-8)
-
-    monkeypatch.setattr(diracboost.measures, "_slot_tables", skewed)
+    exact = diracboost.verify._analytic_bloch_batch
+    monkeypatch.setattr(diracboost.verify, "_analytic_bloch_batch", lambda *a: skew(*exact(*a)))
     corrupted = _check_analytic_bloch()
     assert not corrupted.passed
     assert corrupted.check_id == "c09"
+
+
+def test_c09_sees_the_spin_bloch_columns(monkeypatch):
+    """c09's states include psi1 and chiral-psi2, whose spin Bloch vectors do not vanish, so a
+    1e-8 relative error in the sweep's SA and SB columns alone must fail it."""
+    assert _check_analytic_bloch().passed
+    exact = diracboost.sweep._measure_chunk
+
+    def skewed(*args):
+        nu, eg, neg, bloch = exact(*args)
+        return nu, eg, neg, bloch * np.array([1.0, 1.0 + 1e-8, 1.0, 1.0 + 1e-8])[:, None]
+
+    monkeypatch.setattr(diracboost.sweep, "_measure_chunk", skewed)
+    assert not _check_analytic_bloch().passed
 
 
 @pytest.mark.parametrize("check, skew", [
