@@ -31,7 +31,6 @@ from .measures import (
 from .states import (
     TWO_PARTICLE_LAYOUT,
     SuperpositionTerm,
-    TwoParticleState,
     assemble_state_vector,
     boost_two_particle,
     chiral_project_vector,
@@ -49,7 +48,6 @@ from .sweep import (
     run_sweep,
 )
 from .tensor import (
-    SubsystemLayout,
     partial_trace,
     partial_transpose,
 )
@@ -63,12 +61,10 @@ __all__ = [
     "CustomTermSpec",
     "FourMomentum",
     "GridSpec",
-    "SubsystemLayout",
     "SuperpositionTerm",
     "SweepConfig",
     "SweepError",
     "TWO_PARTICLE_LAYOUT",
-    "TwoParticleState",
     "analytic_boosted_bloch",
     "assemble_state_vector",
     "bispinor_boost",

@@ -14,20 +14,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from .kernel import _clamp_residue, _grid, _measure_chunk, _tables
 from .kinematics import BOOST_GENERATORS, BoostSpec
-from .states import TWO_PARTICLE_LAYOUT, TwoParticleState, assemble_state_vector
+from .states import TWO_PARTICLE_LAYOUT, SuperpositionTerm, assemble_state_vector
 from .tensor import (
-    SubsystemLayout, _symmetrized_eigenvalues, _trace_labels, check_density, check_state,
-    partial_transpose,
+    _symmetrized_eigenvalues, _trace_labels, check_density, check_state, partial_transpose,
 )
 
-SUBSYSTEM_TAGS = TWO_PARTICLE_LAYOUT.labels
-
-SPIN_PAIR_LAYOUT = SubsystemLayout(("SA", "SB"))
+SPIN_PAIR_LAYOUT = ("SA", "SB")
 
 
 def _reduction(keep):
@@ -38,7 +36,7 @@ def _reduction(keep):
     return lambda amp: np.einsum(amp, rows, amp.conj(), cols, out)
 
 
-_ONE_QUBIT = {tag: _reduction((tag,)) for tag in SUBSYSTEM_TAGS}
+_ONE_QUBIT = {tag: _reduction((tag,)) for tag in TWO_PARTICLE_LAYOUT}
 _SPIN_PAIR = _reduction(("SA", "SB"))
 
 
@@ -128,26 +126,26 @@ def negativity(rho_ss: np.ndarray) -> float:
     return float(_clamp_residue(np.sum(np.abs(_symmetrized_eigenvalues(transposed))) - 1.0))
 
 
-def _boost_deltas(st: TwoParticleState, b: BoostSpec) -> tuple[float, float]:
+def _boost_deltas(terms: Sequence[SuperpositionTerm], b: BoostSpec) -> tuple[float, float]:
     """(E_G, N) at the boost minus at the origin, from one kernel call, as the sweep's delta_*."""
     theta = np.arccos(np.clip(b.direction[2], -1.0, 1.0))  # names a failed point
-    tables = _tables(assemble_state_vector(st).reshape(4, 4), b.direction[None])
+    tables = _tables(assemble_state_vector(terms).reshape(4, 4), b.direction[None])
     _, eg, neg, _ = _measure_chunk(tables, *_grid([0.0, b.rapidity], [theta]))
     return float(eg[1] - eg[0]), float(neg[1] - neg[0])
 
 
-def delta_global(st: TwoParticleState, b: BoostSpec) -> float:
+def delta_global(terms: Sequence[SuperpositionTerm], b: BoostSpec) -> float:
     """Change of global entanglement under a boost (boosted minus original).
 
     A boost the kernel cannot measure is a ``SweepError``, which is a ``ValueError``."""
-    return _boost_deltas(st, b)[0]
+    return _boost_deltas(terms, b)[0]
 
 
-def delta_negativity(st: TwoParticleState, b: BoostSpec) -> float:
+def delta_negativity(terms: Sequence[SuperpositionTerm], b: BoostSpec) -> float:
     """Change of spin-spin negativity under a boost (boosted minus original).
 
     Fails as :func:`delta_global` does."""
-    return _boost_deltas(st, b)[1]
+    return _boost_deltas(terms, b)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -179,7 +177,9 @@ def _analytic_bloch_batch(psi, rapidities, directions) -> tuple[np.ndarray, np.n
     return np.stack([np.stack(_bloch_components(r(amp)), -1) for r in _ONE_QUBIT.values()], 1), nu
 
 
-def analytic_boosted_bloch(st: TwoParticleState, b: BoostSpec) -> dict[str, BlochVector]:
+def analytic_boosted_bloch(
+    terms: Sequence[SuperpositionTerm], b: BoostSpec
+) -> dict[str, BlochVector]:
     """Transformed Bloch vectors of all four qubits of any state, from the textbook boost.
 
     One point of :func:`_analytic_bloch_batch`.  It shares no code with the sweep kernel (no
@@ -189,5 +189,6 @@ def analytic_boosted_bloch(st: TwoParticleState, b: BoostSpec) -> dict[str, Bloc
     Bloch vectors drift from the kernel's by about 1e-12 at omega = 10 and 3e-8 at omega = 20,
     while psi2 and psi3 agree within 6e-16 through omega = 20.
     """
-    bloch, _ = _analytic_bloch_batch(assemble_state_vector(st), [b.rapidity], b.direction[None])
-    return {tag: BlochVector(*row) for tag, row in zip(SUBSYSTEM_TAGS, bloch[0].tolist())}
+    psi = assemble_state_vector(terms)
+    bloch, _ = _analytic_bloch_batch(psi, [b.rapidity], b.direction[None])
+    return {tag: BlochVector(*row) for tag, row in zip(TWO_PARTICLE_LAYOUT, bloch[0].tolist())}

@@ -1,10 +1,12 @@
 """Two-particle bispinor superpositions, scenario states, and boosts.
 
-A state is a list of terms ``c_i * u(slotA_i) (x) u(slotB_i)`` over 16
-dimensions with the factor ordering fixed by :data:`TWO_PARTICLE_LAYOUT`:
-parity A, spin A, parity B, spin B.  Normalization always comes from the
-actual assembled vector norm — terms whose slots carry different momenta
-need not be orthogonal, so ``sum |c_i|^2`` is not the right normalizer.
+A superposition is a plain tuple of :class:`SuperpositionTerm` objects, the
+terms ``c_i * u(slotA_i) (x) u(slotB_i)``, over 16 dimensions with the factor
+ordering fixed by :data:`TWO_PARTICLE_LAYOUT`: parity A, spin A, parity B,
+spin B, and :func:`assemble_state_vector` is its one boundary.  Normalization
+always comes from the actual assembled vector norm — terms whose slots carry
+different momenta need not be orthogonal, so ``sum |c_i|^2`` is not the right
+normalizer.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -24,10 +27,10 @@ from .kinematics import (
     bispinor_u,
     chiral_projector,
 )
-from .tensor import SubsystemLayout, check_state
+from .tensor import check_state
 
 #: Global factor ordering for the 16-dimensional two-particle space.
-TWO_PARTICLE_LAYOUT = SubsystemLayout(("PA", "SA", "PB", "SB"))
+TWO_PARTICLE_LAYOUT = ("PA", "SA", "PB", "SB")
 
 SlotSpec = tuple[FourMomentum, int]
 
@@ -54,39 +57,24 @@ class SuperpositionTerm:
             object.__setattr__(self, name, (momentum, int(helicity)))
 
 
-@dataclass(frozen=True, eq=False)
-class TwoParticleState:
-    """An ordered superposition of two-particle bispinor terms of common mass."""
-
-    terms: tuple[SuperpositionTerm, ...]
-    mass: float
-
-    def __post_init__(self) -> None:
-        terms = tuple(self.terms)
-        if not terms:
-            raise ValueError("state needs at least one term")
-        object.__setattr__(self, "terms", terms)
-        for t in terms:
-            for momentum, _ in (t.slot_a, t.slot_b):
-                if abs(momentum.mass - self.mass) > 1e-12 * self.mass:
-                    raise ValueError(
-                        f"term momentum mass {momentum.mass!r} differs from "
-                        f"state mass {self.mass!r}"
-                    )
-
-
-def assemble_state_vector(st: TwoParticleState) -> np.ndarray:
+def assemble_state_vector(terms: Sequence[SuperpositionTerm]) -> np.ndarray:
     """Assemble and normalize the 16-component state vector: ``Psi = sum_i c_i u(A_i) u(B_i)^T``
     as a 4x4 matrix, raveled.
 
+    ``terms``, any sequence, must be non-empty, and all slot masses must agree to 1e-12 relative.
     One exact power of two first brings the largest coefficient part into [0.5, 1), so the state
     does not depend on the coefficients' scale anywhere in the float range.  Raises if the
     superposition cancels to (numerically) zero.
     """
-    top = max(max(abs(t.coefficient.real), abs(t.coefficient.imag)) for t in st.terms)
+    if not terms:
+        raise ValueError("superposition needs at least one term")
+    masses = [momentum.mass for t in terms for momentum, _ in (t.slot_a, t.slot_b)]
+    if max(masses) - min(masses) > 1e-12 * max(masses):
+        raise ValueError(f"slot masses differ: {min(masses)!r} and {max(masses)!r}")
+    top = max(max(abs(t.coefficient.real), abs(t.coefficient.imag)) for t in terms)
     shift = -math.frexp(top)[1]
     psi = np.zeros((4, 4), dtype=complex)
-    for t in st.terms:
+    for t in terms:
         c = complex(math.ldexp(t.coefficient.real, shift), math.ldexp(t.coefficient.imag, shift))
         psi += c * np.outer(bispinor_u(*t.slot_a), bispinor_u(*t.slot_b))
     norm = float(np.linalg.norm(psi))
@@ -105,13 +93,13 @@ def _scenario_momenta(omega0: float) -> tuple[FourMomentum, FourMomentum]:
     return p, q
 
 
-def _antisymmetric_pair(first, second) -> TwoParticleState:
-    """The unit-mass state ``(first - second) / sqrt(2)``; each term is a (slot A, slot B) pair."""
+def _antisymmetric_pair(first, second) -> tuple[SuperpositionTerm, SuperpositionTerm]:
+    """The terms of ``(first - second) / sqrt(2)``; each argument is a (slot A, slot B) pair."""
     inv = 1.0 / math.sqrt(2.0)
-    return TwoParticleState((SuperpositionTerm(inv, *first), SuperpositionTerm(-inv, *second)), 1.0)
+    return SuperpositionTerm(inv, *first), SuperpositionTerm(-inv, *second)
 
 
-def make_psi1(omega0: float) -> TwoParticleState:
+def make_psi1(omega0: float) -> tuple[SuperpositionTerm, SuperpositionTerm]:
     """Opposite momenta with the helicity pair swapped between slots.
 
     (u1(p) (x) u2(q) - u2(q) (x) u1(p)) / sqrt(2) with p = -q = sinh(w0) e_z.
@@ -124,7 +112,7 @@ def make_psi1(omega0: float) -> TwoParticleState:
     return _antisymmetric_pair(((p, 1), (q, 2)), ((q, 2), (p, 1)))
 
 
-def make_psi2(omega0: float) -> TwoParticleState:
+def make_psi2(omega0: float) -> tuple[SuperpositionTerm, SuperpositionTerm]:
     """Opposite momenta, equal helicity labels in each term.
 
     (u1(p) (x) u1(q) - u2(p) (x) u2(q)) / sqrt(2) with p = -q = sinh(w0) e_z.
@@ -133,7 +121,7 @@ def make_psi2(omega0: float) -> TwoParticleState:
     return _antisymmetric_pair(((p, 1), (q, 1)), ((p, 2), (q, 2)))
 
 
-def make_psi3(omega0: float) -> TwoParticleState:
+def make_psi3(omega0: float) -> tuple[SuperpositionTerm, SuperpositionTerm]:
     """Both particles share one momentum, helicities antisymmetrized.
 
     (u1(p) (x) u2(p) - u2(p) (x) u1(p)) / sqrt(2) with p = sinh(w0) e_z.
@@ -142,13 +130,13 @@ def make_psi3(omega0: float) -> TwoParticleState:
     return _antisymmetric_pair(((p, 1), (p, 2)), ((p, 2), (p, 1)))
 
 
-def chiral_project_vector(st: TwoParticleState, f: int, g: int) -> np.ndarray:
-    """Project slot A onto chirality label ``f`` and slot B onto ``g``, each 0 or 1; returns the
-    normalized 16-vector.
+def chiral_project_vector(terms: Sequence[SuperpositionTerm], f: int, g: int) -> np.ndarray:
+    """Project slot A of the superposition ``terms`` onto chirality label ``f`` and slot B onto
+    ``g``, each 0 or 1; returns the normalized 16-vector.
 
     Raises if the projector annihilates the superposition.
     """
-    psi = assemble_state_vector(st).reshape(4, 4)
+    psi = assemble_state_vector(terms).reshape(4, 4)
     projected = (chiral_projector(f) @ psi @ chiral_projector(g).T).ravel()
     norm = float(np.linalg.norm(projected))
     if norm <= _ZERO_NORM_TOL:

@@ -20,7 +20,6 @@ from .kinematics import E_Z, FourMomentum, _polar_directions, _unit_direction
 from .states import (
     TWO_PARTICLE_LAYOUT,
     SuperpositionTerm,
-    TwoParticleState,
     assemble_state_vector,
     chiral_project_vector,
     make_psi1,
@@ -35,7 +34,7 @@ DEFAULT_MEASURES = ("eg", "delta_eg", "negativity", "delta_negativity")
 DEFAULT_CHIRAL_LABELS = (0, 0)
 OUTPUT_FORMATS = ("csv", "json")
 
-_BLOCH_COLUMNS = tuple(f"bloch_{t.lower()}_{x}" for t in TWO_PARTICLE_LAYOUT.labels for x in "xyz")
+_BLOCH_COLUMNS = tuple(f"bloch_{t.lower()}_{x}" for t in TWO_PARTICLE_LAYOUT for x in "xyz")
 
 #: Grid points per kernel call.  A few hundred keeps the working arrays, and
 #: so peak memory, small on any grid while amortizing per-call overhead.
@@ -189,8 +188,7 @@ def scenario_vector(cfg: SweepConfig) -> np.ndarray:
     field = "term" if cfg.scenario == "custom" else "omega0"
     try:
         if cfg.scenario == "custom":
-            terms = tuple(t.to_term() for t in cfg.custom_terms)
-            return assemble_state_vector(TwoParticleState(terms, 1.0))
+            return assemble_state_vector([t.to_term() for t in cfg.custom_terms])
         state = builders[base](cfg.omega0)
         if base == cfg.scenario:
             return assemble_state_vector(state)

@@ -1,16 +1,17 @@
 """Dense tensor utilities for registers of qubits.
 
 Everything in this package lives in 2-, 4-, or 16-dimensional complex spaces
-built as Kronecker products of qubit factors.  A :class:`SubsystemLayout`
-fixes the factor ordering: the first tag is the most significant bit of the
-flat basis index, so for a layout ``("PA", "SA", "PB", "SB")`` the basis
-index is ``8*pA + 4*sA + 2*pB + sB``.
+built as Kronecker products of qubit factors.  A layout is a plain tuple of
+distinct qubit tags that fixes the factor ordering: the first tag is the most
+significant bit of the flat basis index, so for the layout
+``("PA", "SA", "PB", "SB")`` the basis index is ``8*pA + 4*sA + 2*pB + sB``.
+Taking the plain tuple, not a layout class, was a public API change;
+:func:`partial_trace` and :func:`partial_transpose` check it where they take it.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
@@ -28,35 +29,6 @@ HERMITICITY_TOL = 1e-10
 TRACE_TOL = 1e-10
 
 
-@dataclass(frozen=True)
-class SubsystemLayout:
-    """Ordered qubit register used to address tensor factors by tag.
-
-    Every factor is a qubit (dimension 2), so the tags alone fix the layout.
-    The first tag varies slowest in the flat index (most significant bit).
-    """
-
-    labels: tuple[str, ...]
-
-    def __post_init__(self) -> None:
-        labels = tuple(self.labels)
-        object.__setattr__(self, "labels", labels)
-        if not labels:
-            raise ValueError("layout needs at least one subsystem")
-        if len(set(labels)) != len(labels):
-            raise ValueError(f"subsystem tags must be unique, got {labels!r}")
-
-    @property
-    def dim(self) -> int:
-        return 2 ** len(self.labels)
-
-    def axis(self, tag: str) -> int:
-        try:
-            return self.labels.index(tag)
-        except ValueError:
-            raise ValueError(f"unknown subsystem tag {tag!r}; layout has {self.labels!r}") from None
-
-
 def kron(*factors: np.ndarray) -> np.ndarray:
     """Complex Kronecker product of one or more arrays, left to right: ``np.kron`` folded."""
     if not factors:
@@ -64,9 +36,13 @@ def kron(*factors: np.ndarray) -> np.ndarray:
     return functools.reduce(np.kron, (np.asarray(f, dtype=complex) for f in factors))
 
 
-def _check_square(rho: np.ndarray, layout: SubsystemLayout) -> np.ndarray:
+def _check_square(rho: np.ndarray, layout: tuple[str, ...]) -> np.ndarray:
+    if not layout:
+        raise ValueError("layout needs at least one subsystem")
+    if len(set(layout)) != len(layout):
+        raise ValueError(f"subsystem tags must be unique, got {layout!r}")
     rho = np.asarray(rho, dtype=complex)
-    d = layout.dim
+    d = 2 ** len(layout)
     if rho.shape != (d, d):
         raise ValueError(
             f"matrix shape {rho.shape} does not match layout dimension {d}"
@@ -115,9 +91,7 @@ def _check_hermitian(h: np.ndarray, name: str) -> None:
         )
 
 
-def partial_trace(
-    rho: np.ndarray, layout: SubsystemLayout, keep: Iterable[str]
-) -> np.ndarray:
+def partial_trace(rho: np.ndarray, layout: tuple[str, ...], keep: Iterable[str]) -> np.ndarray:
     """Trace out every subsystem not listed in ``keep``.
 
     Kept factors appear in the result in layout order regardless of the
@@ -130,29 +104,29 @@ def partial_trace(
     return np.einsum(rho.reshape([2] * len(labels)), labels, out).reshape(d, d)
 
 
-def _trace_labels(layout: SubsystemLayout, keep: Iterable[str]) -> tuple[list[int], list[int]]:
+def _trace_labels(layout: tuple[str, ...], keep: Iterable[str]) -> tuple[list[int], list[int]]:
     """einsum ``(labels, output)`` of :func:`partial_trace` on the ``[2] * 2n`` reshape: qubit i's
     column index is label n + i if kept, or repeats its row label i, which traces it out."""
     keep_set = set(keep)
-    unknown = keep_set - set(layout.labels)
+    unknown = keep_set - set(layout)
     if unknown:
         raise ValueError(f"unknown subsystem tags {sorted(unknown)!r}")
-    n = len(layout.labels)
-    kept = [i for i, tag in enumerate(layout.labels) if tag in keep_set]
+    n = len(layout)
+    kept = [i for i, tag in enumerate(layout) if tag in keep_set]
     cols = [n + i if i in kept else i for i in range(n)]
     return [*range(n), *cols], kept + [n + i for i in kept]
 
 
-def partial_transpose(
-    rho: np.ndarray, layout: SubsystemLayout, target: str
-) -> np.ndarray:
+def partial_transpose(rho: np.ndarray, layout: tuple[str, ...], target: str) -> np.ndarray:
     """Transpose the indices of a single tensor factor."""
     rho = _check_square(rho, layout)
-    i = layout.axis(target)
-    n = len(layout.labels)
+    if target not in layout:
+        raise ValueError(f"unknown subsystem tag {target!r}; layout has {layout!r}")
+    i = layout.index(target)
+    n = len(layout)
     cur = rho.reshape([2] * (2 * n))
     cur = np.swapaxes(cur, i, i + n)
-    return cur.reshape(layout.dim, layout.dim)
+    return cur.reshape(rho.shape)
 
 
 def hermitian_eigenvalues(h: np.ndarray) -> np.ndarray:

@@ -26,7 +26,6 @@ from diracboost.measures import (
 from diracboost.states import (
     TWO_PARTICLE_LAYOUT,
     SuperpositionTerm,
-    TwoParticleState,
     assemble_state_vector,
     boost_two_particle,
     make_psi1,
@@ -48,7 +47,7 @@ def qubit_density(rng):
 
 def product_rest_state():
     rest = FourMomentum.at_rest(M)
-    return TwoParticleState((SuperpositionTerm(1.0, (rest, 1), (rest, 2)),), M)
+    return (SuperpositionTerm(1.0, (rest, 1), (rest, 2)),)
 
 
 def bell_spin_density():
@@ -451,7 +450,7 @@ def test_analytic_bloch_answers_states_without_one_axis_momentum_per_slot():
     """psi1 mixes momenta in each slot and the second state's momentum is off the z axis; the
     oracle boosts any state, so both meet the per-point boost and reductions."""
     off_axis = FourMomentum.from_rapidity(M, 1.0, np.array([1.0, 0.0, 0.0]))
-    st = TwoParticleState((SuperpositionTerm(1.0, (off_axis, 1), (off_axis, 2)),), M)
+    st = (SuperpositionTerm(1.0, (off_axis, 1), (off_axis, 2)),)
     for state in (make_psi1(1.0), st):
         for b in (BoostSpec(1.0, E_Z), BoostSpec.from_polar_angle(2.5, 0.9)):
             boosted, _ = boost_two_particle(assemble_state_vector(state), b)
@@ -496,4 +495,4 @@ def test_analytic_bloch_rejects_cancelling_superposition():
     p = FourMomentum.from_rapidity(M, 1.0, E_Z)
     terms = (SuperpositionTerm(1.0, (p, 1), (p, 2)), SuperpositionTerm(-1.0, (p, 1), (p, 2)))
     with pytest.raises(ValueError, match="zero vector"):
-        analytic_boosted_bloch(TwoParticleState(terms, M), BoostSpec(1.0, E_Z))
+        analytic_boosted_bloch(terms, BoostSpec(1.0, E_Z))

@@ -19,7 +19,6 @@ from diracboost.kinematics import E_Z, BoostSpec, FourMomentum, bispinor_boost
 from diracboost.measures import _analytic_bloch_batch, analytic_boosted_bloch
 from diracboost.states import (
     SuperpositionTerm,
-    TwoParticleState,
     assemble_state_vector,
     boost_two_particle,
 )
@@ -48,8 +47,7 @@ def shared_momentum_states(draw):
     for c, pair in zip(coeffs, pairs):
         totals[pair] = totals.get(pair, 0.0) + c
     assume(sum(abs(c) ** 2 for c in totals.values()) > 1e-2)
-    terms = tuple(SuperpositionTerm(c, (pa, sa), (pb, sb)) for c, (sa, sb) in zip(coeffs, pairs))
-    return TwoParticleState(terms, 1.0)
+    return tuple(SuperpositionTerm(c, (pa, sa), (pb, sb)) for c, (sa, sb) in zip(coeffs, pairs))
 
 
 @st.composite

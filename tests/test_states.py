@@ -15,7 +15,6 @@ from diracboost.kinematics import (
 from diracboost.measures import global_entanglement
 from diracboost.states import (
     SuperpositionTerm,
-    TwoParticleState,
     assemble_state_vector,
     boost_two_particle,
     chiral_project_vector,
@@ -42,7 +41,7 @@ def random_state(rng, n_terms=3):
         slot_a = (pool[rng.integers(len(pool))], int(rng.integers(1, 3)))
         slot_b = (pool[rng.integers(len(pool))], int(rng.integers(1, 3)))
         terms.append(SuperpositionTerm(c, slot_a, slot_b))
-    return TwoParticleState(tuple(terms), M)
+    return tuple(terms)
 
 
 # --------------------------------------------------------------------------
@@ -66,13 +65,20 @@ def test_term_rejects_a_non_finite_coefficient(c):
         SuperpositionTerm(c, (p, 1), (p, 2))
 
 
-def test_state_validation():
+def test_assembly_refuses_an_empty_or_mixed_mass_superposition():
+    """``assemble_state_vector`` is the superposition's one boundary: it needs a term, and every
+    slot of every term at one mass, to 1e-12 relative."""
     p = momentum(1.0)
-    with pytest.raises(ValueError, match="at least one term"):
-        TwoParticleState((), M)
+    with pytest.raises(ValueError, match="superposition needs at least one term"):
+        assemble_state_vector(())
     heavy = FourMomentum.from_rapidity(2.0, 1.0, E_Z)
-    with pytest.raises(ValueError, match="differs from"):
-        TwoParticleState((SuperpositionTerm(1.0, (p, 1), (heavy, 1)),), M)
+    with pytest.raises(ValueError, match=r"slot masses differ: 1\.0 and 2\.0"):
+        assemble_state_vector([SuperpositionTerm(1.0, (p, 1), (heavy, 1))])
+    mixed = (SuperpositionTerm(1.0, (p, 1), (p, 2)), SuperpositionTerm(1.0, (heavy, 1), (heavy, 2)))
+    with pytest.raises(ValueError, match="slot masses differ"):
+        assemble_state_vector(mixed)
+    near = FourMomentum.from_rapidity(1.0 + 5e-13, 1.0, E_Z)  # within the 1e-12 rule
+    assemble_state_vector((SuperpositionTerm(1.0, (p, 1), (near, 2)),))
 
 
 def test_chiral_label_validation():
@@ -82,8 +88,7 @@ def test_chiral_label_validation():
 
 def test_single_term_assembles_to_kron():
     p, q = momentum(0.9), momentum(1.4, -1)
-    st = TwoParticleState((SuperpositionTerm(2.0, (p, 1), (q, 2)),), M)
-    vec = assemble_state_vector(st)
+    vec = assemble_state_vector((SuperpositionTerm(2.0, (p, 1), (q, 2)),))
     expected = kron(bispinor_u(p, 1), bispinor_u(q, 2))
     assert_allclose(vec, expected, atol=1e-15)  # coefficient scale divides out
 
@@ -95,8 +100,7 @@ def test_coefficients_are_scale_free_across_the_float_range(scale):
     p, q = momentum(0.9), momentum(1.4, -1)
 
     def state(c):
-        terms = (SuperpositionTerm(c, (p, 1), (q, 2)), SuperpositionTerm(1j * c, (q, 1), (p, 1)))
-        return TwoParticleState(terms, M)
+        return SuperpositionTerm(c, (p, 1), (q, 2)), SuperpositionTerm(1j * c, (q, 1), (p, 1))
 
     vec = assemble_state_vector(state(scale))
     assert abs(np.linalg.norm(vec) - 1.0) <= 1e-15
@@ -105,12 +109,9 @@ def test_coefficients_are_scale_free_across_the_float_range(scale):
 
 def test_cancelling_superposition_raises():
     p = momentum(1.0)
-    st = TwoParticleState(
-        (
-            SuperpositionTerm(1.0, (p, 1), (p, 2)),
-            SuperpositionTerm(-1.0, (p, 1), (p, 2)),
-        ),
-        M,
+    st = (
+        SuperpositionTerm(1.0, (p, 1), (p, 2)),
+        SuperpositionTerm(-1.0, (p, 1), (p, 2)),
     )
     with pytest.raises(ValueError, match="cancels to the zero vector"):
         assemble_state_vector(st)
@@ -122,7 +123,7 @@ def test_outer_of_state_vector_matches_blockwise_oracle():
     for _ in range(6):
         st = random_state(rng)
         vec = np.zeros(16, dtype=complex)
-        for t in st.terms:
+        for t in st:
             vec += t.coefficient * kron(
                 bispinor_u(*t.slot_a), bispinor_u(*t.slot_b)
             )
@@ -130,8 +131,8 @@ def test_outer_of_state_vector_matches_blockwise_oracle():
         if norm_sq < 1e-12:
             continue
         expected = np.zeros((16, 16), dtype=complex)
-        for ti in st.terms:
-            for tj in st.terms:
+        for ti in st:
+            for tj in st:
                 ua_i = bispinor_u(*ti.slot_a)
                 ua_j = bispinor_u(*tj.slot_a)
                 ub_i = bispinor_u(*ti.slot_b)
@@ -157,8 +158,7 @@ def test_state_vector_has_unit_norm():
 def test_psi1_term_overlap_and_norm():
     """The two terms overlap by sech^2(w0), so the raw norm is tanh(w0)."""
     for w0 in (0.5, 1.0, 2.0):
-        st = make_psi1(w0)
-        t1, t2 = st.terms
+        t1, t2 = make_psi1(w0)
         v1 = kron(bispinor_u(*t1.slot_a), bispinor_u(*t1.slot_b))
         v2 = kron(bispinor_u(*t2.slot_a), bispinor_u(*t2.slot_b))
         overlap = np.vdot(v1, v2)
@@ -204,7 +204,7 @@ def test_assembled_state_is_the_same_at_every_mass(layout):
             return FourMomentum.from_rapidity(mass, w, sign * E_Z), s
 
         terms = [SuperpositionTerm(c, slot(*a), slot(*b)) for c, a, b in LAYOUTS[layout]]
-        return assemble_state_vector(TwoParticleState(tuple(terms), mass))
+        return assemble_state_vector(terms)
 
     unit = build(1.0)
     makers = {"psi1": make_psi1, "psi2": make_psi2, "psi3": make_psi3}
@@ -222,12 +222,7 @@ def test_scenarios_reject_negative_rapidity():
 
 def test_psi1_psi3_antisymmetric_under_slot_swap():
     for st in (make_psi1(1.0), make_psi3(1.0)):
-        swapped = TwoParticleState(
-            tuple(
-                SuperpositionTerm(-t.coefficient, t.slot_b, t.slot_a) for t in st.terms
-            ),
-            st.mass,
-        )
+        swapped = tuple(SuperpositionTerm(-t.coefficient, t.slot_b, t.slot_a) for t in st)
         assert_allclose(
             assemble_state_vector(swapped), assemble_state_vector(st), atol=1e-14
         )
@@ -237,10 +232,7 @@ def test_psi2_not_antisymmetric_under_slot_swap():
     """The equal-helicity-label pair keeps its momenta attached to slots, so
     exchanging the slots produces a genuinely different state."""
     st = make_psi2(1.0)
-    swapped = TwoParticleState(
-        tuple(SuperpositionTerm(-t.coefficient, t.slot_b, t.slot_a) for t in st.terms),
-        st.mass,
-    )
+    swapped = tuple(SuperpositionTerm(-t.coefficient, t.slot_b, t.slot_a) for t in st)
     overlap = abs(np.vdot(assemble_state_vector(swapped), assemble_state_vector(st)))
     assert overlap < 0.9
 
@@ -250,12 +242,9 @@ def test_psi2_differs_from_antisymmetrized_variant():
     opposite momenta is not the equal-label pair: their overlap is
     (1 + sech^2(w0))/2, frozen here at w0 = 1."""
     p, q = momentum(1.0), momentum(1.0, -1)
-    anti = TwoParticleState(
-        (
-            SuperpositionTerm(INV_SQRT2, (p, 1), (q, 1)),
-            SuperpositionTerm(-INV_SQRT2, (q, 1), (p, 1)),
-        ),
-        M,
+    anti = (
+        SuperpositionTerm(INV_SQRT2, (p, 1), (q, 1)),
+        SuperpositionTerm(-INV_SQRT2, (q, 1), (p, 1)),
     )
     overlap = abs(np.vdot(assemble_state_vector(anti), assemble_state_vector(make_psi2(1.0))))
     assert_allclose(overlap, (1.0 + SECH2_1) / 2.0, atol=1e-12)
@@ -268,15 +257,21 @@ def test_psi2_differs_from_antisymmetrized_variant():
 
 
 def test_the_package_exports_the_vector_edge_only():
-    """The 16-index edge takes state vectors: the density-matrix builders are gone."""
+    """The 16-index edge takes state vectors: the density-matrix builders are gone.  A
+    superposition is a tuple of terms and a layout a tuple of tags, with no wrapper class."""
     import diracboost
 
     assert "chiral_project_vector" in diracboost.__all__
     assert "assemble_state_vector" in diracboost.__all__
-    for gone in ("density_matrix", "chiral_project"):
+    for module, gone in (
+        (diracboost.states, "density_matrix"), (diracboost.states, "chiral_project"),
+        (diracboost.states, "TwoParticleState"), (diracboost.tensor, "SubsystemLayout"),
+    ):
         assert gone not in diracboost.__all__
         assert not hasattr(diracboost, gone)
-        assert not hasattr(diracboost.states, gone)
+        assert not hasattr(module, gone)
+    assert diracboost.TWO_PARTICLE_LAYOUT == ("PA", "SA", "PB", "SB")
+    assert isinstance(make_psi2(1.0), tuple)
 
 
 def test_chiral_project_matches_direct_projection():
@@ -313,12 +308,9 @@ def test_chiral_project_annihilation_raises():
     # times the same spin ket, so the weights below cancel that projection.
     c1, c2 = a - b, -(a + b)
     scale = math.hypot(c1, c2)
-    st = TwoParticleState(
-        (
-            SuperpositionTerm(c1 / scale, (p, 1), (q, 1)),
-            SuperpositionTerm(c2 / scale, (q, 2), (q, 1)),
-        ),
-        M,
+    st = (
+        SuperpositionTerm(c1 / scale, (p, 1), (q, 1)),
+        SuperpositionTerm(c2 / scale, (q, 2), (q, 1)),
     )
     with pytest.raises(ValueError, match="annihilates"):
         chiral_project_vector(st, 0, 0)

@@ -9,7 +9,6 @@ from diracboost.tensor import (
     PAULI_X,
     PAULI_Z,
     TRACE_TOL,
-    SubsystemLayout,
     check_state,
     hermitian_eigenvalues,
     kron,
@@ -18,8 +17,8 @@ from diracboost.tensor import (
     partial_transpose,
 )
 
-PAIR = SubsystemLayout(("A", "B"))
-QUAD = SubsystemLayout(("PA", "SA", "PB", "SB"))
+PAIR = ("A", "B")
+QUAD = ("PA", "SA", "PB", "SB")
 
 
 def random_hermitian(rng, dim):
@@ -47,8 +46,8 @@ def bell_density():
 
 
 def reference_partial_trace(rho, layout, keep):
-    n = len(layout.labels)
-    kept_axes = [i for i, tag in enumerate(layout.labels) if tag in set(keep)]
+    n = len(layout)
+    kept_axes = [i for i, tag in enumerate(layout) if tag in set(keep)]
     traced_axes = [i for i in range(n) if i not in kept_axes]
     dk = 2 ** len(kept_axes)
     out = np.zeros((dk, dk), dtype=complex)
@@ -80,9 +79,9 @@ def reference_partial_trace(rho, layout, keep):
 
 
 def reference_partial_transpose(rho, layout, target):
-    n = len(layout.labels)
-    ax = layout.axis(target)
-    d = layout.dim
+    n = len(layout)
+    ax = layout.index(target)
+    d = 2**n
     out = np.zeros_like(np.asarray(rho, dtype=complex))
 
     def bit(idx, axis):
@@ -105,22 +104,31 @@ def reference_partial_transpose(rho, layout, target):
 # --------------------------------------------------------------------------
 
 
-def test_layout_rejects_duplicate_tags():
-    with pytest.raises(ValueError, match="unique"):
-        SubsystemLayout(("A", "A"))
+def test_layout_with_repeated_tags_is_refused():
+    rho = np.eye(4) / 4
+    with pytest.raises(ValueError, match=r"subsystem tags must be unique, got \('A', 'A'\)"):
+        partial_trace(rho, ("A", "A"), ("A",))
+    with pytest.raises(ValueError, match="subsystem tags must be unique"):
+        partial_transpose(rho, ("A", "A"), "A")
 
 
-def test_layout_rejects_empty():
-    with pytest.raises(ValueError):
-        SubsystemLayout(())
+def test_empty_layout_is_refused():
+    rho = np.eye(1)
+    with pytest.raises(ValueError, match="layout needs at least one subsystem"):
+        partial_trace(rho, (), ())
+    with pytest.raises(ValueError, match="layout needs at least one subsystem"):
+        partial_transpose(rho, (), "A")
 
 
-def test_layout_dim_and_axis():
-    assert QUAD.dim == 16
-    assert QUAD.axis("PA") == 0
-    assert QUAD.axis("SB") == 3
-    with pytest.raises(ValueError, match="unknown subsystem tag"):
-        QUAD.axis("XX")
+def test_partial_transpose_axis_follows_the_layout_and_refuses_an_unknown_target():
+    """The first tag is the most significant bit: on the rank-1 ``|0001><1000|`` of QUAD,
+    transposing PA moves its 1 to row 1001, transposing SB to row 0000."""
+    rho = np.zeros((16, 16))
+    rho[0b0001, 0b1000] = 1.0
+    assert partial_transpose(rho, QUAD, "PA")[0b1001, 0b0000] == 1.0
+    assert partial_transpose(rho, QUAD, "SB")[0b0000, 0b1001] == 1.0
+    with pytest.raises(ValueError, match=r"unknown subsystem tag 'XX'; layout has \('PA'"):
+        partial_transpose(rho, QUAD, "XX")
 
 
 # --------------------------------------------------------------------------
@@ -202,11 +210,11 @@ def test_partial_trace_matches_index_sum_oracle():
 
 def iterated_partial_trace(rho, layout, keep):
     """The definition: one np.trace per traced qubit, the last qubit first."""
-    n = len(layout.labels)
+    n = len(layout)
     cur = rho.reshape([2] * (2 * n))
     left = n
     for i in reversed(range(n)):
-        if layout.labels[i] not in keep:
+        if layout[i] not in keep:
             cur = np.trace(cur, axis1=i, axis2=i + left)
             left -= 1
     return cur.reshape(2**left, 2**left)
@@ -214,12 +222,12 @@ def iterated_partial_trace(rho, layout, keep):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_partial_trace_equals_iterated_traces_for_every_keep_subset(n):
-    layout = SubsystemLayout(tuple(f"q{i}" for i in range(n)))
+    layout = tuple(f"q{i}" for i in range(n))
     rng = np.random.default_rng(170 + n)
     for _ in range(5):
         rho = random_density(rng, 2**n)
         for size in range(n + 1):
-            for keep in itertools.combinations(layout.labels, size):
+            for keep in itertools.combinations(layout, size):
                 assert_allclose(
                     partial_trace(rho, layout, keep), iterated_partial_trace(rho, layout, keep),
                     rtol=0.0, atol=1e-15,
@@ -292,7 +300,7 @@ def test_partial_transpose_matches_index_oracle():
     rng = np.random.default_rng(21)
     for _ in range(4):
         rho = random_hermitian(rng, 16)
-        for tag in QUAD.labels:
+        for tag in QUAD:
             assert_allclose(
                 partial_transpose(rho, QUAD, tag),
                 reference_partial_transpose(rho, QUAD, tag),
