@@ -40,7 +40,6 @@ from .states import (
 )
 from .sweep import (
     ConfigError,
-    CustomTermSpec,
     GridSpec,
     SweepConfig,
     SweepError,
@@ -58,7 +57,6 @@ __all__ = [
     "BlochVector",
     "BoostSpec",
     "ConfigError",
-    "CustomTermSpec",
     "FourMomentum",
     "GridSpec",
     "SuperpositionTerm",

@@ -20,8 +20,8 @@ from .sweep import (
     MEASURES,
     OUTPUT_FORMATS,
     SCENARIOS,
+    TERM_FORM,
     ConfigError,
-    CustomTermSpec,
     GridSpec,
     SweepConfig,
     _format_chunks,
@@ -50,8 +50,7 @@ class _Fields:
 _NUMBER = _Fields("a number", (float,), float)
 _INTEGER = _Fields("an integer", (int,), int)
 _GRID = _Fields("min:max:steps", (float, float, int), GridSpec)
-_TERM = _Fields("re,im,sA,omega0A,dirA,sB,omega0B,dirB",
-                (float, float, int, float, int, int, float, int), CustomTermSpec)
+_TERM = _Fields(TERM_FORM, (float, float, int, float, int, int, float, int))
 _CHIRAL = _Fields("f,g", (int, int))
 _DIRECTION = _Fields("nx,ny,nz", (float, float, float))
 
@@ -101,7 +100,7 @@ def load_config_file(path: str) -> dict:
     """Parse a line-oriented key=value config file; a repeated key's values form a list."""
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError("config", f"cannot read {path!r}: {exc}") from exc
     values: dict = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):

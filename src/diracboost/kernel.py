@@ -40,8 +40,9 @@ def _point_error(omega: float, theta: float, reason) -> SweepError:
 
 
 def _clamp_residue(values):
-    """Snap values in [-1e-12, 0), rounding residue on pure or separable states, to 0."""
-    return np.where((values >= -1e-12) & (values < 0.0), 0.0, values)
+    """Snap values within 1e-12 outside [0, 1], the range of every measure here, onto it: the
+    rounding residue of separable or maximally entangled states.  Values further out stay."""
+    return np.where((values >= -1e-12) & (values <= 1.0 + 1e-12), np.clip(values, 0.0, 1.0), values)
 
 
 def _eigenbasis_amplitudes(psi, directions):

@@ -188,14 +188,6 @@ def helicity_spinor(p: FourMomentum, s: int) -> np.ndarray:
     return chi * (abs(c) / c)
 
 
-def _bispinor_blocks(p: FourMomentum, s: int) -> tuple[np.ndarray, np.ndarray, float]:
-    chi = helicity_spinor(p, s)
-    big = (p.energy + p.mass) * chi
-    small = (3 - 2 * s) * p.p_norm * chi
-    norm = math.sqrt(2.0 * p.energy * (p.energy + p.mass))
-    return big, small, norm
-
-
 def bispinor_u(p: FourMomentum, s: int) -> np.ndarray:
     """Unit-norm positive-energy bispinor, a (4,) complex array: (E+m)|+> block over the
     (p.sigma)|-> block.
@@ -203,14 +195,14 @@ def bispinor_u(p: FourMomentum, s: int) -> np.ndarray:
     The helicity spinor is an eigenvector of p.sigma, so the |-> block is
     +|p| times it for s=1 and -|p| times it for s=2.
     """
-    big, small, norm = _bispinor_blocks(p, s)
-    return np.concatenate([big, small]) / norm
+    chi = helicity_spinor(p, s)
+    norm = math.sqrt(2.0 * p.energy * (p.energy + p.mass))
+    return np.concatenate([(p.energy + p.mass) * chi, (3 - 2 * s) * p.p_norm * chi]) / norm
 
 
 def bispinor_v(p: FourMomentum, s: int) -> np.ndarray:
     """Negative-energy bispinor: parity blocks of :func:`bispinor_u` swapped."""
-    big, small, norm = _bispinor_blocks(p, s)
-    return np.concatenate([small, big]) / norm
+    return bispinor_u(p, s)[[2, 3, 0, 1]]
 
 
 def boost_four_vector(p: FourMomentum, b: BoostSpec) -> FourMomentum:

@@ -35,6 +35,7 @@ TWO_PARTICLE_LAYOUT = ("PA", "SA", "PB", "SB")
 SlotSpec = tuple[FourMomentum, int]
 
 _ZERO_NORM_TOL = 1e-14
+_INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -85,18 +86,17 @@ def assemble_state_vector(terms: Sequence[SuperpositionTerm]) -> np.ndarray:
     return psi.ravel() / norm
 
 
-def _scenario_momenta(omega0: float) -> tuple[FourMomentum, FourMomentum]:
-    if omega0 < 0.0:
-        raise ValueError(f"omega0 must be nonnegative, got {omega0!r}")
-    p = FourMomentum.from_rapidity(1.0, omega0, E_Z)
-    q = FourMomentum.from_rapidity(1.0, omega0, -E_Z)
-    return p, q
-
-
-def _antisymmetric_pair(first, second) -> tuple[SuperpositionTerm, SuperpositionTerm]:
-    """The terms of ``(first - second) / sqrt(2)``; each argument is a (slot A, slot B) pair."""
-    inv = 1.0 / math.sqrt(2.0)
-    return SuperpositionTerm(inv, *first), SuperpositionTerm(-inv, *second)
+def _z_axis_term(coefficient, sA, omega0A, dirA, sB, omega0B, dirB) -> SuperpositionTerm:
+    """The term ``coefficient * u(pA, sA) (x) u(pB, sB)``, unit mass, each momentum at rapidity
+    ``omega0*`` along ``dir* * e_z``, ``dir*`` +1 or -1."""
+    slots = []
+    for name, s, w, d in (("A", sA, omega0A, dirA), ("B", sB, omega0B, dirB)):
+        if d not in (1, -1):
+            raise ValueError(f"dir{name} must be +1 or -1, got {d!r}")
+        if not (math.isfinite(w) and w >= 0.0):  # a NaN fails too
+            raise ValueError(f"omega0{name} must be a nonnegative rapidity, got {w!r}")
+        slots.append((FourMomentum.from_rapidity(1.0, w, d * E_Z), s))
+    return SuperpositionTerm(coefficient, *slots)
 
 
 def make_psi1(omega0: float) -> tuple[SuperpositionTerm, SuperpositionTerm]:
@@ -108,8 +108,8 @@ def make_psi1(omega0: float) -> tuple[SuperpositionTerm, SuperpositionTerm]:
     vanishes, but at exactly omega0 = 0 the rest-frame spinor convention makes
     them orthogonal and the construction yields the rest-frame spin singlet.
     """
-    p, q = _scenario_momenta(omega0)
-    return _antisymmetric_pair(((p, 1), (q, 2)), ((q, 2), (p, 1)))
+    return (_z_axis_term(_INV_SQRT2, 1, omega0, 1, 2, omega0, -1),
+            _z_axis_term(-_INV_SQRT2, 2, omega0, -1, 1, omega0, 1))
 
 
 def make_psi2(omega0: float) -> tuple[SuperpositionTerm, SuperpositionTerm]:
@@ -117,8 +117,8 @@ def make_psi2(omega0: float) -> tuple[SuperpositionTerm, SuperpositionTerm]:
 
     (u1(p) (x) u1(q) - u2(p) (x) u2(q)) / sqrt(2) with p = -q = sinh(w0) e_z.
     """
-    p, q = _scenario_momenta(omega0)
-    return _antisymmetric_pair(((p, 1), (q, 1)), ((p, 2), (q, 2)))
+    return (_z_axis_term(_INV_SQRT2, 1, omega0, 1, 1, omega0, -1),
+            _z_axis_term(-_INV_SQRT2, 2, omega0, 1, 2, omega0, -1))
 
 
 def make_psi3(omega0: float) -> tuple[SuperpositionTerm, SuperpositionTerm]:
@@ -126,8 +126,8 @@ def make_psi3(omega0: float) -> tuple[SuperpositionTerm, SuperpositionTerm]:
 
     (u1(p) (x) u2(p) - u2(p) (x) u1(p)) / sqrt(2) with p = sinh(w0) e_z.
     """
-    p, _ = _scenario_momenta(omega0)
-    return _antisymmetric_pair(((p, 1), (p, 2)), ((p, 2), (p, 1)))
+    return (_z_axis_term(_INV_SQRT2, 1, omega0, 1, 2, omega0, 1),
+            _z_axis_term(-_INV_SQRT2, 2, omega0, 1, 1, omega0, 1))
 
 
 def chiral_project_vector(terms: Sequence[SuperpositionTerm], f: int, g: int) -> np.ndarray:

@@ -16,10 +16,10 @@ from typing import Sequence
 import numpy as np
 
 from .kernel import SweepError, _grid, _measure_chunk, _point_error, _tables
-from .kinematics import E_Z, FourMomentum, _polar_directions, _unit_direction
+from .kinematics import _polar_directions, _unit_direction
 from .states import (
     TWO_PARTICLE_LAYOUT,
-    SuperpositionTerm,
+    _z_axis_term,
     assemble_state_vector,
     chiral_project_vector,
     make_psi1,
@@ -33,6 +33,7 @@ MEASURES = ("eg", "delta_eg", "negativity", "delta_negativity", "bloch")
 DEFAULT_MEASURES = ("eg", "delta_eg", "negativity", "delta_negativity")
 DEFAULT_CHIRAL_LABELS = (0, 0)
 OUTPUT_FORMATS = ("csv", "json")
+TERM_FORM = "re,im,sA,omega0A,dirA,sB,omega0B,dirB"
 
 _BLOCH_COLUMNS = tuple(f"bloch_{t.lower()}_{x}" for t in TWO_PARTICLE_LAYOUT for x in "xyz")
 
@@ -79,40 +80,6 @@ class GridSpec:
 
 
 @dataclass(frozen=True)
-class CustomTermSpec:
-    """One custom superposition term; directions are +1/-1 meaning +/- e_z."""
-
-    re: float
-    im: float
-    helicity_a: int
-    omega0_a: float
-    dir_a: int
-    helicity_b: int
-    omega0_b: float
-    dir_b: int
-
-    def _validate(self) -> None:
-        if not (math.isfinite(self.re) and math.isfinite(self.im)):
-            raise ConfigError("term", f"re and im must be finite, got {self.re}, {self.im}")
-        for name, s in (("sA", self.helicity_a), ("sB", self.helicity_b)):
-            if s not in (1, 2):
-                raise ConfigError("term", f"{name} must be 1 or 2, got {s}")
-        for name, d in (("dirA", self.dir_a), ("dirB", self.dir_b)):
-            if d not in (1, -1):
-                raise ConfigError("term", f"{name} must be +1 or -1, got {d}")
-        for name, w in (("omega0A", self.omega0_a), ("omega0B", self.omega0_b)):
-            if not (math.isfinite(w) and w >= 0.0):
-                raise ConfigError("term", f"{name} must be a nonnegative rapidity, got {w}")
-
-    def to_term(self) -> SuperpositionTerm:
-        pa = FourMomentum.from_rapidity(1.0, self.omega0_a, self.dir_a * E_Z)
-        pb = FourMomentum.from_rapidity(1.0, self.omega0_b, self.dir_b * E_Z)
-        return SuperpositionTerm(
-            complex(self.re, self.im), (pa, self.helicity_a), (pb, self.helicity_b)
-        )
-
-
-@dataclass(frozen=True)
 class SweepConfig:
     scenario: str = "psi2"
     omega0: float = 1.0
@@ -121,7 +88,10 @@ class SweepConfig:
     measures: tuple[str, ...] = DEFAULT_MEASURES
     output_format: str = "csv"
     chiral_labels: tuple[int, int] | None = None
-    custom_terms: tuple[CustomTermSpec, ...] = ()
+    #: The custom superposition ``sum (re + i im) u(pA, sA) (x) u(pB, sB)``: one 8-tuple ``(re,
+    #: im, sA, omega0A, dirA, sB, omega0B, dirB)`` per term, as ``--term`` parses it, each
+    #: momentum at unit mass and rapidity ``omega0*`` along ``dir* * e_z``.
+    custom_terms: tuple[tuple, ...] = ()
     boost_direction: tuple[float, float, float] | None = None
     #: Accepted and validated for compatibility; the sweep runs serially.
     workers: int = 1
@@ -152,15 +122,11 @@ class SweepConfig:
                 raise ConfigError("chiral", "chiral labels only apply to chiral-* scenarios")
             if len(self.chiral_labels) != 2 or not set(self.chiral_labels) <= {0, 1}:
                 raise ConfigError("chiral", f"need two 0/1 labels, got {self.chiral_labels!r}")
-        if self.scenario == "custom":
-            if not self.custom_terms:
-                raise ConfigError("term", "custom scenario needs at least one term")
-            for t in self.custom_terms:
-                t._validate()
-            if all(t.re == 0.0 and t.im == 0.0 for t in self.custom_terms):
-                raise ConfigError("term", "at least one coefficient must be nonzero")
-        elif self.custom_terms:
+        if self.custom_terms and self.scenario != "custom":
             raise ConfigError("term", "terms only apply to the custom scenario")
+        for t in self.custom_terms:
+            if len(t) != 8:
+                raise ConfigError("term", f"expected {TERM_FORM}, got {t!r}")
         if self.boost_direction is not None:
             if self.scenario != "custom":
                 raise ConfigError("boost-dir", "explicit boost direction only applies to custom scenarios")
@@ -188,7 +154,8 @@ def scenario_vector(cfg: SweepConfig) -> np.ndarray:
     field = "term" if cfg.scenario == "custom" else "omega0"
     try:
         if cfg.scenario == "custom":
-            return assemble_state_vector([t.to_term() for t in cfg.custom_terms])
+            terms = [_z_axis_term(complex(re, im), *rest) for re, im, *rest in cfg.custom_terms]
+            return assemble_state_vector(terms)
         state = builders[base](cfg.omega0)
         if base == cfg.scenario:
             return assemble_state_vector(state)

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import pytest
 
-from diracboost.sweep import CustomTermSpec, GridSpec, SweepConfig, run_sweep
+from diracboost.sweep import GridSpec, SweepConfig, run_sweep
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 TOL = 1e-12
@@ -28,8 +28,8 @@ TOL = 1e-12
 ALL_MEASURES = ("eg", "delta_eg", "negativity", "delta_negativity", "bloch")
 GRID = dict(omega_grid=GridSpec(0.0, 3.0, 6), theta_grid=GridSpec(0.0, math.pi, 5))
 TERMS = (
-    CustomTermSpec(1.0, 0.0, 1, 1.0, 1, 2, 1.0, -1),
-    CustomTermSpec(0.0, 0.5, 2, 1.3, -1, 1, 0.6, 1),
+    (1.0, 0.0, 1, 1.0, 1, 2, 1.0, -1),
+    (0.0, 0.5, 2, 1.3, -1, 1, 0.6, 1),
 )
 
 

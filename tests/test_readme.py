@@ -2,6 +2,7 @@ import re
 from pathlib import Path
 
 import diracboost as db
+from diracboost import cli
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
 
@@ -18,3 +19,8 @@ def test_readme_names_only_exported_api():
     for name in db.__all__:
         assert getattr(db, name) is not None
         assert re.search(rf"\b{name}\b", README), f"README does not name {name}"
+
+
+def test_flag_table_lists_every_sweep_key():
+    flags = re.findall(r"^\| `--([\w-]+)` \|", README, flags=re.M)
+    assert sorted(flags) == sorted([*cli._KEYS, "config"])

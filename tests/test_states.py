@@ -258,7 +258,8 @@ def test_psi2_differs_from_antisymmetrized_variant():
 
 def test_the_package_exports_the_vector_edge_only():
     """The 16-index edge takes state vectors: the density-matrix builders are gone.  A
-    superposition is a tuple of terms and a layout a tuple of tags, with no wrapper class."""
+    superposition is a tuple of terms, a custom term a tuple of eight fields and a layout a tuple
+    of tags, with no wrapper class."""
     import diracboost
 
     assert "chiral_project_vector" in diracboost.__all__
@@ -266,6 +267,7 @@ def test_the_package_exports_the_vector_edge_only():
     for module, gone in (
         (diracboost.states, "density_matrix"), (diracboost.states, "chiral_project"),
         (diracboost.states, "TwoParticleState"), (diracboost.tensor, "SubsystemLayout"),
+        (diracboost.sweep, "CustomTermSpec"),
     ):
         assert gone not in diracboost.__all__
         assert not hasattr(diracboost, gone)

@@ -8,10 +8,11 @@ import pytest
 from numpy.testing import assert_allclose
 
 from diracboost import cli
+from diracboost.kinematics import E_Z, FourMomentum
+from diracboost.states import SuperpositionTerm, assemble_state_vector
 from diracboost.sweep import (
     DEFAULT_MEASURES,
     ConfigError,
-    CustomTermSpec,
     GridSpec,
     SweepConfig,
     SweepError,
@@ -55,14 +56,12 @@ def test_grid_parse_rejects_malformed(text):
 
 def test_term_parse_roundtrip():
     term = cli._TERM("0.5, -0.25, 1, 1.0, 1, 2, 0.7, -1", "term")
-    assert term == CustomTermSpec(0.5, -0.25, 1, 1.0, 1, 2, 0.7, -1)
-    built = term.to_term()
-    assert built.coefficient == complex(0.5, -0.25)
-    pa, sa = built.slot_a
-    pb, sb = built.slot_b
-    assert (sa, sb) == (1, 2)
-    assert pa.p3[2] > 0.0  # dirA = +1 means +e_z
-    assert pb.p3[2] < 0.0  # dirB = -1 means -e_z
+    assert term == (0.5, -0.25, 1, 1.0, 1, 2, 0.7, -1)
+    built = scenario_vector(tiny_config(scenario="custom", custom_terms=(term,)))
+    # dirA = +1 means +e_z and dirB = -1 means -e_z
+    pa, pb = FourMomentum.from_rapidity(1.0, 1.0, E_Z), FourMomentum.from_rapidity(1.0, 0.7, -E_Z)
+    expected = assemble_state_vector([SuperpositionTerm(0.5 - 0.25j, (pa, 1), (pb, 2))])
+    assert np.array_equal(built, expected)
 
 
 @pytest.mark.parametrize(
@@ -77,10 +76,33 @@ def test_term_parse_roundtrip():
     ],
 )
 def test_term_validation_rejects_bad_fields(text):
-    with pytest.raises(ConfigError) as err:
-        spec = cli._TERM(text, "term")
-        spec._validate()
+    with pytest.raises(ConfigError) as err:  # the parse refuses the first, the build the rest
+        scenario_vector(tiny_config(scenario="custom", custom_terms=(cli._TERM(text, "term"),)))
     assert err.value.field == "term"
+
+
+@pytest.mark.parametrize(
+    "term,message",
+    [
+        ((1, 0, 1, 1.0, 0, 2, 1.0, 1), "dirA must be +1 or -1, got 0"),
+        ((1, 0, 1, 1.0, 1, 2, 1.0, 2), "dirB must be +1 or -1, got 2"),
+        ((1, 0, 1, -1.0, 1, 2, 1.0, 1), "omega0A must be a nonnegative rapidity, got -1.0"),
+        ((1, 0, 1, 1.0, 1, 2, math.nan, 1), "omega0B must be a nonnegative rapidity, got nan"),
+    ],
+)
+def test_term_errors_name_their_slot(term, message):
+    with pytest.raises(ConfigError) as err:
+        scenario_vector(tiny_config(scenario="custom", custom_terms=(term,)))
+    assert str(err.value) == f"term: cannot build scenario 'custom': {message}"
+
+
+def test_config_refuses_a_term_without_eight_fields():
+    cfg = tiny_config(scenario="custom", custom_terms=((1.0, 0.0, 1, 1.0, 1, 2, 1.0),))
+    with pytest.raises(ConfigError) as err:
+        cfg.validate()
+    assert str(err.value) == (
+        "term: expected re,im,sA,omega0A,dirA,sB,omega0B,dirB, got (1.0, 0.0, 1, 1.0, 1, 2, 1.0)"
+    )
 
 
 # --------------------------------------------------------------------------
@@ -103,7 +125,7 @@ def test_term_validation_rejects_bad_fields(text):
         (dict(output_format="xml"), "format"),
         (dict(chiral_labels=(0, 0)), "chiral"),
         (dict(scenario="custom"), "term"),
-        (dict(custom_terms=(CustomTermSpec(1, 0, 1, 1, 1, 2, 1, 1),)), "term"),
+        (dict(custom_terms=((1, 0, 1, 1, 1, 2, 1, 1),)), "term"),
         (dict(boost_direction=(0.0, 0.0, 1.0)), "boost-dir"),
         (dict(workers=0), "workers"),
         (dict(omega_grid=GridSpec(math.nan, 1.0, 3)), "omega"),
@@ -116,8 +138,8 @@ def test_term_validation_rejects_bad_fields(text):
 )
 def test_config_validation_reports_field(overrides, field):
     cfg = tiny_config(**overrides)
-    with pytest.raises(ConfigError) as err:
-        cfg.validate()
+    with pytest.raises(ConfigError) as err:  # a custom scenario without terms fails its build
+        scenario_vector(cfg)
     assert err.value.field == field
     assert str(err.value).startswith(f"{field}:")
 
@@ -133,15 +155,15 @@ def test_config_chiral_labels_checked(labels):
 def test_config_custom_rejects_all_zero_coefficients():
     cfg = tiny_config(
         scenario="custom",
-        custom_terms=(CustomTermSpec(0.0, 0.0, 1, 1.0, 1, 2, 1.0, 1),),
+        custom_terms=((0.0, 0.0, 1, 1.0, 1, 2, 1.0, 1),),
     )
     with pytest.raises(ConfigError) as err:
-        cfg.validate()
+        run_sweep(cfg)
     assert err.value.field == "term"
 
 
 def test_config_boost_dir_constraints():
-    term = CustomTermSpec(1.0, 0.0, 1, 1.0, 1, 2, 1.0, -1)
+    term = (1.0, 0.0, 1, 1.0, 1, 2, 1.0, -1)
     bad_norm = tiny_config(
         scenario="custom", custom_terms=(term,), boost_direction=(0.0, 0.0, 2.0)
     )
@@ -178,8 +200,8 @@ def test_scenario_density_wraps_build_failures():
     rho = scenario_density(tiny_config(omega0=0.0))
     assert abs(np.trace(rho) - 1.0) < 1e-12
     # a cancelling custom superposition does not
-    term = CustomTermSpec(1.0, 0.0, 1, 1.0, 1, 2, 1.0, -1)
-    cancel = CustomTermSpec(-1.0, 0.0, 1, 1.0, 1, 2, 1.0, -1)
+    term = (1.0, 0.0, 1, 1.0, 1, 2, 1.0, -1)
+    cancel = (-1.0, 0.0, 1, 1.0, 1, 2, 1.0, -1)
     # each failure names the key at fault
     for overrides, field in [
         (dict(scenario="custom", custom_terms=(term, cancel)), "term"),
@@ -387,6 +409,15 @@ def test_load_config_file_rejects_bad_lines(tmp_path):
         cli.load_config_file(str(tmp_path / "missing.cfg"))
 
 
+def test_cli_names_a_config_file_that_is_not_utf8(tmp_path, capsys):
+    path = tmp_path / "latin.cfg"
+    path.write_bytes(b"\xff\xfe=1\n")
+    assert cli.main(["sweep", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: config: cannot read {str(path)!r}: 'utf-8' codec can't decode")
+    assert err.count("\n") == 1
+
+
 def _build(*argv):
     return cli.build_config(cli._build_parser().parse_args(["sweep", *argv]))
 
@@ -554,11 +585,11 @@ def test_config_file_terms_give_way_to_the_term_flag(tmp_path):
         "scenario = custom\nterm = 1,0,1,1,1,2,1,-1\nterm = 0,0.5,2,1,-1,1,1,1\n"
     )
     cfg, _ = _build("--config", str(path), "--term", "0,1,2,0.5,1,1,0.5,-1")
-    assert cfg.custom_terms == (CustomTermSpec(0.0, 1.0, 2, 0.5, 1, 1, 0.5, -1),)
+    assert cfg.custom_terms == ((0.0, 1.0, 2, 0.5, 1, 1, 0.5, -1),)
     file_only, _ = _build("--config", str(path))
     assert file_only.custom_terms == (
-        CustomTermSpec(1.0, 0.0, 1, 1.0, 1, 2, 1.0, -1),
-        CustomTermSpec(0.0, 0.5, 2, 1.0, -1, 1, 1.0, 1),
+        (1.0, 0.0, 1, 1.0, 1, 2, 1.0, -1),
+        (0.0, 0.5, 2, 1.0, -1, 1, 1.0, 1),
     )
 
 

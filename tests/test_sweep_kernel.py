@@ -27,7 +27,6 @@ from diracboost.measures import (
 )
 from diracboost.states import assemble_state_vector, boost_two_particle, make_psi1
 from diracboost.sweep import (
-    CustomTermSpec,
     GridSpec,
     SweepConfig,
     SweepError,
@@ -139,7 +138,7 @@ def test_a_sweep_holds_one_table_per_theta_step_and_one_chunk():
         pytest.param(  # three chunks along one fixed direction
             SweepConfig(
                 scenario="custom",
-                custom_terms=(CustomTermSpec(1.0, 0.0, 1, 1.0, 1, 2, 1.0, -1),),
+                custom_terms=((1.0, 0.0, 1, 1.0, 1, 2, 1.0, -1),),
                 omega_grid=GridSpec(-3.0, 3.0, 600),
                 theta_grid=GridSpec(0.0, 0.0, 1),
                 boost_direction=(0.6, 0.0, 0.8),
@@ -273,6 +272,28 @@ def test_chiral_singlet_is_invariant_at_any_rapidity(omega):
         assert abs(row["nu"] - 1.0) <= TOL
         assert abs(row["negativity"] - 1.0) <= TOL
         assert abs(row["eg"] - 0.5) <= TOL
+
+
+def test_chiral_singlet_negativity_never_exceeds_one_on_either_route():
+    """The singlet's N rounds to 1 + 4.4e-16 at these points; every measure is snapped onto
+    [0, 1] from within 1e-12, so both the sweep and the per-point functions give 1."""
+    cfg = SweepConfig(
+        scenario="chiral-psi3",
+        chiral_labels=(0, 0),
+        omega_grid=GridSpec(50.0, 100.0, 2),
+        theta_grid=GridSpec(math.pi / 4, math.pi / 4, 1),
+    )
+    assert [row["negativity"] for row in run_sweep(cfg)] == [1.0, 1.0]
+    psi = scenario_vector(cfg)
+    for theta in (math.pi / 12, math.pi / 3, 11 * math.pi / 12):
+        boosted, _ = boost_two_particle(psi, BoostSpec.from_polar_angle(10.0, theta))
+        assert negativity(spin_spin_reduced(boosted)) == 1.0
+
+
+def test_clamp_snaps_only_rounding_residue_onto_the_unit_interval():
+    values = np.array([-2e-12, -1e-13, 0.0, 0.3, 1.0, 1.0 + 4e-16, 1.0 + 2e-12, math.nan])
+    expected = [-2e-12, 0.0, 0.0, 0.3, 1.0, 1.0, 1.0 + 2e-12, math.nan]
+    np.testing.assert_array_equal(kernel._clamp_residue(values), expected)
 
 
 @pytest.mark.parametrize("omega0", [0.3, 1.0, 2.0])
