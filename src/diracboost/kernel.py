@@ -20,15 +20,13 @@ _LEVELS = np.add.outer([0, 0, 1, 1], [0, 0, 1, 1])
 _BLOCKS = _LEVELS == np.arange(3)[:, None, None]
 #: ``_PAIRS[r, 3 i + j] = 1`` where blocks i and j together carry e^{(2 - r) w}.
 _PAIRS = np.equal.outer(np.arange(5), np.add.outer(np.arange(3), np.arange(3)).ravel()) * 1.0
-#: The 29 outputs are u^dag O_q u for u = vec(Psi'): nu (O = I), the Bloch numerators
-#: (sigma_k on PA, SA, PB, SB) and the spin-spin matrix transposed on SA, whose entry
-#: [(a, b'), (a', b)] sums Psi[pA a, pB b] Psi*[pA a', pB b'] over pA, pB.  No row of
-#: an O_q has two nonzeros, so (O_q u)_i = _COEF[q, i] u[_COL[q, i]].
+#: The 29 outputs are u^dag O_q u for u = vec(Psi'), the O_q stacked as one (29 * 16, 16) matrix:
+#: nu (O = I), the Bloch numerators (sigma_k on PA, SA, PB, SB) and the spin-spin matrix
+#: transposed on SA, whose entry [(a, b'), (a', b)] sums Psi[pA a, pB b] Psi*[pA a', pB b'] over
+#: pA, pB.  Entries are 0, +-1 or +-i, one nonzero per row: O_q u is exact products and zeros.
 _SINGLE = [np.einsum("ij,kab,lm->kialjbm", np.eye(2**t), PAULI, np.eye(8 >> t)) for t in range(4)]
 _PAIR = np.einsum("pP,qQ,sA,tB,Sa,Tb->aBAbpsqtPSQT", *[np.eye(2)] * 6)
-_OPERATORS = np.concatenate([op.reshape(-1, 16, 16) for op in [np.eye(16), *_SINGLE, _PAIR]])
-_COL = np.argmax(_OPERATORS != 0.0, axis=2)
-_COEF = np.take_along_axis(_OPERATORS, _COL[..., None], axis=2)[..., 0]
+_OPERATORS = np.concatenate([op.reshape(-1, 16) for op in [np.eye(16), *_SINGLE, _PAIR]])
 
 
 class SweepError(ValueError):
@@ -59,9 +57,9 @@ def _direction_tables(psi, directions):
     """Real tables (k, 5, 29) of the 4x4 ``psi`` for k unit directions, rows m = 2 .. -2."""
     u, phi = _eigenbasis_amplitudes(psi, directions)
     blocks = (u[:, None] @ (phi[:, None] * _BLOCKS) @ u[:, None].swapaxes(2, 3)).reshape(-1, 3, 16)
-    applied = blocks[:, np.arange(3)[:, None], _COL.T[:, None]]  # [k, l, j, q]: O_q block j
-    applied *= _COEF.T[:, None]
-    tables = _PAIRS @ (blocks.conj() @ applied.reshape(-1, 16, 87)).reshape(-1, 9, 29)
+    # [k, i, 29 l + q]: entry i of O_q applied to block l, a view of the product's rows
+    applied = (blocks.reshape(-1, 16) @ _OPERATORS.T).reshape(-1, 87, 16).swapaxes(1, 2)
+    tables = _PAIRS @ (blocks.conj() @ applied).reshape(-1, 9, 29)
     # entries within their rounding error of 0 (symmetry makes many) become exactly 0
     norms = np.linalg.norm(blocks, axis=2)
     bound = 16 * _EPS * (norms[:, :, None] * norms[:, None, :]).reshape(-1, 9) @ _PAIRS.T

@@ -21,9 +21,8 @@ import numpy as np
 from .kernel import _clamp_residue, _grid, _measure_chunk, _tables
 from .kinematics import BOOST_GENERATORS, BoostSpec
 from .states import TWO_PARTICLE_LAYOUT, SuperpositionTerm, assemble_state_vector
-from .tensor import (
-    _symmetrized_eigenvalues, _trace_labels, check_density, check_state, partial_transpose,
-)
+from .tensor import (HERMITICITY_TOL, TRACE_TOL, _symmetrized_eigenvalues, _trace_labels,
+                     check_density, check_state, partial_transpose)
 
 SPIN_PAIR_LAYOUT = ("SA", "SB")
 
@@ -42,7 +41,7 @@ _SPIN_PAIR = _reduction(("SA", "SB"))
 
 @dataclass(frozen=True)
 class BlochVector:
-    """Components a_n = Tr[sigma_n rho] of a single-qubit reduced matrix."""
+    """Components a_n = Tr[sigma_n rho] of a qubit; |a| <= 1 + 3e-10, as check_density admits."""
 
     x: float
     y: float
@@ -51,7 +50,7 @@ class BlochVector:
     def __post_init__(self) -> None:
         if not all(math.isfinite(c) for c in (self.x, self.y, self.z)):
             raise ValueError(f"Bloch vector components must be finite: {self!r}")
-        if self.norm_sq > 1.0 + 1e-10:
+        if math.sqrt(self.norm_sq) > 1.0 + TRACE_TOL + 2.0 * HERMITICITY_TOL:
             raise ValueError(f"Bloch vector lies outside the unit ball: {self!r}")
 
     @property

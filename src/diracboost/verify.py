@@ -29,9 +29,7 @@ from .measures import (
     _linear_entropy,
     bloch_vector,
     global_entanglement,
-    negativity,
     single_qubit_reductions,
-    spin_spin_reduced,
 )
 from .states import (
     assemble_state_vector,
@@ -164,13 +162,9 @@ def _check_psi2_degradation() -> CheckResult:
 
 
 def _check_psi3_extremum() -> CheckResult:
-    psi0 = assemble_state_vector(make_psi3(1.0))
-    omegas = np.linspace(0.0, 3.0, 61)
-    egs, negs = [], []
-    for om in omegas:  # on the public per-point API, as c08
-        boosted, _ = boost_two_particle(psi0, BoostSpec.from_polar_angle(float(om), 0.0))
-        egs.append(global_entanglement(boosted))
-        negs.append(negativity(spin_spin_reduced(boosted)))
+    grid = _sweep_grid("psi3", GridSpec(0.0, 3.0, 61), ALONG_Z)
+    # plain floats, so that `passed` is a bool that `verify --json` can write
+    omegas, egs, negs = (grid[name][:, 0].tolist() for name in ("omega", "eg", "negativity"))
     i_min = int(np.argmin(egs))
     i_rest = 20  # omega = 1.00 on the 0.05-spaced grid
     measured = egs[i_rest]

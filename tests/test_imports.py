@@ -1,7 +1,8 @@
 """Import hygiene: every name a ``diracboost`` module imports is used in that module.
 
 A name also counts as used when ``__init__`` imports it from the module, as it does
-``sweep.SweepError``, or when the module lists it in ``__all__``.
+``sweep.SweepError``, or when the module lists it in ``__all__``.  Every private name a
+module defines at its top level is read in that module or imported by another.
 """
 
 import ast
@@ -39,14 +40,28 @@ def used(tree):
     return names
 
 
-def reexported(stem):
-    """Names that ``__init__`` imports from the module ``stem``."""
+def imported_from(stem, paths):
+    """Names that the modules at ``paths`` import from the module ``stem``."""
     return {
         alias.name
-        for node in ast.walk(parse(PACKAGE / "__init__.py"))
+        for path in paths
+        for node in ast.walk(parse(path))
         if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == stem
         for alias in node.names
     }
+
+
+def private_definitions(tree):
+    """(name, line) of each ``_x`` name, dunders aside, that the module binds at its top level."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        yield from ((n, node.lineno) for n in names if n[:1] == "_" and n[:2] != "__")
 
 
 def test_the_package_modules_are_found():
@@ -56,6 +71,17 @@ def test_the_package_modules_are_found():
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
 def test_module_uses_every_name_it_imports(path):
     tree = parse(path)
-    keep = used(tree) | reexported(path.stem)
+    keep = used(tree) | imported_from(path.stem, [PACKAGE / "__init__.py"])
     unused = [f"{name} (line {line})" for name, line in imported(tree) if name not in keep]
     assert not unused, f"{path.name} imports names it never uses: {', '.join(unused)}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_module_reads_or_exports_every_private_name(path):
+    tree = parse(path)
+    others = [other for other in MODULES if other != path]
+    keep = imported_from(path.stem, others) | {
+        n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+    }
+    orphans = [f"{n} (line {line})" for n, line in private_definitions(tree) if n not in keep]
+    assert not orphans, f"{path.name} defines private names nothing reads: {', '.join(orphans)}"

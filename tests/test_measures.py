@@ -234,6 +234,21 @@ def test_bloch_vector_ball_constraint():
         BlochVector(1.1, 0.0, 0.3)
 
 
+def test_bloch_vector_takes_every_qubit_check_density_accepts():
+    """check_density admits a 2x2 rho with trace 1 + 1e-10 and smallest eigenvalue -1e-10, so
+    |r| up to 1 + 3e-10; bloch_vector returns such a vector, and BlochVector refuses a longer."""
+    r = 1.0 + 1.5e-10
+    rho = np.diag([1.0 + r, 1.0 - r]) / 2.0
+    check_density(rho, 2)
+    assert bloch_vector(rho).z == r
+    tol = 0.99e-10  # the trace and the smallest eigenvalue just inside their limits
+    edge = np.diag([1.0 + 2.0 * tol, -tol])
+    check_density(edge, 2)
+    assert bloch_vector(edge).z == pytest.approx(1.0 + 3.0 * tol, abs=1e-15)
+    with pytest.raises(ValueError, match="unit ball"):
+        BlochVector(0.0, 0.0, 1.0 + 3.1e-10)
+
+
 def test_linear_entropy_complements_bloch_norm():
     """For one qubit, E_L = 1 - |a|^2 with a the Bloch vector."""
     rng = np.random.default_rng(302)

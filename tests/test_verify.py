@@ -114,9 +114,10 @@ def test_c09_sees_the_spin_bloch_columns(monkeypatch):
 @pytest.mark.parametrize("check, skew", [
     (_check_psi1_negativity_grid, lambda nu, eg, neg, bloch: (nu, eg, neg + 1e-8, bloch)),
     (_check_analytic_bloch, lambda nu, eg, neg, bloch: (nu, eg, neg, bloch + 1e-8)),
-], ids=["c02", "c09"])
+    (_check_psi3_extremum, lambda nu, eg, neg, bloch: (nu, eg + 1e-8, neg, bloch)),
+], ids=["c02", "c09", "c07"])
 def test_grid_checks_measure_through_the_sweep(monkeypatch, check, skew):
-    """c02 and c09 read the numbers `diracboost sweep` writes, so a 1e-8 error in
+    """c02, c07 and c09 read the numbers `diracboost sweep` writes, so a 1e-8 error in
     the sweep's own kernel binding must fail them."""
     assert check().passed
     exact = diracboost.sweep._measure_chunk
