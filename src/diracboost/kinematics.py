@@ -77,17 +77,13 @@ class FourMomentum:
             rapidity = math.acosh(self.energy / self.mass)
             raise ValueError(f"four-momentum at rapidity {rapidity:.6g} leaves the float range")
         # rounding in E^2 - p^2 grows as eps E^2, so the tolerance scales with E^2
-        e2 = self.energy**2
-        residue = abs(e2 - float(p3 @ p3) - self.mass**2)
+        e2, p = self.energy**2, math.hypot(*p3)  # p3 @ p3 would warn past |p| = 1e154
+        residue = abs(e2 - p * p - self.mass**2)
         if not residue <= ONSHELL_RTOL * e2:  # a NaN component fails too
             raise ValueError(
                 f"four-momentum off shell: |E^2 - p^2 - m^2| = {residue:.3e} "
                 f"exceeds {ONSHELL_RTOL:.0e} relative to E^2"
             )
-
-    @classmethod
-    def at_rest(cls, mass: float) -> "FourMomentum":
-        return cls(mass, mass, np.zeros(3))
 
     @classmethod
     def from_rapidity(
@@ -97,11 +93,6 @@ class FourMomentum:
         n = _unit_direction(direction)
         ch, sh = _cosh_sinh(rapidity)
         return cls(mass, mass * ch, mass * sh * n)
-
-    @classmethod
-    def from_three_momentum(cls, mass: float, p3: np.ndarray) -> "FourMomentum":
-        p3 = np.asarray(p3, dtype=float)
-        return cls(mass, math.sqrt(mass**2 + float(p3 @ p3)), p3)
 
     @property
     def p_norm(self) -> float:
@@ -122,7 +113,7 @@ def _unit_direction(direction: np.ndarray) -> np.ndarray:
     n = np.asarray(direction, dtype=float).reshape(-1)
     if n.shape != (3,):
         raise ValueError(f"direction must be a 3-vector, got shape {n.shape}")
-    norm = math.sqrt(n.dot(n))
+    norm = math.hypot(*n)  # n.dot(n) would warn past |n| = 1e154
     if not abs(norm - 1.0) <= UNIT_NORM_TOL:  # a NaN component fails too
         raise ValueError(f"direction must be a unit vector, |n| = {norm!r}")
     return n
@@ -149,9 +140,6 @@ class BoostSpec:
     def from_polar_angle(cls, rapidity: float, theta: float) -> "BoostSpec":
         """Boost in the x-z plane: n = (sin(theta), 0, cos(theta))."""
         return cls(rapidity, _polar_directions(theta))
-
-    def reversed(self) -> "BoostSpec":
-        return BoostSpec(-self.rapidity, self.direction)
 
 
 def _spin_eigenvectors(t, nz) -> np.ndarray:

@@ -57,9 +57,6 @@ class BlochVector:
     def norm_sq(self) -> float:
         return self.x**2 + self.y**2 + self.z**2
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.y, self.z])
-
 
 def linear_entropy(rho: np.ndarray) -> float:
     """(d/(d-1)) (1 - Tr rho^2): 0 for pure states, 1 for maximally mixed."""
@@ -97,10 +94,6 @@ def single_qubit_reductions(psi: np.ndarray) -> dict[str, np.ndarray]:
     """All four 2x2 reduced matrices of a two-particle state vector."""
     amp = check_state(psi).reshape([2] * 4)
     return {tag: reduce(amp) for tag, reduce in _ONE_QUBIT.items()}
-
-
-def single_qubit_entropies(psi: np.ndarray) -> dict[str, float]:
-    return {tag: _linear_entropy(r) for tag, r in single_qubit_reductions(psi).items()}
 
 
 def global_entanglement(psi: np.ndarray) -> float:

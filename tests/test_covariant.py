@@ -6,10 +6,14 @@ slot-antisymmetric coefficient matrix (``Psi^T = -Psi``) has the blocks
 A boost keeps ``a`` and ``b`` and maps the complex four-vector ``V`` by a Lorentz boost, so it
 keeps ``V.V``.  With ``a = b = 0`` and a null ``V`` (``V.V = 0``), ``X`` has rank 1 in every
 frame, both spin-pair components are product vectors, and the spin-spin negativity ``N`` is 0
-in every frame.  psi1 is such a state; these tests hold the claim for any of them.
+in every frame.  psi1 is such a state; these tests hold the claim for any of them, and for the
+paper's own family of two-term z-axis wedges.  Separable and slot-antisymmetric is not enough:
+a four-term superposition of two such wedges is separable at rest and along z, and a boost
+across z entangles its spins.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,16 +21,26 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from diracboost.kernel import _measure_chunk, _tables
-from diracboost.kinematics import BoostSpec
+from diracboost.kinematics import BoostSpec, bispinor_boost
 from diracboost.measures import global_entanglement, negativity, spin_spin_reduced
 from diracboost.states import boost_two_particle
-from diracboost.sweep import SweepConfig, scenario_vector
+from diracboost.sweep import ConfigError, GridSpec, SweepConfig, run_sweep, scenario_vector
 from diracboost.tensor import ID2, PAULI, kron
 
 EPSILON = np.array([[0.0, 1.0], [-1.0, 0.0]])  # i sigma_y
 CHIRALITY = kron(np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0), ID2)
 
 unit = st.floats(-1.0, 1.0)
+#: One wedge slot, as ``--term`` fields: helicity, rapidity and the sign of its z direction.
+wedge_slots = st.tuples(st.sampled_from((1, 2)), st.floats(0.0, 3.0), st.sampled_from((1, -1)))
+
+#: Two z-axis wedges with a complex relative coefficient, as ``--term`` fields.
+FOUR_TERMS = (
+    (1.0, 0.0, 1, 0.786988, 1, 2, 1.524234, 1),
+    (-1.0, 0.0, 2, 1.524234, 1, 1, 0.786988, 1),
+    (-0.2609948947096579, 0.2635550847530095, 2, 0.425659, -1, 1, 0.324538, -1),
+    (0.2609948947096579, -0.2635550847530095, 1, 0.324538, -1, 2, 0.425659, -1),
+)
 
 
 def antisymmetric_state(a, b, v):
@@ -110,3 +124,37 @@ def test_amplitudes_near_the_rounding_level_survive_the_per_point_boost(omega):
     assert abs(eg - kernel_eg) <= 1e-12
     assert n <= 1e-12
     assert kernel_n <= 1e-12
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(p=wedge_slots, q=wedge_slots, rapidity=st.floats(0.0, 6.0), n=unit_directions())
+def test_z_axis_wedges_separable_at_rest_stay_separable(p, q, rapidity, n):
+    """The paper's family ``u(p, s) (x) u(q, s') - u(q, s') (x) u(p, s)``, both momenta along
+    +-z: where the spins are separable at rest, no boost entangles them."""
+    terms = ((1.0, 0.0, *p, *q), (-1.0, 0.0, *q, *p))
+    try:
+        psi = scenario_vector(SweepConfig(scenario="custom", custom_terms=terms))
+    except ConfigError:  # the two slots carry one bispinor, and the wedge cancels
+        assume(False)
+    assume(negativity(spin_spin_reduced(psi)) <= 1e-12)
+    b = BoostSpec(rapidity, n)
+    assert per_point(psi.reshape(4, 4), b)[2] <= 1e-12
+    assert kernel_point(psi.reshape(4, 4), b)[2] <= 1e-12
+
+
+def test_a_boost_entangles_a_separable_four_term_superposition_of_wedges():
+    """Separable at rest and slot-antisymmetric, yet a boost across z entangles the spins: the
+    abstract's first claim needs more than these two properties."""
+    cfg = SweepConfig(scenario="custom", custom_terms=FOUR_TERMS, measures=("negativity",))
+    psi = scenario_vector(cfg)
+    assert np.array_equal(psi.reshape(4, 4).T, -psi.reshape(4, 4))
+    assert negativity(spin_spin_reduced(psi)) <= 1e-15
+    along_z = replace(cfg, omega_grid=GridSpec(0.0, 4.0, 41), theta_grid=GridSpec(0.0, math.pi, 2))
+    assert max(row["negativity"] for row in run_sweep(along_z)) <= 1e-15
+    across = GridSpec(math.pi / 2.0, math.pi / 2.0, 1)
+    (row,) = run_sweep(replace(cfg, omega_grid=GridSpec(1.0, 1.0, 1), theta_grid=across))
+    s = bispinor_boost(BoostSpec.from_polar_angle(1.0, math.pi / 2.0))
+    textbook = np.kron(s, s) @ psi
+    textbook /= np.linalg.norm(textbook)
+    for n in (row["negativity"], negativity(spin_spin_reduced(textbook))):
+        assert abs(n - 0.0465311668314) <= 1e-9

@@ -19,7 +19,6 @@ from diracboost.measures import (
     global_entanglement,
     linear_entropy,
     negativity,
-    single_qubit_entropies,
     single_qubit_reductions,
     spin_spin_reduced,
 )
@@ -46,7 +45,7 @@ def qubit_density(rng):
 
 
 def product_rest_state():
-    rest = FourMomentum.at_rest(M)
+    rest = FourMomentum(M, M, np.zeros(3))
     return (SuperpositionTerm(1.0, (rest, 1), (rest, 2)),)
 
 
@@ -88,12 +87,12 @@ def test_linear_entropy_validation():
 
 def test_bloch_vector_cardinal_states():
     z_up = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
-    assert_allclose(bloch_vector(z_up).as_array(), [0.0, 0.0, 1.0], atol=1e-15)
-    assert_allclose(bloch_vector(np.eye(2) / 2).as_array(), [0.0, 0.0, 0.0], atol=0)
     x_up = np.full((2, 2), 0.5, dtype=complex)
-    assert_allclose(bloch_vector(x_up).as_array(), [1.0, 0.0, 0.0], atol=1e-15)
     y_up = np.array([[0.5, -0.5j], [0.5j, 0.5]], dtype=complex)
-    assert_allclose(bloch_vector(y_up).as_array(), [0.0, 1.0, 0.0], atol=1e-15)
+    for rho, expected, atol in ((z_up, [0.0, 0.0, 1.0], 1e-15), (np.eye(2) / 2, [0.0] * 3, 0),
+                                (x_up, [1.0, 0.0, 0.0], 1e-15), (y_up, [0.0, 1.0, 0.0], 1e-15)):
+        v = bloch_vector(rho)
+        assert_allclose([v.x, v.y, v.z], expected, atol=atol)
 
 
 def test_bloch_vector_rejects_wrong_shape():
@@ -118,7 +117,6 @@ PER_POINT = {
     "boost_two_particle": (lambda psi: boost_two_particle(psi, BoostSpec(0.7, E_Z)), 16),
     "global_entanglement": (global_entanglement, 16),
     "single_qubit_reductions": (single_qubit_reductions, 16),
-    "single_qubit_entropies": (single_qubit_entropies, 16),
     "spin_spin_reduced": (spin_spin_reduced, 16),
     "negativity": (negativity, 4),
     "bloch_vector": (bloch_vector, 2),
@@ -288,13 +286,6 @@ def test_global_entanglement_equals_bloch_reconstruction():
         assert_allclose(global_entanglement(v), reconstructed, atol=1e-12)
 
 
-def test_single_qubit_entropies_keys():
-    ent = single_qubit_entropies(assemble_state_vector(make_psi1(1.0)))
-    assert set(ent) == {"PA", "SA", "PB", "SB"}
-    for value in ent.values():
-        assert 0.0 <= value <= 1.0 + 1e-12
-
-
 # --------------------------------------------------------------------------
 # spin-spin reduction and negativity
 # --------------------------------------------------------------------------
@@ -430,10 +421,9 @@ def test_analytic_bloch_identity_boost_matches_reductions():
             for tag, r in single_qubit_reductions(assemble_state_vector(st)).items()
         }
         analytic = analytic_boosted_bloch(st, BoostSpec(0.0, E_Z))
-        for tag in direct:
-            assert_allclose(
-                analytic[tag].as_array(), direct[tag].as_array(), atol=1e-13
-            )
+        for tag, d in direct.items():
+            a = analytic[tag]
+            assert_allclose([a.x, a.y, a.z], [d.x, d.y, d.z], atol=1e-13)
 
 
 def test_analytic_bloch_matches_numeric_pipeline():
@@ -449,10 +439,9 @@ def test_analytic_bloch_matches_numeric_pipeline():
                 for tag, r in single_qubit_reductions(boosted).items()
             }
             analytic = analytic_boosted_bloch(st, b)
-            for tag in numeric:
-                assert_allclose(
-                    analytic[tag].as_array(), numeric[tag].as_array(), atol=1e-12
-                )
+            for tag, n in numeric.items():
+                a = analytic[tag]
+                assert_allclose([a.x, a.y, a.z], [n.x, n.y, n.z], atol=1e-12)
 
 
 def test_analytic_bloch_parity_y_components_vanish():
@@ -471,7 +460,8 @@ def test_analytic_bloch_answers_states_without_one_axis_momentum_per_slot():
             boosted, _ = boost_two_particle(assemble_state_vector(state), b)
             analytic = analytic_boosted_bloch(state, b)
             for tag, r in single_qubit_reductions(boosted).items():
-                assert_allclose(analytic[tag].as_array(), bloch_vector(r).as_array(), atol=1e-12)
+                a, n = analytic[tag], bloch_vector(r)
+                assert_allclose([a.x, a.y, a.z], [n.x, n.y, n.z], atol=1e-12)
 
 
 def test_analytic_bloch_shares_no_code_with_the_kernel(monkeypatch):

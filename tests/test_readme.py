@@ -1,3 +1,4 @@
+import importlib
 import re
 from pathlib import Path
 
@@ -24,3 +25,10 @@ def test_readme_names_only_exported_api():
 def test_flag_table_lists_every_sweep_key():
     flags = re.findall(r"^\| `--([\w-]+)` \|", README, flags=re.M)
     assert sorted(flags) == sorted([*cli._KEYS, "config"])
+
+
+def test_readme_helpers_exist_in_their_modules():
+    helpers = re.findall(r"^- `(\w+)` in `(diracboost\.\w+)`$", README, flags=re.M)
+    assert helpers
+    for name, module in helpers:
+        assert hasattr(importlib.import_module(module), name), f"{module} has no {name}"
