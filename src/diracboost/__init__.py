@@ -23,7 +23,6 @@ from .measures import (
     delta_global,
     delta_negativity,
     global_entanglement,
-    linear_entropy,
     negativity,
     single_qubit_reductions,
     spin_spin_reduced,
@@ -78,7 +77,6 @@ __all__ = [
     "emit",
     "global_entanglement",
     "helicity_spinor",
-    "linear_entropy",
     "make_psi1",
     "make_psi2",
     "make_psi3",

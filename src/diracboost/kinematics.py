@@ -73,8 +73,9 @@ class FourMomentum:
             raise ValueError(
                 f"energy {self.energy!r} below mass {self.mass!r}"
             )
-        if not math.isfinite(2.0 * self.energy * (self.energy + self.mass)):  # bispinor norm
-            rapidity = math.acosh(self.energy / self.mass)
+        energy, mass = float(self.energy), float(self.mass)  # overflow is inf, not a warning
+        if not math.isfinite(2.0 * energy * (energy + mass)):  # bispinor norm
+            rapidity = math.acosh(energy / mass)
             raise ValueError(f"four-momentum at rapidity {rapidity:.6g} leaves the float range")
         # rounding in E^2 - p^2 grows as eps E^2, so the tolerance scales with E^2
         e2, p = self.energy**2, math.hypot(*p3)  # p3 @ p3 would warn past |p| = 1e154
@@ -92,6 +93,8 @@ class FourMomentum:
         """Momentum of a particle moving at the given rapidity along a unit direction."""
         n = _unit_direction(direction)
         ch, sh = _cosh_sinh(rapidity)
+        if math.isfinite(mass) and math.isinf(float(mass) * ch):  # before inf * n meets a 0 of n
+            raise ValueError(f"four-momentum at rapidity {rapidity:.6g} leaves the float range")
         return cls(mass, mass * ch, mass * sh * n)
 
     @property

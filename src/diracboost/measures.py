@@ -1,11 +1,11 @@
 """Entanglement measures and the boosted Bloch-vector oracle.
 
 Two independent routes to the same physics meet here.  The per-point
-functions below take a unit 16-vector of amplitudes, or the 4x4 or 2x2
-density matrix of a reduction, and validate it once; the batched kernel
-(``kernel._measure_chunk``, also behind ``delta_*``) boosts whole grids in the
-boost generator's eigenbasis.  The oracle (``analytic_boosted_bloch``, batched
-in ``_analytic_bloch_batch``) applies the textbook boost ``Psi' = S Psi S^T``
+functions below take the unit 16-vector of amplitudes of a pure two-particle
+state and validate it once; the batched kernel (``kernel._measure_chunk``,
+also behind ``delta_*``) boosts whole grids in the boost generator's
+eigenbasis.  The oracle (``analytic_boosted_bloch``, batched in
+``_analytic_bloch_batch``) applies the textbook boost ``Psi' = S Psi S^T``
 and reduces ``Psi'`` with the per-point reductions, sharing no code with the
 kernel; verify check c09 and the test suite hold the two routes to each other.
 """
@@ -21,8 +21,8 @@ import numpy as np
 from .kernel import _clamp_residue, _grid, _measure_chunk, _tables
 from .kinematics import BOOST_GENERATORS, BoostSpec
 from .states import TWO_PARTICLE_LAYOUT, SuperpositionTerm, assemble_state_vector
-from .tensor import (HERMITICITY_TOL, TRACE_TOL, _symmetrized_eigenvalues, _trace_labels,
-                     check_density, check_state, partial_transpose)
+from .tensor import (TRACE_TOL, _symmetrized_eigenvalues, _trace_labels, check_state,
+                     partial_transpose)
 
 SPIN_PAIR_LAYOUT = ("SA", "SB")
 
@@ -41,7 +41,8 @@ _SPIN_PAIR = _reduction(("SA", "SB"))
 
 @dataclass(frozen=True)
 class BlochVector:
-    """Components a_n = Tr[sigma_n rho] of a qubit; |a| <= 1 + 3e-10, as check_density admits."""
+    """Components a_n = Tr[sigma_n rho] of a qubit; |a| <= 1 + 2 TRACE_TOL: a reduction of a
+    state check_state admits has trace at most 1 + TRACE_TOL, and rounding gets as much again."""
 
     x: float
     y: float
@@ -50,7 +51,7 @@ class BlochVector:
     def __post_init__(self) -> None:
         if not all(math.isfinite(c) for c in (self.x, self.y, self.z)):
             raise ValueError(f"Bloch vector components must be finite: {self!r}")
-        if math.sqrt(self.norm_sq) > 1.0 + TRACE_TOL + 2.0 * HERMITICITY_TOL:
+        if math.sqrt(self.norm_sq) > 1.0 + 2.0 * TRACE_TOL:
             raise ValueError(f"Bloch vector lies outside the unit ball: {self!r}")
 
     @property
@@ -58,24 +59,9 @@ class BlochVector:
         return self.x**2 + self.y**2 + self.z**2
 
 
-def linear_entropy(rho: np.ndarray) -> float:
-    """(d/(d-1)) (1 - Tr rho^2): 0 for pure states, 1 for maximally mixed."""
-    rho = np.asarray(rho, dtype=complex)
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {rho.shape}")
-    if rho.shape[0] < 2:
-        raise ValueError("linear entropy needs dimension at least 2")
-    return _linear_entropy(check_density(rho, rho.shape[0]))
-
-
 def _purity(rho: np.ndarray) -> float:
     """``Tr rho^2`` of a Hermitian ``rho``: the sum of ``|rho_ij|^2``."""
     return float(np.vdot(rho, rho).real)
-
-
-def _linear_entropy(rho: np.ndarray) -> float:
-    d = rho.shape[0]
-    return float(_clamp_residue((d / (d - 1.0)) * (1.0 - _purity(rho))))
 
 
 def _bloch_components(rho: np.ndarray) -> tuple:
@@ -85,15 +71,16 @@ def _bloch_components(rho: np.ndarray) -> tuple:
     return 2.0 * off.real, 2.0 * off.imag, (rho[..., 0, 0] - rho[..., 1, 1]).real
 
 
-def bloch_vector(rho_qubit: np.ndarray) -> BlochVector:
-    """Tr[sigma_n rho] of a 2x2 density matrix."""
-    return BlochVector(*map(float, _bloch_components(check_density(rho_qubit, 2))))
-
-
 def single_qubit_reductions(psi: np.ndarray) -> dict[str, np.ndarray]:
     """All four 2x2 reduced matrices of a two-particle state vector."""
     amp = check_state(psi).reshape([2] * 4)
     return {tag: reduce(amp) for tag, reduce in _ONE_QUBIT.items()}
+
+
+def bloch_vector(psi: np.ndarray) -> dict[str, BlochVector]:
+    """The Bloch vectors Tr[sigma_n rho] of the four qubits of a state vector, keyed by tag."""
+    return {tag: BlochVector(*map(float, _bloch_components(rho)))
+            for tag, rho in single_qubit_reductions(psi).items()}
 
 
 def global_entanglement(psi: np.ndarray) -> float:
@@ -107,14 +94,13 @@ def spin_spin_reduced(psi: np.ndarray) -> np.ndarray:
     return _SPIN_PAIR(check_state(psi).reshape([2] * 4)).reshape(4, 4)
 
 
-def negativity(rho_ss: np.ndarray) -> float:
-    """Sum |eigenvalues| - 1 of the partial transpose of a two-qubit matrix.
+def negativity(psi: np.ndarray) -> float:
+    """Spin-spin negativity of a state vector: sum |eigenvalues| - 1 of the partial transpose of
+    :func:`spin_spin_reduced`.
 
-    Values in [-1e-12, 0) are rounding residue on separable states and are
-    clamped to 0.
+    Values within 1e-12 outside [0, 1] are rounding residue and are snapped onto it.
     """
-    rho = check_density(rho_ss, 4)
-    transposed = partial_transpose(rho, SPIN_PAIR_LAYOUT, "SA")  # Hermitian, as rho is
+    transposed = partial_transpose(spin_spin_reduced(psi), SPIN_PAIR_LAYOUT, "SA")  # Hermitian
     return float(_clamp_residue(np.sum(np.abs(_symmetrized_eigenvalues(transposed))) - 1.0))
 
 

@@ -26,10 +26,8 @@ from .kinematics import (
 )
 from .measures import (
     _analytic_bloch_batch,
-    _linear_entropy,
     bloch_vector,
     global_entanglement,
-    single_qubit_reductions,
 )
 from .states import (
     assemble_state_vector,
@@ -39,7 +37,7 @@ from .states import (
     make_psi2,
     make_psi3,
 )
-from .sweep import GridSpec, SweepConfig, _sweep_columns, scenario_vector
+from .sweep import _BLOCH_COLUMNS, GridSpec, SweepConfig, _sweep_columns, scenario_vector
 from .tensor import outer
 
 GRID_OMEGAS = GridSpec(0.0, 5.0, 20)
@@ -87,7 +85,7 @@ def _sweep_grid(scenario: str, omegas: GridSpec, thetas: GridSpec) -> dict[str, 
     columns, blocks = _sweep_columns(cfg)
     table = np.concatenate(list(blocks)).reshape(omegas.steps, thetas.steps, -1)
     grid = dict(zip(columns, np.moveaxis(table, 2, 0)))
-    grid["bloch"] = table[..., 5:-1].reshape(-1, 4, 3)  # after omega, theta, eg, delta_eg, N
+    grid["bloch"] = np.stack([grid[name] for name in _BLOCH_COLUMNS], -1).reshape(-1, 4, 3)
     return grid
 
 
@@ -291,10 +289,9 @@ def _suite_dual_path_eg(rng: random.Random) -> float:
     worst = 0.0
     for _ in range(50):
         v = np.array([complex(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)) for _ in range(16)])
-        reductions = single_qubit_reductions(v / np.linalg.norm(v)).values()
-        direct = sum(_linear_entropy(r) for r in reductions) / 4.0
-        via_bloch = 1.0 - sum(bloch_vector(r).norm_sq for r in reductions) / 4.0
-        worst = max(worst, abs(direct - via_bloch))
+        psi = v / np.linalg.norm(v)
+        via_bloch = 1.0 - sum(r.norm_sq for r in bloch_vector(psi).values()) / 4.0
+        worst = max(worst, abs(global_entanglement(psi) - via_bloch))
     return worst
 
 

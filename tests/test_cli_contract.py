@@ -20,13 +20,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from diracboost import cli
-from diracboost.measures import (
-    bloch_vector,
-    global_entanglement,
-    negativity,
-    single_qubit_reductions,
-    spin_spin_reduced,
-)
+from diracboost.measures import bloch_vector, global_entanglement, negativity
 from diracboost.states import TWO_PARTICLE_LAYOUT
 from diracboost.sweep import MEASURES, SCENARIOS, GridSpec, SweepConfig, scenario_vector
 from diracboost.tensor import ID2, PAULI, PAULI_X
@@ -156,12 +150,11 @@ def textbook_row(psi, omega, n):
     boosted = np.kron(s, s) @ psi
     nu = float(np.vdot(boosted, boosted).real)
     boosted /= math.sqrt(nu)
-    eg, neg = global_entanglement(boosted), negativity(spin_spin_reduced(boosted))
+    eg, neg = global_entanglement(boosted), negativity(boosted)
     row = {"eg": eg, "negativity": neg, "nu": nu,
            "delta_eg": eg - global_entanglement(psi),
-           "delta_negativity": neg - negativity(spin_spin_reduced(psi))}
-    for tag, rho in single_qubit_reductions(boosted).items():
-        v = bloch_vector(rho)
+           "delta_negativity": neg - negativity(psi)}
+    for tag, v in bloch_vector(boosted).items():
         row.update({f"bloch_{tag.lower()}_{x}": c for x, c in zip("xyz", (v.x, v.y, v.z))})
     return row
 

@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 
 from diracboost.kernel import _measure_chunk, _tables
 from diracboost.kinematics import BoostSpec, bispinor_boost
-from diracboost.measures import global_entanglement, negativity, spin_spin_reduced
+from diracboost.measures import global_entanglement, negativity
 from diracboost.states import boost_two_particle
 from diracboost.sweep import ConfigError, GridSpec, SweepConfig, run_sweep, scenario_vector
 from diracboost.tensor import ID2, PAULI, kron
@@ -61,7 +61,7 @@ def kernel_point(psi, b):
 def per_point(psi, b):
     """``(nu, E_G, N)`` of ``psi`` boosted by ``b`` with ``boost_two_particle``."""
     boosted, nu = boost_two_particle(psi.ravel(), b)
-    return nu, global_entanglement(boosted), negativity(spin_spin_reduced(boosted))
+    return nu, global_entanglement(boosted), negativity(boosted)
 
 
 @st.composite
@@ -94,7 +94,7 @@ def test_the_blocks_build_psi1_and_a_slot_antisymmetric_state():
 @given(v=null_four_vectors(), rapidity=st.floats(0.0, 60.0), n=unit_directions())
 def test_a_null_four_vector_keeps_the_spins_unentangled_in_every_frame(v, rapidity, n):
     psi = antisymmetric_state(0.0, 0.0, v)
-    assert negativity(spin_spin_reduced(psi.ravel())) <= 1e-12
+    assert negativity(psi.ravel()) <= 1e-12
     b = BoostSpec(rapidity, n)
     assert per_point(psi, b)[2] <= 1e-12
     assert kernel_point(psi, b)[2] <= 1e-12
@@ -104,7 +104,7 @@ def test_a_boost_entangles_the_spins_of_a_generic_four_vector():
     """The control: with ``V.V != 0`` the same boost takes N from 0.0097 to 0.79."""
     v = np.array([0.2 + 0.5j, 0.7, -0.3j, 0.1 - 0.4j])  # V.V = -0.46 + 0.28i
     psi = antisymmetric_state(0.0, 0.0, v)
-    assert negativity(spin_spin_reduced(psi.ravel())) < 0.05
+    assert negativity(psi.ravel()) < 0.05
     b = BoostSpec(1.5, np.array([1.0, -1.0, -2.0]) / math.sqrt(6.0))
     n = per_point(psi, b)[2]
     assert n > 0.5
@@ -136,7 +136,7 @@ def test_z_axis_wedges_separable_at_rest_stay_separable(p, q, rapidity, n):
         psi = scenario_vector(SweepConfig(scenario="custom", custom_terms=terms))
     except ConfigError:  # the two slots carry one bispinor, and the wedge cancels
         assume(False)
-    assume(negativity(spin_spin_reduced(psi)) <= 1e-12)
+    assume(negativity(psi) <= 1e-12)
     b = BoostSpec(rapidity, n)
     assert per_point(psi.reshape(4, 4), b)[2] <= 1e-12
     assert kernel_point(psi.reshape(4, 4), b)[2] <= 1e-12
@@ -148,7 +148,7 @@ def test_a_boost_entangles_a_separable_four_term_superposition_of_wedges():
     cfg = SweepConfig(scenario="custom", custom_terms=FOUR_TERMS, measures=("negativity",))
     psi = scenario_vector(cfg)
     assert np.array_equal(psi.reshape(4, 4).T, -psi.reshape(4, 4))
-    assert negativity(spin_spin_reduced(psi)) <= 1e-15
+    assert negativity(psi) <= 1e-15
     along_z = replace(cfg, omega_grid=GridSpec(0.0, 4.0, 41), theta_grid=GridSpec(0.0, math.pi, 2))
     assert max(row["negativity"] for row in run_sweep(along_z)) <= 1e-15
     across = GridSpec(math.pi / 2.0, math.pi / 2.0, 1)
@@ -156,5 +156,5 @@ def test_a_boost_entangles_a_separable_four_term_superposition_of_wedges():
     s = bispinor_boost(BoostSpec.from_polar_angle(1.0, math.pi / 2.0))
     textbook = np.kron(s, s) @ psi
     textbook /= np.linalg.norm(textbook)
-    for n in (row["negativity"], negativity(spin_spin_reduced(textbook))):
+    for n in (row["negativity"], negativity(textbook)):
         assert abs(n - 0.0465311668314) <= 1e-9

@@ -99,9 +99,13 @@ def test_four_momentum_rejects_a_non_finite_energy(bad):
     (lambda: BoostSpec(1.0, [1e300, 1e300, 0.0]), r"unit vector, \|n\| = 1.414213562373095.e\+300"),
     (lambda: BoostSpec(1.0, [1.7e308] * 3), r"unit vector, \|n\| = inf$"),
     (lambda: FourMomentum(M, 2.0, [1e200, 0.0, 0.0]), r"off shell: .* = inf exceeds"),
-], ids=["direction", "direction-past-the-float-range", "momentum"])
+    (lambda: FourMomentum.from_rapidity(1e300, 300.0, E_Z), r"^four-momentum at rapidity 300 "),
+    (lambda: FourMomentum(M, np.float64(1e200), [1e200, 0.0, 0.0]), r"rapidity 461.21 leaves"),
+], ids=["direction", "direction-past-the-float-range", "momentum", "mass-times-cosh",
+        "numpy-energy"])
 def test_a_component_past_1e154_is_refused_without_a_warning(build, message):
-    """Squared, such a component overflows; the length checks refuse it with no numpy warning."""
+    """Squared or multiplied, such a value overflows; the checks refuse it with no numpy
+    warning, before ``inf * 0`` or a numpy scalar product can raise one."""
     with pytest.raises(ValueError, match=message):
         build()
 

@@ -1,3 +1,4 @@
+import inspect
 import math
 import re
 import sys
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import diracboost
 import diracboost.kernel
 import diracboost.measures
 from diracboost.kinematics import E_Z, BoostSpec, FourMomentum
@@ -17,7 +19,6 @@ from diracboost.measures import (
     delta_global,
     delta_negativity,
     global_entanglement,
-    linear_entropy,
     negativity,
     single_qubit_reductions,
     spin_spin_reduced,
@@ -27,21 +28,17 @@ from diracboost.states import (
     SuperpositionTerm,
     assemble_state_vector,
     boost_two_particle,
+    chiral_project_vector,
     make_psi1,
     make_psi2,
     make_psi3,
 )
 from diracboost.sweep import GridSpec, SweepConfig, SweepError, run_sweep
-from diracboost.tensor import check_density, check_state, kron, outer, partial_trace
+from diracboost.tensor import (TRACE_TOL, check_state, hermitian_eigenvalues, kron, outer,
+                               partial_trace, partial_transpose)
 
 M = 1.0
 SECH2_1 = 1.0 / math.cosh(1.0) ** 2
-
-
-def qubit_density(rng):
-    a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    rho = a @ a.conj().T
-    return rho / np.trace(rho).real
 
 
 def product_rest_state():
@@ -49,91 +46,50 @@ def product_rest_state():
     return (SuperpositionTerm(1.0, (rest, 1), (rest, 2)),)
 
 
-def bell_spin_density():
-    v = np.zeros(4, dtype=complex)
-    v[0] = v[3] = 1.0 / math.sqrt(2.0)
-    return outer(v)
+def spin_bell_state():
+    """Both parities |+>, the spins in (|z+ z+> + |z- z->)/sqrt(2)."""
+    psi = np.zeros(16, dtype=complex)
+    psi[0] = psi[5] = 1.0 / math.sqrt(2.0)  # basis index 8 pA + 4 sA + 2 pB + sB
+    return psi
 
 
 # --------------------------------------------------------------------------
-# linear entropy and Bloch vectors
+# Bloch vectors and the per-point contract
 # --------------------------------------------------------------------------
-
-
-def test_linear_entropy_pure_and_mixed_limits():
-    pure = np.zeros((2, 2), dtype=complex)
-    pure[0, 0] = 1.0
-    assert linear_entropy(pure) == 0.0
-    assert_allclose(linear_entropy(np.eye(2) / 2), 1.0, atol=1e-15)
-    assert_allclose(linear_entropy(np.eye(4) / 4), 1.0, atol=1e-15)
-
-
-def test_linear_entropy_never_negative_on_pure_states():
-    rng = np.random.default_rng(301)
-    for _ in range(20):
-        v = rng.normal(size=4) + 1j * rng.normal(size=4)
-        v /= np.linalg.norm(v)
-        assert linear_entropy(outer(v)) >= 0.0
-
-
-def test_linear_entropy_validation():
-    with pytest.raises(ValueError, match="trace"):
-        linear_entropy(np.eye(2))
-    with pytest.raises(ValueError, match="square"):
-        linear_entropy(np.zeros((2, 3)))
-    with pytest.raises(ValueError, match="dimension at least 2"):
-        linear_entropy(np.ones((1, 1)))
 
 
 def test_bloch_vector_cardinal_states():
-    z_up = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
-    x_up = np.full((2, 2), 0.5, dtype=complex)
-    y_up = np.array([[0.5, -0.5j], [0.5j, 0.5]], dtype=complex)
-    for rho, expected, atol in ((z_up, [0.0, 0.0, 1.0], 1e-15), (np.eye(2) / 2, [0.0] * 3, 0),
-                                (x_up, [1.0, 0.0, 0.0], 1e-15), (y_up, [0.0, 1.0, 0.0], 1e-15)):
-        v = bloch_vector(rho)
-        assert_allclose([v.x, v.y, v.z], expected, atol=atol)
+    z_up, x_up = np.array([1.0, 0.0]), np.array([1.0, 1.0]) / math.sqrt(2.0)
+    y_up, z_down = np.array([1.0, 1.0j]) / math.sqrt(2.0), np.array([0.0, 1.0])
+    blochs = bloch_vector(kron(z_up, x_up, y_up, z_down).ravel())
+    expected = {"PA": [0.0, 0.0, 1.0], "SA": [1.0, 0.0, 0.0], "PB": [0.0, 1.0, 0.0],
+                "SB": [0.0, 0.0, -1.0]}
+    assert list(blochs) == list(TWO_PARTICLE_LAYOUT)
+    for tag, v in blochs.items():
+        assert_allclose([v.x, v.y, v.z], expected[tag], atol=1e-15)
 
 
 def test_bloch_vector_rejects_wrong_shape():
-    with pytest.raises(ValueError, match="2x2"):
-        bloch_vector(np.eye(4) / 4)
+    with pytest.raises(ValueError, match=re.escape("shape (16,), got shape (2, 2)")):
+        bloch_vector(np.eye(2) / 2)
 
 
-def test_per_point_measures_reject_a_non_hermitian_or_off_trace_matrix():
-    skewed = np.array([[0.5, 0.3], [0.0, 0.5]], dtype=complex)
-    for measure in (bloch_vector, linear_entropy):
-        with pytest.raises(ValueError, match="Hermitian"):
-            measure(skewed)
-    off_norm = assemble_state_vector(make_psi2(1.0)) * (1.0 + 5e-9)
-    for measure in (spin_spin_reduced, global_entanglement, single_qubit_reductions):
-        with pytest.raises(ValueError, match="unit norm"):
-            measure(off_norm)
-
-
-#: The per-point functions, each as a one-argument call, with the size of what it takes: 16 is
-#: a state vector of shape (16,), any other size a density matrix of that size.
+#: The per-point functions, each as a one-argument call on a state vector of shape (16,).
 PER_POINT = {
-    "boost_two_particle": (lambda psi: boost_two_particle(psi, BoostSpec(0.7, E_Z)), 16),
-    "global_entanglement": (global_entanglement, 16),
-    "single_qubit_reductions": (single_qubit_reductions, 16),
-    "spin_spin_reduced": (spin_spin_reduced, 16),
-    "negativity": (negativity, 4),
-    "bloch_vector": (bloch_vector, 2),
-    "linear_entropy": (linear_entropy, 2),
+    "boost_two_particle": lambda psi: boost_two_particle(psi, BoostSpec(0.7, E_Z)),
+    "global_entanglement": global_entanglement,
+    "single_qubit_reductions": single_qubit_reductions,
+    "spin_spin_reduced": spin_spin_reduced,
+    "negativity": negativity,
+    "bloch_vector": bloch_vector,
 }
 STATE_DEFECTS = ("shape", "length", "norm", "zero", "nonfinite-nan", "nonfinite-inf")
-DENSITY_DEFECTS = ("shape", "trace", "hermitian", "psd", "nonfinite-nan", "nonfinite-inf")
 
 
 def valid_vector(dim):
     rng = np.random.default_rng(90 + dim)
     v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     return v / np.linalg.norm(v)
-
-
-def valid_input(dim):
-    return valid_vector(16) if dim == 16 else outer(valid_vector(dim))
 
 
 def defective_state(defect):
@@ -151,67 +107,94 @@ def defective_state(defect):
     return psi, "state vector has a non-finite entry"
 
 
-def defective(name, dim, defect):
-    """An input that breaks one part of the state-vector (dim 16) or density-matrix rule, with
-    the message it must give."""
-    if dim == 16:
-        return defective_state(defect)
-    if defect == "shape":
-        if name == "linear_entropy":
-            return np.eye(2, 3) / 2, "expected a square matrix, got shape (2, 3)"
-        other = 4 if dim != 4 else 2
-        message = f"expected a {dim}x{dim} density matrix, got shape ({other}, {other})"
-        return valid_input(other), message
-    rho = valid_input(dim)
-    if defect == "trace":
-        return rho * (1.0 + 1e-8), "density matrix must have unit trace, got ("
-    if defect == "psd":  # Hermitian with unit trace, but with an eigenvalue of -0.1
-        rho = np.diag([1.1] + [0.0] * (dim - 2) + [-0.1]).astype(complex)
-        return rho, "density matrix is not positive semidefinite: smallest eigenvalue -1.000e-01"
-    if defect == "nonfinite-nan":  # NaN passes every comparison the rules above make
-        rho[0, 0] = np.nan
-        return rho, "density matrix has a non-finite entry"
-    if defect == "nonfinite-inf":  # a Hermitian pair of infinite entries
-        rho[0, 1] = rho[1, 0] = np.inf
-        return rho, "density matrix has a non-finite entry"
-    rho[0, 1] += 1e-6  # the trace stays 1
-    return rho, "density matrix is not Hermitian: max|H - H†| = 1.000e-06 exceeds 1e-10"
-
-
 @pytest.mark.parametrize("name, defect", [
-    (name, defect) for name, (_, dim) in PER_POINT.items()
-    for defect in (STATE_DEFECTS if dim == 16 else DENSITY_DEFECTS)
+    (name, defect) for name in PER_POINT for defect in STATE_DEFECTS
 ])
 def test_per_point_function_rejects_each_broken_rule_with_its_message(name, defect):
-    function, dim = PER_POINT[name]
-    value, message = defective(name, dim, defect)
+    value, message = defective_state(defect)
     with pytest.raises(ValueError, match=re.escape(message)):
-        function(value)
+        PER_POINT[name](value)
 
 
 def test_each_per_point_function_validates_its_input_once(monkeypatch):
-    """check_state or check_density runs once per public call; what a function derives from
-    its input is not checked again, boost_two_particle's output included."""
+    """check_state runs once per public call; what a function derives from its input is not
+    checked again, boost_two_particle's output included."""
     calls = []
 
-    def counted_state(psi):
-        calls.append(16)
+    def counted(psi):
+        calls.append(psi)
         return check_state(psi)
 
-    def counted_density(rho, dim):
-        calls.append(dim)
-        return check_density(rho, dim)
-
-    # patch every binding, as `from .tensor import check_density` copies it into each module
-    for check, counted in ((check_state, counted_state), (check_density, counted_density)):
-        for name, module in list(sys.modules.items()):
-            bound = getattr(module, check.__name__, None)
-            if name.startswith("diracboost.") and bound is check:
-                monkeypatch.setattr(module, check.__name__, counted)
-    for name, (function, dim) in PER_POINT.items():
+    # patch every binding, as `from .tensor import check_state` copies it into each module
+    for name, module in list(sys.modules.items()):
+        if name.startswith("diracboost.") and getattr(module, "check_state", None) is check_state:
+            monkeypatch.setattr(module, "check_state", counted)
+    for name, function in PER_POINT.items():
         calls.clear()
-        function(valid_input(dim))
-        assert calls == [dim], name
+        function(valid_vector(16))
+        assert len(calls) == 1, name
+
+
+def test_the_contract_covers_every_exported_function_of_a_state_vector():
+    """A public function whose first parameter is ``psi`` is a per-point function, so it goes
+    through the validation contract above."""
+    takes_psi = {
+        name for name in diracboost.__all__
+        if inspect.isfunction(function := getattr(diracboost, name))
+        and next(iter(inspect.signature(function).parameters), None) == "psi"
+    }
+    assert takes_psi == set(PER_POINT)
+
+
+def near_unit_states():
+    """Named unit states at the edges of [0, 1]: E_G and N of 0, and of 1."""
+    rng = np.random.default_rng(305)
+    basis = np.zeros(16)
+    basis[0] = 1.0
+    qubits = [rng.normal(size=2) + 1j * rng.normal(size=2) for _ in range(4)]
+    bell = np.array([1.0, 0.0, 0.0, 1.0]) / math.sqrt(2.0)
+    # parity pair and spin pair each in a Bell state, in the PA, SA, PB, SB order
+    bell_pairs = np.einsum("ac,bd->abcd", bell.reshape(2, 2), bell.reshape(2, 2)).ravel()
+    return {"basis": basis, "product": kron(*(q / np.linalg.norm(q) for q in qubits)).ravel(),
+            "bell-pairs": bell_pairs, "drawn": valid_vector(16)}
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+@pytest.mark.parametrize("name", ["basis", "product", "bell-pairs", "drawn"])
+def test_a_norm_check_state_admits_keeps_every_measure_in_range(name, sign):
+    """|psi|^2 may miss 1 by TRACE_TOL, which moves E_G by up to 4 TRACE_TOL and N by up to 2;
+    the snap onto [0, 1] absorbs that, and BlochVector's ball takes every reduction."""
+    psi = near_unit_states()[name]
+    psi = psi * math.sqrt(1.0 + sign * 0.99 * TRACE_TOL)  # just inside the rule
+    check_state(psi)
+    for measure in (global_entanglement, negativity):
+        assert 0.0 <= measure(psi) <= 1.0, measure.__name__
+    bloch_vector(psi)  # no "unit ball" error
+
+
+def named_states():
+    """psi1-psi3, the eight chiral projections of psi2 and psi3, and a drawn unit vector."""
+    states = {f"psi{k}": assemble_state_vector(make(1.0))
+              for k, make in enumerate((make_psi1, make_psi2, make_psi3), 1)}
+    for k, make in ((2, make_psi2), (3, make_psi3)):
+        for f in (0, 1):
+            for g in (0, 1):
+                states[f"chiral-psi{k}-{f}{g}"] = chiral_project_vector(make(1.0), f, g)
+    return {**states, "drawn": valid_vector(16)}
+
+
+@pytest.mark.parametrize("name", list(named_states()))
+def test_the_measures_of_a_state_vector_read_its_reductions(name):
+    """negativity is the spin pair's partial-transpose negativity that partial_transpose and
+    hermitian_eigenvalues give, and bloch_vector reads Tr[sigma_n rho] off each reduction."""
+    psi = named_states()[name]
+    transposed = partial_transpose(spin_spin_reduced(psi), ("SA", "SB"), "SA")
+    summed = float(np.sum(np.abs(hermitian_eigenvalues(transposed))))
+    assert negativity(psi) == max(0.0, summed - 1.0)
+    for tag, rho in single_qubit_reductions(psi).items():
+        v = bloch_vector(psi)[tag]
+        assert (v.x, v.y, v.z) == (2.0 * rho[1, 0].real, 2.0 * rho[1, 0].imag,
+                                   (rho[0, 0] - rho[1, 1]).real)
 
 
 def test_reductions_equal_partial_trace():
@@ -228,32 +211,9 @@ def test_reductions_equal_partial_trace():
 
 
 def test_bloch_vector_ball_constraint():
-    with pytest.raises(ValueError, match="unit ball"):
-        BlochVector(1.1, 0.0, 0.3)
-
-
-def test_bloch_vector_takes_every_qubit_check_density_accepts():
-    """check_density admits a 2x2 rho with trace 1 + 1e-10 and smallest eigenvalue -1e-10, so
-    |r| up to 1 + 3e-10; bloch_vector returns such a vector, and BlochVector refuses a longer."""
-    r = 1.0 + 1.5e-10
-    rho = np.diag([1.0 + r, 1.0 - r]) / 2.0
-    check_density(rho, 2)
-    assert bloch_vector(rho).z == r
-    tol = 0.99e-10  # the trace and the smallest eigenvalue just inside their limits
-    edge = np.diag([1.0 + 2.0 * tol, -tol])
-    check_density(edge, 2)
-    assert bloch_vector(edge).z == pytest.approx(1.0 + 3.0 * tol, abs=1e-15)
-    with pytest.raises(ValueError, match="unit ball"):
-        BlochVector(0.0, 0.0, 1.0 + 3.1e-10)
-
-
-def test_linear_entropy_complements_bloch_norm():
-    """For one qubit, E_L = 1 - |a|^2 with a the Bloch vector."""
-    rng = np.random.default_rng(302)
-    for _ in range(25):
-        rho = qubit_density(rng)
-        a = bloch_vector(rho)
-        assert_allclose(linear_entropy(rho), 1.0 - a.norm_sq, atol=1e-12)
+    for outside in ((1.1, 0.0, 0.3), (0.0, 0.0, 1.0 + 3.0 * TRACE_TOL)):
+        with pytest.raises(ValueError, match="unit ball"):
+            BlochVector(*outside)
 
 
 # --------------------------------------------------------------------------
@@ -281,8 +241,7 @@ def test_global_entanglement_equals_bloch_reconstruction():
     for _ in range(10):
         v = rng.normal(size=16) + 1j * rng.normal(size=16)
         v /= np.linalg.norm(v)
-        blochs = [bloch_vector(r) for r in single_qubit_reductions(v).values()]
-        reconstructed = 1.0 - sum(b.norm_sq for b in blochs) / 4.0
+        reconstructed = 1.0 - sum(b.norm_sq for b in bloch_vector(v).values()) / 4.0
         assert_allclose(global_entanglement(v), reconstructed, atol=1e-12)
 
 
@@ -312,22 +271,16 @@ def test_spin_spin_reduced_psi3_at_rest_is_singlet():
 
 
 def test_negativity_reference_points():
-    assert_allclose(negativity(bell_spin_density()), 1.0, atol=1e-12)
-    product = kron(
-        np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex),
-        np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex),
-    )
-    assert negativity(product) == 0.0
-    assert_allclose(
-        negativity(spin_spin_reduced(assemble_state_vector(make_psi2(1.0)))),
-        SECH2_1,
-        atol=1e-12,
-    )
+    assert_allclose(negativity(spin_bell_state()), 1.0, atol=1e-12)
+    z_up, x_up = np.array([1.0, 0.0]), np.array([1.0, 1.0]) / math.sqrt(2.0)
+    assert negativity(kron(x_up, z_up, z_up, x_up).ravel()) == 0.0
+    assert_allclose(negativity(assemble_state_vector(make_psi2(1.0))), SECH2_1, atol=1e-12)
 
 
 def test_negativity_validation():
-    with pytest.raises(ValueError, match="trace"):
-        negativity(np.eye(4))
+    """A reduced density matrix is not a state vector: the shape rule refuses it."""
+    with pytest.raises(ValueError, match=re.escape("shape (16,), got shape (4, 4)")):
+        negativity(np.eye(4) / 4)
 
 
 # --------------------------------------------------------------------------
@@ -402,7 +355,7 @@ def test_psi2_parallel_boost_closed_forms():
     for w in np.linspace(0.0, 4.0, 17):
         boosted, _ = boost_two_particle(psi0, BoostSpec.from_polar_angle(float(w), 0.0))
         eg = global_entanglement(boosted)
-        neg = negativity(spin_spin_reduced(boosted))
+        neg = negativity(boosted)
         eg_ref = 1.0 - (1.0 / math.cosh(1.0 - w) ** 2 + 1.0 / math.cosh(1.0 + w) ** 2) / 4.0
         neg_ref = 1.0 / (math.cosh(1.0 - w) * math.cosh(1.0 + w))
         assert abs(eg - eg_ref) < 1e-12
@@ -416,10 +369,7 @@ def test_psi2_parallel_boost_closed_forms():
 
 def test_analytic_bloch_identity_boost_matches_reductions():
     for st in (make_psi2(1.0), make_psi3(1.0)):
-        direct = {
-            tag: bloch_vector(r)
-            for tag, r in single_qubit_reductions(assemble_state_vector(st)).items()
-        }
+        direct = bloch_vector(assemble_state_vector(st))
         analytic = analytic_boosted_bloch(st, BoostSpec(0.0, E_Z))
         for tag, d in direct.items():
             a = analytic[tag]
@@ -434,10 +384,7 @@ def test_analytic_bloch_matches_numeric_pipeline():
                 rng.uniform(0.0, 4.0), rng.uniform(0.0, math.pi)
             )
             boosted, _ = boost_two_particle(assemble_state_vector(st), b)
-            numeric = {
-                tag: bloch_vector(r)
-                for tag, r in single_qubit_reductions(boosted).items()
-            }
+            numeric = bloch_vector(boosted)
             analytic = analytic_boosted_bloch(st, b)
             for tag, n in numeric.items():
                 a = analytic[tag]
@@ -459,8 +406,8 @@ def test_analytic_bloch_answers_states_without_one_axis_momentum_per_slot():
         for b in (BoostSpec(1.0, E_Z), BoostSpec.from_polar_angle(2.5, 0.9)):
             boosted, _ = boost_two_particle(assemble_state_vector(state), b)
             analytic = analytic_boosted_bloch(state, b)
-            for tag, r in single_qubit_reductions(boosted).items():
-                a, n = analytic[tag], bloch_vector(r)
+            for tag, n in bloch_vector(boosted).items():
+                a = analytic[tag]
                 assert_allclose([a.x, a.y, a.z], [n.x, n.y, n.z], atol=1e-12)
 
 

@@ -18,13 +18,7 @@ import pytest
 
 from diracboost import kernel, kinematics, sweep
 from diracboost.kinematics import BOOST_GENERATORS, E_Z, BoostSpec
-from diracboost.measures import (
-    bloch_vector,
-    global_entanglement,
-    negativity,
-    single_qubit_reductions,
-    spin_spin_reduced,
-)
+from diracboost.measures import bloch_vector, global_entanglement, negativity
 from diracboost.states import assemble_state_vector, boost_two_particle, make_psi1
 from diracboost.sweep import (
     GridSpec,
@@ -43,10 +37,9 @@ def _reference_row(psi0, omega, theta):
     boosted, nu = boost_two_particle(psi0, BoostSpec.from_polar_angle(omega, theta))
     values = {
         "eg": global_entanglement(boosted),
-        "negativity": negativity(spin_spin_reduced(boosted)),
+        "negativity": negativity(boosted),
     }
-    for tag, rho in single_qubit_reductions(boosted).items():
-        b = bloch_vector(rho)
+    for tag, b in bloch_vector(boosted).items():
         for axis in "xyz":
             values[f"bloch_{tag.lower()}_{axis}"] = getattr(b, axis)
     return values, nu
@@ -76,7 +69,7 @@ def test_chunked_sweep_matches_per_point_pipeline(
         measures=ALL_MEASURES,
     )
     psi0 = scenario_vector(cfg)
-    eg0, neg0 = global_entanglement(psi0), negativity(spin_spin_reduced(psi0))
+    eg0, neg0 = global_entanglement(psi0), negativity(psi0)
     rows = run_sweep(cfg)
     assert len(rows) == points
     for row in rows:
@@ -287,7 +280,7 @@ def test_chiral_singlet_negativity_never_exceeds_one_on_either_route():
     psi = scenario_vector(cfg)
     for theta in (math.pi / 12, math.pi / 3, 11 * math.pi / 12):
         boosted, _ = boost_two_particle(psi, BoostSpec.from_polar_angle(10.0, theta))
-        assert negativity(spin_spin_reduced(boosted)) == 1.0
+        assert negativity(boosted) == 1.0
 
 
 def test_clamp_snaps_only_rounding_residue_onto_the_unit_interval():
@@ -455,7 +448,7 @@ def test_cancelling_and_near_collinear_boosts_match_a_60_digit_reference():
         boosted, per_point_nu = boost_two_particle(psi.ravel(), BoostSpec(omega, n[0]))
         assert abs(per_point_nu - nu) <= TOL * nu, point
         assert abs(global_entanglement(boosted) - eg) <= TOL, point
-        assert abs(negativity(spin_spin_reduced(boosted)) - neg) <= TOL, point
+        assert abs(negativity(boosted) - neg) <= TOL, point
 
 
 @pytest.mark.parametrize("omega0", [0.3, 1.0, 2.0])
