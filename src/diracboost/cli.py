@@ -7,6 +7,7 @@ unbuildable scenario, failed sweep point), 2 verification failure.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -219,7 +220,9 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
-    raise SystemExit(main())
+    code = main()
+    gc.freeze()  # the exit-time collection then skips every object alive now, numpy's included
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":

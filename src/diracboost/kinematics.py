@@ -46,6 +46,11 @@ def _check_helicity(s: int) -> int:
     return int(s)
 
 
+def _check_mass(mass: float) -> None:
+    if not (mass > 0.0 and math.isfinite(mass)):
+        raise ValueError(f"mass must be positive and finite, got {mass!r}")
+
+
 def sigma_dot(v: np.ndarray) -> np.ndarray:
     """2x2 matrix v . sigma for a real 3-vector v."""
     v = np.asarray(v, dtype=float)
@@ -65,8 +70,7 @@ class FourMomentum:
         if p3.shape != (3,):
             raise ValueError(f"p3 must be a 3-vector, got shape {p3.shape}")
         object.__setattr__(self, "p3", p3)
-        if not (self.mass > 0.0 and math.isfinite(self.mass)):
-            raise ValueError(f"mass must be positive and finite, got {self.mass!r}")
+        _check_mass(self.mass)
         if not math.isfinite(self.energy):
             raise ValueError(f"energy must be finite, got {self.energy!r}")
         if self.energy < self.mass * (1.0 - 1e-12):
@@ -93,7 +97,8 @@ class FourMomentum:
         """Momentum of a particle moving at the given rapidity along a unit direction."""
         n = _unit_direction(direction)
         ch, sh = _cosh_sinh(rapidity)
-        if math.isfinite(mass) and math.isinf(float(mass) * ch):  # before inf * n meets a 0 of n
+        _check_mass(mass)  # both checks come before an inf * n meets a 0 of n
+        if math.isinf(float(mass) * ch):
             raise ValueError(f"four-momentum at rapidity {rapidity:.6g} leaves the float range")
         return cls(mass, mass * ch, mass * sh * n)
 

@@ -101,8 +101,10 @@ def test_four_momentum_rejects_a_non_finite_energy(bad):
     (lambda: FourMomentum(M, 2.0, [1e200, 0.0, 0.0]), r"off shell: .* = inf exceeds"),
     (lambda: FourMomentum.from_rapidity(1e300, 300.0, E_Z), r"^four-momentum at rapidity 300 "),
     (lambda: FourMomentum(M, np.float64(1e200), [1e200, 0.0, 0.0]), r"rapidity 461.21 leaves"),
+    (lambda: FourMomentum.from_rapidity(math.inf, 1.0, E_Z), r"^mass must be .* got inf$"),
+    (lambda: FourMomentum.from_rapidity(-math.inf, 1.0, E_Z), r"^mass must be .* got -inf$"),
 ], ids=["direction", "direction-past-the-float-range", "momentum", "mass-times-cosh",
-        "numpy-energy"])
+        "numpy-energy", "infinite-mass", "negative-infinite-mass"])
 def test_a_component_past_1e154_is_refused_without_a_warning(build, message):
     """Squared or multiplied, such a value overflows; the checks refuse it with no numpy
     warning, before ``inf * 0`` or a numpy scalar product can raise one."""

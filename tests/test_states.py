@@ -1,3 +1,4 @@
+import contextlib
 import math
 
 import numpy as np
@@ -9,11 +10,13 @@ from diracboost.kinematics import (
     GAMMA5,
     BoostSpec,
     FourMomentum,
+    _polar_directions,
     bispinor_boost,
     bispinor_u,
 )
 from diracboost.measures import global_entanglement
 from diracboost.states import (
+    _boost_batch,
     SuperpositionTerm,
     assemble_state_vector,
     boost_two_particle,
@@ -382,6 +385,45 @@ def test_boost_overflow_names_the_rapidity(omega):
     vec = assemble_state_vector(make_psi2(1.0))
     with pytest.raises(ValueError, match=f"rapidity {omega:g} "):
         boost_two_particle(vec, BoostSpec(omega, E_Z))
+
+
+def _states_to_boost() -> list[np.ndarray]:
+    """psi1-psi3, every chiral projection of theirs that exists, and eight drawn unit vectors."""
+    states = []
+    for maker in (make_psi1, make_psi2, make_psi3):
+        terms = maker(1.0)
+        states.append(assemble_state_vector(terms))
+        for f in (0, 1):
+            for g in (0, 1):
+                with contextlib.suppress(ValueError):  # the projection annihilates the state
+                    states.append(chiral_project_vector(terms, f, g))
+    drawn = np.random.default_rng(215).normal(size=(8, 16, 2)).view(complex)[..., 0]
+    return states + list(drawn / np.linalg.norm(drawn, axis=1)[:, None])
+
+
+def test_boost_batch_rows_equal_the_per_point_boost_bit_for_bit():
+    """Each row of ``_boost_batch`` is ``boost_two_particle`` of its own boost, bits included:
+    the identity rows (signed zeros too), negative rapidities, rapidities up to 60, polar and
+    drawn 3-D directions."""
+    rng = np.random.default_rng(216)
+    rapidities = np.concatenate([[0.0, -0.0, 1e-8, -2.5, 60.0, -60.0], rng.uniform(-60, 60, 10)])
+    thetas = rng.uniform(0.0, math.pi, len(rapidities))
+    drawn = rng.normal(size=(len(rapidities), 3))
+    states = _states_to_boost()
+    assert len(states) == 3 + 10 + 8  # psi1's (0, 0) and (1, 1) projections annihilate it
+    for directions in (_polar_directions(thetas), drawn / np.linalg.norm(drawn, axis=1)[:, None]):
+        for psi in states:
+            boosted, nu = _boost_batch(psi, rapidities, directions)
+            for w, n, row, row_nu in zip(rapidities, directions, boosted, nu):
+                want, want_nu = boost_two_particle(psi, BoostSpec(w, n))
+                assert np.array_equal(row, want) and row_nu == want_nu, (w, n)
+
+
+@pytest.mark.filterwarnings("error")
+def test_boost_batch_names_the_rapidity_whose_nu_overflows():
+    psi = assemble_state_vector(make_psi2(1.0))
+    with pytest.raises(ValueError, match="at rapidity 400 "):
+        _boost_batch(psi, [1.0, 400.0, 2.0], np.tile(E_Z, (3, 1)))
 
 
 def test_boost_input_validation():

@@ -25,6 +25,7 @@ from diracboost.verify import (
     _check_chiral_invariance,
     _check_psi1_negativity_grid,
     _check_psi3_extremum,
+    _chiral_distances,
     _chiral_samples,
     run_verification,
 )
@@ -167,6 +168,15 @@ def test_verify_leaves_numpy_random_unloaded():
     assert done.stderr.strip() == "False"
 
 
+def _per_point_distance(maker, f, g) -> float:
+    """c08's distance for one projection, from ``boost_two_particle`` one sample at a time."""
+    psi = chiral_project_vector(maker(1.0), f, g)
+    return max(
+        float(np.linalg.norm(outer(boost_two_particle(psi, b)[0]) - outer(psi)))
+        for b in (BoostSpec.from_polar_angle(om, th) for om, th in _chiral_samples())
+    )
+
+
 @pytest.mark.parametrize("maker, f, g", [
     (maker, f, g) for maker in (make_psi2, make_psi3) for f in (0, 1) for g in (0, 1)
 ], ids=lambda v: getattr(v, "__name__", str(v)))
@@ -174,12 +184,21 @@ def test_c08_finding_holds_on_its_own_samples(maker, f, g):
     """On c08's samples the psi3 f=g projections stay within 1e-12 of rho and the
     other six move by at least 0.5, so a change of sampler can neither hide nor
     invent c08's failure."""
-    psi = chiral_project_vector(maker(1.0), f, g)
-    moved = max(
-        float(np.linalg.norm(outer(boost_two_particle(psi, b)[0]) - outer(psi)))
-        for b in (BoostSpec.from_polar_angle(om, th) for om, th in _chiral_samples())
-    )
+    moved = _per_point_distance(maker, f, g)
     if maker is make_psi3 and f == g:
         assert moved <= 1e-12
     else:
         assert moved >= 0.5
+
+
+def test_c08_batch_gives_the_per_point_distances():
+    """c08 boosts each projection along its samples in one batch; its eight distances are the
+    per-point loop's within 1e-15 (the batch's states are the same bits, only the Frobenius
+    norm's summation order differs), and its measured value is their maximum."""
+    batched = _chiral_distances()
+    per_point = {f"{m.__name__[5:]} f={f} g={g}": _per_point_distance(m, f, g)
+                 for m in (make_psi2, make_psi3) for f in (0, 1) for g in (0, 1)}
+    assert batched.keys() == per_point.keys()
+    for key, dist in batched.items():
+        assert abs(dist - per_point[key]) <= 1e-15, key
+    assert _check_chiral_invariance().measured == max(batched.values())
