@@ -1,10 +1,11 @@
-"""The batched boost-and-measure kernel behind ``sweep``, ``verify`` and ``delta_*``.
+"""The batched boost kernel behind ``sweep``, ``verify``, ``delta_*`` and ``boost_two_particle``.
 
 The boost along ``n`` is ``S = exp(-(w/2) G)``, ``G = sigma_x (x) n.sigma``.  In the eigenbasis
 ``U`` of ``G`` (eigenvalues -1, -1, 1, 1), ``Psi' = S Psi S^T = U (D Phi D) U^T`` with ``Phi =
 U^dag Psi U^*``: the boost scales the top-left, off-diagonal and bottom-right 2x2 blocks of
 ``Phi`` by ``e^w``, 1 and ``e^-w``.  So each of the 29 outputs before the eigensolve is ``sum_m
 e^{m w} W_m`` (m = 2 .. -2) from one table per state and direction, and ``nu`` never cancels.
+:func:`_boost_batch` scales ``Phi`` itself, for the boosted amplitudes.
 """
 
 from __future__ import annotations
@@ -27,6 +28,8 @@ _PAIRS = np.equal.outer(np.arange(5), np.add.outer(np.arange(3), np.arange(3)).r
 _SINGLE = [np.einsum("ij,kab,lm->kialjbm", np.eye(2**t), PAULI, np.eye(8 >> t)) for t in range(4)]
 _PAIR = np.einsum("pP,qQ,sA,tB,Sa,Tb->aBAbpsqtPSQT", *[np.eye(2)] * 6)
 _OPERATORS = np.concatenate([op.reshape(-1, 16) for op in [np.eye(16), *_SINGLE, _PAIR]])
+#: Grid points per :func:`_measure_chunk` call: few enough to keep peak memory small on any grid.
+_CHUNK = 256
 
 
 class SweepError(ValueError):
@@ -122,10 +125,39 @@ def _measure_chunk(tables, omegas, thetas, columns):
     return nu, eg, neg, bloch
 
 
-def _grid(omega_points, theta_points, start=0, stop=None):
-    """``(omegas, thetas, columns)`` of points ``start:stop`` of the omega-major grid; a
-    point's column is the index of its theta in ``theta_points``."""
-    omega_points, theta_points = np.asarray(omega_points, float), np.asarray(theta_points, float)
+def _measure_grid(psi, directions, omega_points, theta_points):
+    """Boost the 4x4 ``psi`` to every point of the omega-major grid ``omega_points`` x
+    ``theta_points`` (arrays), point (i, j) along ``directions[j]``, a :data:`_CHUNK`-point chunk
+    at a time.  Yields per chunk a dict of ``omega``, ``theta``, ``nu``, ``eg``, ``negativity``,
+    ``delta_eg``, ``delta_negativity`` (from ``omega = 0``) and ``bloch`` (n, 4, 3) arrays."""
+    tables = _tables(psi, directions)
+    _, (eg0,), (neg0,), _ = _measure_chunk(tables, np.zeros(1), np.zeros(1), np.zeros(1, int))
     size = len(omega_points) * len(theta_points)
-    i, j = np.divmod(np.arange(start, size if stop is None else min(stop, size)), len(theta_points))
-    return omega_points[i], theta_points[j], j
+    for start in range(0, size, _CHUNK):
+        i, j = np.divmod(np.arange(start, min(start + _CHUNK, size)), len(theta_points))
+        omegas, thetas = omega_points[i], theta_points[j]
+        nu, eg, neg, bloch = _measure_chunk(tables, omegas, thetas, j)
+        yield dict(omega=omegas, theta=thetas, nu=nu, eg=eg, delta_eg=eg - eg0, negativity=neg,
+                   delta_negativity=neg - neg0, bloch=bloch)
+
+
+def _boost_batch(psi, rapidities, directions) -> tuple[np.ndarray, np.ndarray]:
+    """Boost the unit 16-vector ``psi`` by ``rapidities`` (N,) along unit ``directions`` (N, 3):
+    ``(psi' (N, 16), nu (N,))``; a ``nu`` out of float range is a ValueError naming its rapidity."""
+    w = np.asarray(rapidities, dtype=float)
+    u, phi = _eigenbasis_amplitudes(psi.reshape(4, 4), directions)
+    weights = w[:, None, None] * (1.0 - _LEVELS)
+    # the largest weight of each row, factored out as in _measure_chunk
+    top = np.max(np.where(phi != 0.0, weights, -np.inf), axis=(1, 2))
+    phi *= np.exp(np.minimum(weights - top[:, None, None], 0.0))
+    norm_sq = np.array([np.vdot(row, row).real for row in phi])  # np.sum would round differently
+    with np.errstate(over="ignore"):  # a nu out of range is reported below, with its rapidity
+        nu = np.exp(2.0 * top) * norm_sq
+    bad = ~((nu >= np.finfo(float).tiny) & (nu < np.inf))
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise ValueError(f"boost normalization failed at rapidity {w[k]:.6g} (nu = {nu[k]})")
+    boosted = (u @ phi @ u.transpose(0, 2, 1)).reshape(-1, 16) / np.sqrt(norm_sq)[:, None]
+    rest = w == 0.0  # the identity boost, exactly: no rounding residue enters psi
+    boosted[rest], nu[rest] = psi, 1.0
+    return boosted, nu

@@ -2,7 +2,7 @@
 
 Two independent routes to the same physics meet here.  The per-point
 functions below take the unit 16-vector of amplitudes of a pure two-particle
-state and validate it once; the batched kernel (``kernel._measure_chunk``,
+state and validate it once; the batched kernel (``kernel._measure_grid``,
 also behind ``delta_*``) boosts whole grids in the boost generator's
 eigenbasis.  The oracle (``analytic_boosted_bloch``, batched in
 ``_analytic_bloch_batch``) applies the textbook boost ``Psi' = S Psi S^T``
@@ -18,13 +18,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .kernel import _clamp_residue, _grid, _measure_chunk, _tables
+from .kernel import _clamp_residue, _measure_grid
 from .kinematics import BOOST_GENERATORS, BoostSpec
 from .states import TWO_PARTICLE_LAYOUT, SuperpositionTerm, assemble_state_vector
-from .tensor import (TRACE_TOL, _symmetrized_eigenvalues, _trace_labels, check_state,
-                     partial_transpose)
-
-SPIN_PAIR_LAYOUT = ("SA", "SB")
+from .tensor import TRACE_TOL, _symmetrized_eigenvalues, _trace_labels, check_state
 
 
 def _reduction(keep):
@@ -100,16 +97,17 @@ def negativity(psi: np.ndarray) -> float:
 
     Values within 1e-12 outside [0, 1] are rounding residue and are snapped onto it.
     """
-    transposed = partial_transpose(spin_spin_reduced(psi), SPIN_PAIR_LAYOUT, "SA")  # Hermitian
+    # the partial transpose on SA swaps its row and column axes; the result is Hermitian
+    transposed = spin_spin_reduced(psi).reshape(2, 2, 2, 2).swapaxes(0, 2).reshape(4, 4)
     return float(_clamp_residue(np.sum(np.abs(_symmetrized_eigenvalues(transposed))) - 1.0))
 
 
 def _boost_deltas(terms: Sequence[SuperpositionTerm], b: BoostSpec) -> tuple[float, float]:
-    """(E_G, N) at the boost minus at the origin, from one kernel call, as the sweep's delta_*."""
+    """(E_G, N) at the boost minus at the origin: the sweep's delta_* of a one-point grid."""
     theta = np.arccos(np.clip(b.direction[2], -1.0, 1.0))  # names a failed point
-    tables = _tables(assemble_state_vector(terms).reshape(4, 4), b.direction[None])
-    _, eg, neg, _ = _measure_chunk(tables, *_grid([0.0, b.rapidity], [theta]))
-    return float(eg[1] - eg[0]), float(neg[1] - neg[0])
+    psi = assemble_state_vector(terms).reshape(4, 4)
+    chunk = next(_measure_grid(psi, b.direction[None], np.array([b.rapidity]), theta[None]))
+    return float(chunk["delta_eg"][0]), float(chunk["delta_negativity"][0])
 
 
 def delta_global(terms: Sequence[SuperpositionTerm], b: BoostSpec) -> float:

@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .kernel import _LEVELS, _eigenbasis_amplitudes
+from .kernel import _boost_batch
 from .kinematics import (
     E_Z,
     BoostSpec,
@@ -142,29 +142,6 @@ def chiral_project_vector(terms: Sequence[SuperpositionTerm], f: int, g: int) ->
     if norm <= _ZERO_NORM_TOL:
         raise ValueError(f"chiral projection (f={f}, g={g}) annihilates the state")
     return projected / norm
-
-
-def _boost_batch(psi, rapidities, directions) -> tuple[np.ndarray, np.ndarray]:
-    """Boost the unit 16-vector ``psi`` by ``rapidities`` (N,) along unit ``directions`` (N, 3) as
-    :func:`boost_two_particle` does, row by row: ``(psi' (N, 16), nu (N,))``.  A ``nu`` out of the
-    float range is a ValueError naming the first such rapidity."""
-    w = np.asarray(rapidities, dtype=float)
-    u, phi = _eigenbasis_amplitudes(psi.reshape(4, 4), directions)
-    weights = w[:, None, None] * (1.0 - _LEVELS)
-    # the largest weight of each row, factored out as in the kernel
-    top = np.max(np.where(phi != 0.0, weights, -np.inf), axis=(1, 2))
-    phi *= np.exp(np.minimum(weights - top[:, None, None], 0.0))
-    norm_sq = np.array([np.vdot(row, row).real for row in phi])  # np.sum would round differently
-    with np.errstate(over="ignore"):  # a nu out of range is reported below, with its rapidity
-        nu = np.exp(2.0 * top) * norm_sq
-    bad = ~((nu >= np.finfo(float).tiny) & (nu < math.inf))
-    if bad.any():
-        k = int(np.argmax(bad))
-        raise ValueError(f"boost normalization failed at rapidity {w[k]:.6g} (nu = {nu[k]})")
-    boosted = (u @ phi @ u.transpose(0, 2, 1)).reshape(-1, 16) / np.sqrt(norm_sq)[:, None]
-    rest = w == 0.0  # the identity boost, exactly: no rounding residue enters psi
-    boosted[rest], nu[rest] = psi, 1.0
-    return boosted, nu
 
 
 def boost_two_particle(psi: np.ndarray, b: BoostSpec) -> tuple[np.ndarray, float]:

@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .kernel import SweepError, _grid, _measure_chunk, _point_error, _tables
+from .kernel import SweepError, _measure_grid, _point_error
 from .kinematics import _polar_directions, _unit_direction
 from .states import (
     TWO_PARTICLE_LAYOUT,
@@ -36,10 +36,6 @@ OUTPUT_FORMATS = ("csv", "json")
 TERM_FORM = "re,im,sA,omega0A,dirA,sB,omega0B,dirB"
 
 _BLOCH_COLUMNS = tuple(f"bloch_{t.lower()}_{x}" for t in TWO_PARTICLE_LAYOUT for x in "xyz")
-
-#: Grid points per kernel call.  A few hundred keeps the working arrays, and
-#: so peak memory, small on any grid while amortizing per-call overhead.
-_CHUNK = 256
 
 
 class ConfigError(ValueError):
@@ -180,18 +176,13 @@ def _sweep_columns(cfg: SweepConfig):
     # one table per theta step, or for the fixed direction of a one-step theta grid
     fixed = cfg.boost_direction
     directions = _polar_directions(theta_points) if fixed is None else np.array([fixed], float)
-    tables = _tables(psi, directions)
-    _, (eg0,), (neg0,), _ = _measure_chunk(tables, *_grid([0.0], [0.0]))
     names = [n for m in cfg.measures for n in (_BLOCH_COLUMNS if m == "bloch" else (m,))]
     columns = ["omega", "theta", *names, "nu"]
 
     def blocks():
-        for start in range(0, len(omega_points) * len(theta_points), _CHUNK):
-            omegas, thetas, steps = _grid(omega_points, theta_points, start, start + _CHUNK)
-            nu, eg, neg, bloch = _measure_chunk(tables, omegas, thetas, steps)
-            measured = dict(zip(_BLOCH_COLUMNS, bloch.reshape(-1, 12).T))
-            measured.update(eg=eg, delta_eg=eg - eg0, negativity=neg, delta_negativity=neg - neg0)
-            block = np.stack([omegas, thetas, *(measured[n] for n in names), nu], axis=1)
+        for chunk in _measure_grid(psi, directions, omega_points, theta_points):
+            chunk.update(zip(_BLOCH_COLUMNS, chunk.pop("bloch").reshape(-1, 12).T))
+            block = np.stack([chunk[n] for n in columns], axis=1)
             if not np.isfinite(block).all():
                 k, j = np.argwhere(~np.isfinite(block))[0]
                 reason = f"non-finite value for {columns[j]!r}: {block[k, j]}"

@@ -14,6 +14,7 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
+from .kernel import _boost_batch
 from .kinematics import (
     GAMMA5,
     BoostSpec,
@@ -30,7 +31,6 @@ from .measures import (
     global_entanglement,
 )
 from .states import (
-    _boost_batch,
     assemble_state_vector,
     chiral_project_vector,
     make_psi1,

@@ -17,8 +17,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diracboost import cli, sweep
-from diracboost.sweep import _CHUNK, SweepError, emit, run_sweep
+from diracboost import cli, kernel
+from diracboost.kernel import _CHUNK
+from diracboost.sweep import SweepError, emit, run_sweep
 from test_golden import CASES
 
 FORMATS = ("csv", "json")
@@ -166,15 +167,15 @@ def test_failed_sweep_on_stdout_exits_1(output_format, capsysbinary):
 
 
 def test_non_finite_measure_names_point_and_column(monkeypatch):
-    kernel = sweep._measure_chunk
+    exact = kernel._measure_chunk
 
     def corrupted(tables, omegas, thetas, columns):
-        nu, eg, neg, bloch = kernel(tables, omegas, thetas, columns)
+        nu, eg, neg, bloch = exact(tables, omegas, thetas, columns)
         if len(omegas) > 1:
             bloch[16, 1, 2] = np.nan  # row 16 of the grid: omega = 0.5, theta = 0.5
         return nu, eg, neg, bloch
 
-    monkeypatch.setattr(sweep, "_measure_chunk", corrupted)
+    monkeypatch.setattr(kernel, "_measure_chunk", corrupted)
     cfg = _config(["--scenario", "psi3", "--omega", "0:1:3", "--theta", "0:1:11",
                    "--measures", "eg,bloch"])
     with pytest.raises(SweepError, match=r"omega=0\.5, theta=0\.5\).*'bloch_sa_z': nan"):

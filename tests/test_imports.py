@@ -2,7 +2,8 @@
 
 A name also counts as used when ``__init__`` imports it from the module, as it does
 ``sweep.SweepError``, or when the module lists it in ``__all__``.  Every private name a
-module defines at its top level is read in that module or imported by another.
+module defines at its top level is read in that module or imported by another.  How a state is
+boosted over a grid stays inside ``kernel``: no other module imports its internals.
 """
 
 import ast
@@ -85,3 +86,16 @@ def test_module_reads_or_exports_every_private_name(path):
     }
     orphans = [f"{n} (line {line})" for n, line in private_definitions(tree) if n not in keep]
     assert not orphans, f"{path.name} defines private names nothing reads: {', '.join(orphans)}"
+
+
+#: The kernel's internals: its tables, chunk measure, chunk size and eigenbasis scaling.
+KERNEL_INTERNALS = {"_tables", "_measure_chunk", "_direction_tables", "_eigenbasis_amplitudes",
+                    "_LEVELS", "_CHUNK"}
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "kernel.py"],
+                         ids=lambda path: path.name)
+def test_only_the_kernel_touches_its_internals(path):
+    leaked = [f"{name} (line {line})" for name, line in imported(parse(path))
+              if name in KERNEL_INTERNALS]
+    assert not leaked, f"{path.name} imports kernel internals: {', '.join(leaked)}"

@@ -10,6 +10,7 @@ from numpy.testing import assert_allclose
 import diracboost
 import diracboost.kernel
 import diracboost.measures
+import diracboost.tensor
 from diracboost.kinematics import E_Z, BoostSpec, FourMomentum
 from diracboost.measures import (
     BlochVector,
@@ -118,21 +119,29 @@ def test_per_point_function_rejects_each_broken_rule_with_its_message(name, defe
 
 def test_each_per_point_function_validates_its_input_once(monkeypatch):
     """check_state runs once per public call; what a function derives from its input is not
-    checked again, boost_two_particle's output included."""
-    calls = []
+    checked again, boost_two_particle's output and negativity's reduced matrix included."""
+    calls, square_checks = [], []
+    check_square = diracboost.tensor._check_square
 
     def counted(psi):
         calls.append(psi)
         return check_state(psi)
 
+    def counted_square(rho, layout):
+        square_checks.append(layout)
+        return check_square(rho, layout)
+
     # patch every binding, as `from .tensor import check_state` copies it into each module
     for name, module in list(sys.modules.items()):
         if name.startswith("diracboost.") and getattr(module, "check_state", None) is check_state:
             monkeypatch.setattr(module, "check_state", counted)
+    monkeypatch.setattr(diracboost.tensor, "_check_square", counted_square)
     for name, function in PER_POINT.items():
         calls.clear()
+        square_checks.clear()
         function(valid_vector(16))
         assert len(calls) == 1, name
+        assert square_checks == [], name
 
 
 def test_the_contract_covers_every_exported_function_of_a_state_vector():
@@ -300,15 +309,15 @@ def test_deltas_match_the_sweep_delta_columns(scenario):
     cfg = SweepConfig(
         scenario=scenario,
         omega0=1.3,
-        omega_grid=GridSpec(0.0, 3.0, 7),
-        theta_grid=GridSpec(0.0, math.pi, 5),
+        omega_grid=GridSpec(-3.0, 6.0, 10),
+        theta_grid=GridSpec(0.0, math.pi, 7),
         measures=("delta_eg", "delta_negativity"),
     )
     st = {"psi1": make_psi1, "psi2": make_psi2, "psi3": make_psi3}[scenario](cfg.omega0)
-    for row in run_sweep(cfg):
+    for row in run_sweep(cfg):  # each delta_* is one point of the sweep's walk, bits included
         b = BoostSpec.from_polar_angle(row["omega"], row["theta"])
-        assert abs(delta_global(st, b) - row["delta_eg"]) <= 1e-12
-        assert abs(delta_negativity(st, b) - row["delta_negativity"]) <= 1e-12
+        assert delta_global(st, b) == row["delta_eg"]
+        assert delta_negativity(st, b) == row["delta_negativity"]
 
 
 @pytest.mark.filterwarnings("error")
@@ -412,8 +421,8 @@ def test_analytic_bloch_answers_states_without_one_axis_momentum_per_slot():
 
 
 def test_analytic_bloch_shares_no_code_with_the_kernel(monkeypatch):
-    """The oracle answers with the kernel's tables, chunk measure and eigenbasis all broken,
-    which is what makes c09 an independent check of the sweep."""
+    """The oracle answers with the kernel's tables, chunk measure, grid walk, amplitude boost and
+    eigenbasis all broken, which is what makes c09 an independent check of the sweep."""
     state, b = make_psi1(1.0), BoostSpec.from_polar_angle(1.5, 0.4)
     psi, batch = assemble_state_vector(state), ([0.0, 1.5], np.array([E_Z, b.direction]))
     single, (bloch, nu) = analytic_boosted_bloch(state, b), _analytic_bloch_batch(psi, *batch)
@@ -421,9 +430,8 @@ def test_analytic_bloch_shares_no_code_with_the_kernel(monkeypatch):
     def broken(*args):
         raise AssertionError("the oracle called into the kernel")
 
-    for module, name in ((diracboost.measures, "_tables"), (diracboost.measures, "_measure_chunk"),
-                         (diracboost.kernel, "_boost_eigenbasis")):
-        monkeypatch.setattr(module, name, broken)
+    for name in ("_tables", "_measure_chunk", "_measure_grid", "_boost_batch", "_boost_eigenbasis"):
+        monkeypatch.setattr(diracboost.kernel, name, broken)
     assert analytic_boosted_bloch(state, b) == single
     again, again_nu = _analytic_bloch_batch(psi, *batch)
     np.testing.assert_array_equal(again, bloch)

@@ -14,7 +14,7 @@ import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from diracboost.kernel import _tables
+from diracboost.kernel import _measure_chunk, _tables
 from diracboost.kinematics import E_Z, BoostSpec, FourMomentum, bispinor_boost
 from diracboost.measures import _analytic_bloch_batch, analytic_boosted_bloch
 from diracboost.states import (
@@ -22,7 +22,6 @@ from diracboost.states import (
     assemble_state_vector,
     boost_two_particle,
 )
-from diracboost.sweep import _measure_chunk
 from diracboost.tensor import kron
 
 TOL = 1e-10

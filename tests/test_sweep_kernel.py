@@ -1,6 +1,6 @@
 """The batched sweep kernel against the per-point public pipeline and a 60-digit reference.
 
-The sweep evaluates its grid in chunks of ``sweep._CHUNK`` points.  These
+The sweep evaluates its grid in chunks of ``kernel._CHUNK`` points.  These
 tests run grids that span several chunks, evenly and unevenly, and at
 negative rapidities, and compare every row with ``boost_two_particle``
 followed by the per-point measures.  Both routes use the eigenbasis of the
@@ -59,8 +59,8 @@ def test_chunked_sweep_matches_per_point_pipeline(
     scenario, omega_min, omega_steps, theta_steps, whole_chunks
 ):
     points = omega_steps * theta_steps
-    assert points > sweep._CHUNK
-    assert (points % sweep._CHUNK == 0) == whole_chunks
+    assert points > kernel._CHUNK
+    assert (points % kernel._CHUNK == 0) == whole_chunks
     cfg = SweepConfig(
         scenario=scenario,
         omega0=1.3,
@@ -95,7 +95,7 @@ def test_first_block_of_a_large_grid_builds_only_its_chunk():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert block.shape == (sweep._CHUNK, len(columns))
+    assert block.shape == (kernel._CHUNK, len(columns))
     assert peak < 4 * 2**20, peak
 
 
@@ -150,7 +150,7 @@ def test_tables_are_built_once_per_sweep_never_per_chunk(monkeypatch, cfg, built
 
     monkeypatch.setattr(kernel, "_direction_tables", counting)
     points = cfg.omega_grid.steps * cfg.theta_grid.steps
-    assert len(run_sweep(cfg)) == points > 2 * sweep._CHUNK
+    assert len(run_sweep(cfg)) == points > 2 * kernel._CHUNK
     assert sum(counts) == built, counts
 
 
@@ -164,7 +164,7 @@ def test_rest_rows_are_exact_in_every_chunk():
     rows = run_sweep(cfg)
     rest = [r for r in rows if r["omega"] == 0.0]
     assert len(rest) == 13
-    assert rows.index(rest[0]) >= sweep._CHUNK
+    assert rows.index(rest[0]) >= kernel._CHUNK
     for row in rest:
         assert row["nu"] == 1.0
         assert row["delta_eg"] == 0.0
@@ -209,7 +209,7 @@ def test_one_chunk_mixes_both_routes_in_row_order(scenario, labels):
     thetas = np.tile([0.0, 0.6, 0.0, 2.2], 13)
     n = np.stack([np.sin(thetas), np.zeros_like(thetas), np.cos(thetas)], axis=1)
     tables = kernel._tables(psi, n)
-    nu, eg, neg, bloch = sweep._measure_chunk(tables, omegas, thetas, np.arange(len(n)))
+    nu, eg, neg, bloch = kernel._measure_chunk(tables, omegas, thetas, np.arange(len(n)))
 
     references = [_reference_row(psi0, w, th) for w, th in zip(omegas, thetas)]
     bloch_names = [f"bloch_{tag}_{axis}" for tag in ("pa", "sa", "pb", "sb") for axis in "xyz"]
@@ -226,7 +226,7 @@ def test_cancelling_parallel_boost_keeps_nu_at_large_rapidity():
     psi = assemble_state_vector(make_psi1(1.0)).reshape(4, 4)
     omegas = np.array([10.0, 15.0])
     tables = kernel._tables(psi, E_Z[None, :])
-    nu, eg, _, _ = sweep._measure_chunk(tables, omegas, np.zeros(2), np.zeros(2, int))
+    nu, eg, _, _ = kernel._measure_chunk(tables, omegas, np.zeros(2), np.zeros(2, int))
     assert np.all(np.abs(nu - 1.0) <= 1e-9), nu - 1.0
     assert np.all(np.abs(eg - 0.5) <= 1e-12), eg - 0.5
 
@@ -348,8 +348,8 @@ def test_rest_rows_take_the_quadratic_route_and_equal_the_origin_row():
     psi = scenario_vector(SweepConfig(scenario="psi3")).reshape(4, 4)
     thetas = np.linspace(0.0, math.pi, 7)
     n = np.stack([np.sin(thetas), np.zeros_like(thetas), np.cos(thetas)], axis=1)
-    rest = sweep._measure_chunk(kernel._tables(psi, n), np.zeros(7), thetas, np.arange(7))
-    origin = sweep._measure_chunk(
+    rest = kernel._measure_chunk(kernel._tables(psi, n), np.zeros(7), thetas, np.arange(7))
+    origin = kernel._measure_chunk(
         kernel._tables(psi, E_Z[None, :]), np.zeros(1), np.zeros(1), np.zeros(1, int)
     )
     for got, want in zip(rest, origin):
@@ -361,14 +361,14 @@ def test_rest_rows_take_the_quadratic_route_and_equal_the_origin_row():
 
 
 def _chunk_peak(psi, omega):
-    thetas = np.linspace(0.0, math.pi, sweep._CHUNK)
+    thetas = np.linspace(0.0, math.pi, kernel._CHUNK)
     n = np.stack([np.sin(thetas), np.zeros_like(thetas), np.cos(thetas)], axis=1)
-    omegas, columns = np.full(sweep._CHUNK, omega), np.arange(sweep._CHUNK)
+    omegas, columns = np.full(kernel._CHUNK, omega), np.arange(kernel._CHUNK)
     tables = kernel._tables(psi, n)  # built before the chunk, as the sweep builds them
-    sweep._measure_chunk(tables, omegas, thetas, columns)
+    kernel._measure_chunk(tables, omegas, thetas, columns)
     tracemalloc.start()
     try:
-        sweep._measure_chunk(tables, omegas, thetas, columns)
+        kernel._measure_chunk(tables, omegas, thetas, columns)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -435,7 +435,7 @@ def test_cancelling_and_near_collinear_boosts_match_a_60_digit_reference():
     for scenario, labels, omega, theta in REFERENCE_POINTS:
         psi = scenario_vector(SweepConfig(scenario=scenario, chiral_labels=labels)).reshape(4, 4)
         n = np.array([[math.sin(theta), 0.0, math.cos(theta)]])
-        got = sweep._measure_chunk(
+        got = kernel._measure_chunk(
             kernel._tables(psi, n), np.array([omega]), np.array([theta]), np.zeros(1, int)
         )
         nu, eg, neg, bloch = _reference_60_digits(mp, psi, omega, theta)
@@ -460,13 +460,13 @@ def test_chiral_projections_keep_n_nu_and_eg_from_n(omega0):
     has ``1 - |r|^2 = N^2``.  ``N`` has absolute resolution, so the first bound scales
     with ``nu``.
     """
-    theta_points = np.linspace(0.0, math.pi, 9)
-    omegas, thetas, steps = kernel._grid(np.linspace(0.0, 60.0, 31), theta_points)
+    omega_points, theta_points = np.linspace(0.0, 60.0, 31), np.linspace(0.0, math.pi, 9)
     n = kinematics._polar_directions(theta_points)
     for scenario, labels in itertools.product(("chiral-psi2", "chiral-psi3"), LABELS):
         cfg = SweepConfig(scenario=scenario, omega0=omega0, chiral_labels=labels)
-        tables = kernel._tables(scenario_vector(cfg).reshape(4, 4), n)
-        nu, eg, neg, _ = sweep._measure_chunk(tables, omegas, thetas, steps)
-        neg0 = neg[omegas == 0.0][0]
+        psi = scenario_vector(cfg).reshape(4, 4)
+        chunks = list(kernel._measure_grid(psi, n, omega_points, theta_points))
+        nu, eg, neg = (np.concatenate([c[k] for c in chunks]) for k in ("nu", "eg", "negativity"))
+        neg0 = neg[0]  # the first point is omega = 0
         assert np.all(np.abs(neg * nu - neg0) <= TOL * np.maximum(nu, 1.0)), (scenario, labels)
         assert np.all(np.abs(eg - neg**2 / 2.0) <= TOL), (scenario, labels)

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 import diracboost.kernel
-import diracboost.sweep
 import diracboost.verify
 from diracboost import cli
 from diracboost.kinematics import BoostSpec, _boost_eigenbasis
@@ -52,8 +51,10 @@ def test_corrupted_boost_sign_is_caught(monkeypatch):
     """Flipping the boost rapidity sign must trip the rest-frame extremum
     check: the shared-momentum state then never reaches its rest frame on
     the scanned grid, so the minimum leaves omega = omega0.  Swapping the
-    eigenbasis columns of eigenvalues -1 and 1 turns S(omega) into S(-omega)."""
+    eigenbasis columns of eigenvalues -1 and 1 turns S(omega) into S(-omega).
+    The textbook boost of c09 shares no code with the eigenbasis, so c09 fails too."""
     assert _check_psi3_extremum().passed
+    assert _check_analytic_bloch().passed
 
     def flipped(directions: np.ndarray) -> np.ndarray:
         return _boost_eigenbasis(directions)[..., [2, 3, 0, 1]]
@@ -63,10 +64,9 @@ def test_corrupted_boost_sign_is_caught(monkeypatch):
     assert not corrupted.passed
     assert corrupted.check_id == "c07"
     assert "argmin at omega=0.00" in corrupted.detail
-    # the chiral-invariance check also reports its named id under corruption
-    chiral = _check_chiral_invariance()
-    assert not chiral.passed
-    assert chiral.check_id == "c08"
+    oracle = _check_analytic_bloch()
+    assert not oracle.passed
+    assert oracle.check_id == "c09"
 
 
 GOLDEN = Path(__file__).parent / "golden" / "verify.json"
@@ -102,13 +102,13 @@ def test_c09_sees_the_spin_bloch_columns(monkeypatch):
     """c09's states include psi1 and chiral-psi2, whose spin Bloch vectors do not vanish, so a
     1e-8 relative error in the sweep's SA and SB columns alone must fail it."""
     assert _check_analytic_bloch().passed
-    exact = diracboost.sweep._measure_chunk
+    exact = diracboost.kernel._measure_chunk
 
     def skewed(*args):
         nu, eg, neg, bloch = exact(*args)
         return nu, eg, neg, bloch * np.array([1.0, 1.0 + 1e-8, 1.0, 1.0 + 1e-8])[:, None]
 
-    monkeypatch.setattr(diracboost.sweep, "_measure_chunk", skewed)
+    monkeypatch.setattr(diracboost.kernel, "_measure_chunk", skewed)
     assert not _check_analytic_bloch().passed
 
 
@@ -119,10 +119,10 @@ def test_c09_sees_the_spin_bloch_columns(monkeypatch):
 ], ids=["c02", "c09", "c07"])
 def test_grid_checks_measure_through_the_sweep(monkeypatch, check, skew):
     """c02, c07 and c09 read the numbers `diracboost sweep` writes, so a 1e-8 error in
-    the sweep's own kernel binding must fail them."""
+    the kernel's chunk measure must fail them."""
     assert check().passed
-    exact = diracboost.sweep._measure_chunk
-    monkeypatch.setattr(diracboost.sweep, "_measure_chunk", lambda *a: skew(*exact(*a)))
+    exact = diracboost.kernel._measure_chunk
+    monkeypatch.setattr(diracboost.kernel, "_measure_chunk", lambda *a: skew(*exact(*a)))
     assert not check().passed
 
 
