@@ -5,6 +5,10 @@ The boost along ``n`` is ``S = exp(-(w/2) G)``, ``G = sigma_x (x) n.sigma``.  In
 U^dag Psi U^*``: the boost scales the top-left, off-diagonal and bottom-right 2x2 blocks of
 ``Phi`` by ``e^w``, 1 and ``e^-w``.  So each of the 29 outputs before the eigensolve is ``sum_m
 e^{m w} W_m`` (m = 2 .. -2) from one table per state and direction, and ``nu`` never cancels.
+The 16 spin-spin outputs are the partial transpose ``T`` in the eigenbasis of ``sigma_y (x)
+sigma_y``.  Where that splits every table into two 2x2 blocks, as on psi2's and psi3's x-z
+sweeps, the negativity ``N = -2 min(lambda_min, 0)`` comes from the blocks in closed form; the
+decision is taken once, when the tables are built, and otherwise ``eigvalsh`` solves each 4x4.
 :func:`_boost_batch` scales ``Phi`` itself, for the boosted amplitudes.
 """
 
@@ -21,13 +25,24 @@ _LEVELS = np.add.outer([0, 0, 1, 1], [0, 0, 1, 1])
 _BLOCKS = _LEVELS == np.arange(3)[:, None, None]
 #: ``_PAIRS[r, 3 i + j] = 1`` where blocks i and j together carry e^{(2 - r) w}.
 _PAIRS = np.equal.outer(np.arange(5), np.add.outer(np.arange(3), np.arange(3)).ravel()) * 1.0
+#: The sigma_y (x) sigma_y eigenbasis of the spin pair, unnormalized: columns e1 + e2, e0 - e3
+#: (eigenvalue 1), e1 - e2 and e0 + e3 (eigenvalue -1), so ``_SIGMA_YY.T @ _SIGMA_YY = 2 I``.
+_SIGMA_YY = np.array([[0, 1, 0, 1], [1, 0, 1, 0], [1, 0, -1, 0], [0, -1, 0, 1]])
 #: The 29 outputs are u^dag O_q u for u = vec(Psi'), the O_q stacked as one (29 * 16, 16) matrix:
-#: nu (O = I), the Bloch numerators (sigma_k on PA, SA, PB, SB) and the spin-spin matrix
-#: transposed on SA, whose entry [(a, b'), (a', b)] sums Psi[pA a, pB b] Psi*[pA a', pB b'] over
-#: pA, pB.  Entries are 0, +-1 or +-i, one nonzero per row: O_q u is exact products and zeros.
+#: nu (O = I), the Bloch numerators (sigma_k on PA, SA, PB, SB) and ``T' = Q'^T T Q'`` for the
+#: spin-spin matrix T transposed on SA, whose entry [(a, b'), (a', b)] sums Psi[pA a, pB b]
+#: Psi*[pA a', pB b'] over pA, pB, and Q' = _SIGMA_YY.  Entries are 0, +-1 or +-i, one nonzero
+#: per row: O_q u is exact products and zeros.
 _SINGLE = [np.einsum("ij,kab,lm->kialjbm", np.eye(2**t), PAULI, np.eye(8 >> t)) for t in range(4)]
-_PAIR = np.einsum("pP,qQ,sA,tB,Sa,Tb->aBAbpsqtPSQT", *[np.eye(2)] * 6)
+_PAIR = np.einsum("pP,qQ,sA,tB,Sa,Tb->aBAbpsqtPSQT", *[np.eye(2)] * 6).reshape(4, 4, -1)
+_PAIR = np.einsum("ik,jl,ijx->klx", _SIGMA_YY, _SIGMA_YY, _PAIR)
 _OPERATORS = np.concatenate([op.reshape(-1, 16) for op in [np.eye(16), *_SINGLE, _PAIR]])
+#: The order in which a table keeps the 16 reals of T', the real parts of its lower triangle and
+#: the imaginary parts above, as flat 4x4 positions: first its two diagonal 2x2 blocks (T'[0, 0],
+#: T'[1, 1], T'[1, 0], then T'[2, 2], T'[3, 3], T'[3, 2]), then the 8 reals off the blocks.
+_SPIN_SLOTS = [0, 5, 4, 1, 10, 15, 14, 11, 8, 9, 12, 13, 2, 3, 6, 7]
+#: A table cut to its first 21 columns keeps only the two blocks: see :func:`_tables`.
+_SPLIT = 21
 #: Grid points per :func:`_measure_chunk` call: few enough to keep peak memory small on any grid.
 _CHUNK = 256
 
@@ -71,18 +86,21 @@ def _direction_tables(psi, directions):
     # W_m is Hermitian: 16 reals, its spin-spin lower triangle with the imaginary parts above
     spin = tables[..., 13:].reshape(-1, 5, 4, 4)
     spin = np.tril(spin.real) + np.triu(spin.imag.swapaxes(2, 3), 1)
-    return np.concatenate([tables[..., :13].real, spin.reshape(-1, 5, 16)], axis=2)
+    spin = spin.reshape(-1, 5, 16)[..., _SPIN_SLOTS]
+    return np.concatenate([tables[..., :13].real, spin], axis=2)
 
 
 def _tables(psi, directions):
     """The (1 + k, 5, 29) tables of the 4x4 ``psi``: row 0 for ``E_Z``, which every ``omega = 0``
-    point reads, then one row per unit direction (k, 3)."""
+    point reads, then one row per unit direction (k, 3).  Where every off-block entry of every
+    ``T'`` is exactly 0, the tables are cut to their first :data:`_SPLIT` columns, which tells
+    :func:`_measure_chunk` to solve the two blocks in closed form."""
     directions = np.concatenate([E_Z[None, :], directions])
     tables = np.empty((len(directions), 5, 29))
     # 16 directions at a time keep the build's working arrays below 1 MB
     for s in range(0, len(directions), 16):
         tables[s : s + 16] = _direction_tables(psi, directions[s : s + 16])
-    return tables
+    return tables if tables[..., _SPLIT:].any() else tables[..., :_SPLIT]
 
 
 def _measure_chunk(tables, omegas, thetas, columns):
@@ -108,20 +126,29 @@ def _measure_chunk(tables, omegas, thetas, columns):
 
     bloch = out[:, 1:13].reshape(-1, 4, 3)
     eg = np.sum(_clamp_residue(1.0 - np.sum(bloch**2, axis=2)), axis=1) / 4.0
-    spin = out[:, 13:].reshape(-1, 4, 4)
-    # eigvalsh reads only the lower triangle and the real diagonal of each matrix
-    transposed = spin + 1j * spin.swapaxes(1, 2)
-    try:
-        eigenvalues = np.linalg.eigvalsh(transposed)
-    except np.linalg.LinAlgError as exc:
-        for k, matrix in enumerate(transposed):
-            try:
-                np.linalg.eigvalsh(matrix)
-            except np.linalg.LinAlgError:
-                raise _point_error(omegas[k], thetas[k], exc) from exc
-        raise
-    # summed in descending order, as the per-point negativity does
-    neg = _clamp_residue(np.sum(np.abs(eigenvalues[:, ::-1]), axis=1) - 1.0)
+    if out.shape[1] == _SPLIT:
+        # each block [[a, b*], [b, d]] has eigenvalues (a + d) / 2 +- hypot((a - d) / 2, |b|)
+        a, d, re, im = out[:, 13:].reshape(-1, 2, 4).transpose(2, 0, 1)
+        lowest = np.min((a + d) / 2.0 - np.hypot((a - d) / 2.0, np.hypot(re, im)), axis=1)
+    else:
+        spin = np.zeros((len(out), 16))
+        spin[:, _SPIN_SLOTS] = out[:, 13:]
+        spin = spin.reshape(-1, 4, 4)
+        # eigvalsh reads only the lower triangle and the real diagonal of each matrix
+        transposed = spin + 1j * spin.swapaxes(1, 2)
+        try:
+            lowest = np.linalg.eigvalsh(transposed)[:, 0]
+        except np.linalg.LinAlgError as exc:
+            for k, matrix in enumerate(transposed):
+                try:
+                    np.linalg.eigvalsh(matrix)
+                except np.linalg.LinAlgError:
+                    raise _point_error(omegas[k], thetas[k], exc) from exc
+            raise
+    # T has trace 1 and at most one negative eigenvalue (Sanpera, Tarrach and Vidal, PRA 58, 826
+    # (1998)), so N = sum |lambda| - 1 = -2 min(lambda_min, 0); lowest is 2 lambda_min exactly,
+    # as T' = 2 Q^T T Q with Q = _SIGMA_YY / sqrt(2) orthogonal
+    neg = _clamp_residue(np.where(lowest < 0.0, -lowest, 0.0))
     return nu, eg, neg, bloch
 
 

@@ -199,27 +199,64 @@ def run_sweep(cfg: SweepConfig) -> list[dict[str, float]]:
     return [dict(zip(columns, row)) for block in blocks for row in block.tolist()]
 
 
+def _respelled_columns(block: np.ndarray) -> np.ndarray:
+    """Whether each column of ``block`` may hold a cell whose JSON spelling ``repr(float(t))``
+    differs from its token ``t``: an integer token, an exponent e+12 to e+15, or a subnormal,
+    whose 12 digits can outrun repr's.  A superset, tested on values: a value within 1e-11 of an
+    integer, relatively, which takes in every value from 5e10 up, or below the normal range."""
+    magnitude = np.abs(block)
+    integral = np.abs(block - np.rint(block)) <= 1e-11 * magnitude
+    return (integral | (magnitude < np.finfo(float).tiny)).any(axis=0)
+
+
 def _format_chunks(columns: Sequence[str], blocks, output_format: str):
-    """Yield the CSV or JSON bytes of ``blocks`` chunk by chunk; see :func:`emit`."""
-    # "%.12g" writes exactly the token f"{v:.12g}" does
-    line = ",".join(["%.12g"] * len(columns))
-    if output_format == "csv":
-        yield (",".join(columns) + "\n").encode("ascii")
-        for block in blocks:
-            yield ((f"{line}\n" * len(block)) % tuple(block.ravel().tolist())).encode("ascii")
-    elif output_format == "json":
-        row = "{" + ",".join(json.dumps(c).replace("%", "%%") + ":%s" for c in columns) + "}"
-        yield b"["
-        for i, block in enumerate(blocks):
-            tokens = (",".join([line] * len(block)) % tuple(block.ravel().tolist())).split(",")
-            # each field is repr(float(t)): a positional token (a "." and no exponent) of at
-            # most 12 digits already is that repr, and "0", the commonest token, is "0.0"
-            fields = ["0.0" if t == "0" else t if "." in t and "e" not in t else repr(float(t))
-                      for t in tokens]
-            yield ("," * (i > 0) + ",".join([row] * len(block)) % tuple(fields)).encode("ascii")
-        yield b"]\n"
-    else:
+    """Yield the CSV or JSON bytes of ``blocks`` chunk by chunk; see :func:`emit`.
+
+    Each chunk is one ``%`` pass of a row template built per column: a column bit-equal over the
+    chunk is a literal, the grid columns (the first two) take tokens made once per value, and
+    any other column is ``%.12g`` or, in JSON where a cell may print differently, exact strings.
+    """
+    if output_format not in OUTPUT_FORMATS:
         raise ConfigError("format", f"unknown format {output_format!r}")
+    as_json = output_format == "json"
+    # "%.12g" writes exactly the token f"{v:.12g}" does; JSON writes repr(float(token))
+    token = (lambda v: repr(float("%.12g" % v))) if as_json else "%.12g".__mod__
+    if as_json:
+        keys = [json.dumps(c).replace("%", "%%") + ":" for c in columns]
+        yield b"["
+    else:
+        keys = [""] * len(columns)
+        yield (",".join(columns) + "\n").encode("ascii")
+    grid = ({}, {})  # per grid column, the tokens of the values met so far, by their bits
+    for i, block in enumerate(blocks):
+        bits = block.view(np.int64)
+        constant = (bits == bits[0]).all(axis=0)
+        respelled = _respelled_columns(block) if as_json else np.zeros(len(columns), bool)
+        fields = [key + (token(v) if c else "%.12g") for key, v, c in zip(keys, block[0], constant)]
+        varying = np.flatnonzero(~constant)
+        args = block[:, varying].ravel().tolist()
+        for k, j in enumerate(varying):
+            if j < 2:
+                memo, cells = grid[j], bits[:, j].tolist()
+                if len(memo) > 2048:  # keeps memory flat on grids of any size
+                    memo.clear()
+                new = list(set(cells).difference(memo))
+                memo.update(zip(new, map(token, np.array(new, np.int64).view(float).tolist())))
+                cells = list(map(memo.__getitem__, cells))
+            elif respelled[j]:
+                cells = [token(v) for v in block[:, j].tolist()]
+            else:
+                continue
+            fields[j] = keys[j] + "%s"
+            args[k :: len(varying)] = cells
+        if as_json:
+            row = "{" + ",".join(fields) + "}"
+            text = "," * (i > 0) + ",".join([row] * len(block))
+        else:
+            text = (",".join(fields) + "\n") * len(block)
+        yield (text % tuple(args)).encode("ascii")
+    if as_json:
+        yield b"]\n"
 
 
 def emit(rows: Sequence[dict[str, float]], output_format: str = "csv") -> bytes:

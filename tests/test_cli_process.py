@@ -28,11 +28,13 @@ def _without_seconds(text: str) -> dict:
 
 @pytest.mark.parametrize("argv, code", [
     (["sweep", "--scenario", "psi2", "--omega", "0:2:5", "--theta", "0:1.5:4"], 0),
+    # psi1 solves its negativity with eigvalsh, psi2 and psi3 in closed form
+    (["sweep", "--scenario", "psi1", "--omega", "0:2:5", "--theta", "0:3.14159:4"], 0),
     (["sweep", "--scenario", "psi3", "--measures", "eg,negativity,bloch", "--format", "json",
       "--omega", "0:3:4", "--theta", "0:3.14159:3"], 0),
     (["verify", "--json"], 2),
     (["sweep", "--no-such-flag"], 1),
-], ids=["csv-sweep", "json-sweep-with-bloch", "verify-json", "bad-flag"])
+], ids=["csv-sweep", "csv-sweep-eigvalsh", "json-sweep-with-bloch", "verify-json", "bad-flag"])
 def test_a_fresh_process_writes_what_main_writes(argv, code, capsysbinary):
     done = subprocess.run([sys.executable, "-W", "error", "-m", "diracboost.cli", *argv],
                           capture_output=True, env=ENV, timeout=60)

@@ -11,6 +11,7 @@ import json
 import os
 import stat
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from hypothesis import strategies as st
 
 from diracboost import cli, kernel
 from diracboost.kernel import _CHUNK
-from diracboost.sweep import SweepError, emit, run_sweep
+from diracboost.sweep import SweepError, _format_chunks, emit, run_sweep
 from test_golden import CASES
 
 FORMATS = ("csv", "json")
@@ -85,16 +86,78 @@ def test_emit_escapes_percent_in_json_keys():
 
 
 # --------------------------------------------------------------------------
+# the writer's row template: columns constant over a chunk are literals
+# --------------------------------------------------------------------------
+
+COLUMNS = ("omega", "theta", *NAMES, "nu")
+
+
+def _streamed(blocks, output_format):
+    """The bytes of ``blocks`` written one chunk each, and the reference bytes of their rows."""
+    rows = [dict(zip(COLUMNS, row)) for block in blocks for row in block.tolist()]
+    written = b"".join(_format_chunks(COLUMNS, blocks, output_format))
+    return written, reference_emit(rows, output_format)
+
+
+@pytest.mark.parametrize("output_format", FORMATS)
+@pytest.mark.parametrize("value", [0.0, -0.0, 1.0, 1e12, 1.5e15, 5e-324])
+def test_constant_column_next_to_a_chunk_where_it_varies(value, output_format):
+    rng = np.random.default_rng(7)
+    for j in range(len(COLUMNS)):
+        constant, varying = rng.normal(size=(2, 5, len(COLUMNS)))
+        constant[:, j] = value
+        varying[::2, j] = value
+        got, want = _streamed([constant, varying, constant], output_format)
+        assert got == want, COLUMNS[j]
+
+
+@pytest.mark.parametrize("output_format", FORMATS)
+def test_column_of_mixed_signed_zeros_is_not_folded(output_format):
+    rng = np.random.default_rng(8)
+    for j in range(len(COLUMNS)):
+        block = rng.normal(size=(4, len(COLUMNS)))
+        block[:, j] = [0.0, -0.0, 0.0, -0.0]
+        got, want = _streamed([block, block[::-1].copy()], output_format)
+        assert got == want, COLUMNS[j]
+
+
+def test_grid_tokens_stay_bounded_on_a_long_grid():
+    """The writer keeps the tokens of the grid values it has met, but not of every one."""
+    blocks = [np.full((256, len(COLUMNS)), 0.5) for _ in range(80)]
+    for k, block in enumerate(blocks):
+        block[:, 0] = np.arange(256 * k, 256 * (k + 1)) / 3.0  # 20,480 omega values
+    chunks = _format_chunks(COLUMNS, blocks, "csv")
+    next(chunks)
+    tracemalloc.start()
+    try:
+        for _ in chunks:
+            pass
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**19, peak  # about 0.33 MB; 2.6 MB if every token were kept
+
+
+@pytest.mark.parametrize("output_format", FORMATS)
+def test_block_of_constant_columns_leaves_no_template_argument(output_format):
+    rows = [{"omega": 1.0, "theta": -0.0, "a%d": 1e12, "b%%s": 0.5, "nu": 5e-324}] * 3
+    assert emit(rows, output_format) == reference_emit(rows, output_format)
+
+
+# --------------------------------------------------------------------------
 # the CLI streams chunk by chunk
 # --------------------------------------------------------------------------
 
 CUSTOM_TERMS = ["--term=1,0,1,1,1,2,1,-1", "--term=0,0.5,2,1.3,-1,1,0.6,1"]
-# 700 and 601 rows: three chunks, the last one partial.  The omega = 0 rows and
+# 700, 576 and 601 rows: three chunks, the last one partial.  The omega = 0 rows and
 # rows at integer omega (whose integer tokens JSON writes with ".0"), exact
-# zeros included, fall in the second chunk and beyond.
+# zeros included, fall in the second chunk and beyond.  psi2's 64 theta steps put
+# a theta = 0 row first in each later chunk.
 STREAMED = {
     "psi3-bloch": ["--scenario", "psi3", "--omega=-3:3:7", "--theta", "0:3.141592653589793:100",
                    "--measures", "eg,delta_eg,negativity,delta_negativity,bloch"],
+    "psi2-bloch-theta-64": ["--scenario", "psi2", "--omega=-2:2:9", "--theta",
+                            "0:3.141592653589793:64", "--measures", "eg,negativity,bloch"],
     "custom-boost-dir": ["--scenario", "custom", *CUSTOM_TERMS, "--boost-dir", "0.48,0.6,0.64",
                          "--omega=-3:3:601", "--theta", "0:0:1"],
 }

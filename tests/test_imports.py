@@ -88,9 +88,10 @@ def test_module_reads_or_exports_every_private_name(path):
     assert not orphans, f"{path.name} defines private names nothing reads: {', '.join(orphans)}"
 
 
-#: The kernel's internals: its tables, chunk measure, chunk size and eigenbasis scaling.
+#: The kernel's internals: its tables and their layout, chunk measure, chunk size and eigenbasis
+#: scaling.
 KERNEL_INTERNALS = {"_tables", "_measure_chunk", "_direction_tables", "_eigenbasis_amplitudes",
-                    "_LEVELS", "_CHUNK"}
+                    "_LEVELS", "_CHUNK", "_SIGMA_YY", "_SPIN_SLOTS", "_SPLIT"}
 
 
 @pytest.mark.parametrize("path", [p for p in MODULES if p.name != "kernel.py"],

@@ -20,6 +20,7 @@ from diracboost import kernel, kinematics, sweep
 from diracboost.kinematics import BOOST_GENERATORS, E_Z, BoostSpec
 from diracboost.measures import bloch_vector, global_entanglement, negativity
 from diracboost.states import assemble_state_vector, boost_two_particle, make_psi1
+from diracboost.tensor import PAULI_X, PAULI_Y, PAULI_Z
 from diracboost.sweep import (
     GridSpec,
     SweepConfig,
@@ -186,12 +187,94 @@ def test_eigensolver_failure_names_its_point(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigvalsh", flaky)
     cfg = SweepConfig(
-        scenario="psi2",
+        scenario="psi1",  # psi2 and psi3 solve their two blocks in closed form, without eigvalsh
         omega_grid=GridSpec(0.0, 1.0, 3),
         theta_grid=GridSpec(0.25, 0.25, 1),
     )
     with pytest.raises(SweepError, match=r"omega=0\.5, theta=0\.25.*did not converge"):
         run_sweep(cfg)
+
+
+# --------------------------------------------------------------------------
+# the negativity's two routes: closed-form sigma_y (x) sigma_y blocks, or eigvalsh
+# --------------------------------------------------------------------------
+
+#: The spin blocks of sigma_y (x) sigma_y eigenvalue 1 (sigma_x, sigma_z) and -1 (I, i sigma_y).
+EIGENBLOCKS = {1: (PAULI_X, PAULI_Z), -1: (np.eye(2), 1j * PAULI_Y)}
+
+
+def _symmetric_state(rng, sign):
+    """A drawn unit 4x4 ``Psi`` whose spin block ``Psi[pA, :, pB, :]`` has sigma_y (x) sigma_y
+    eigenvalue ``sign (-1)^(pA + pB)``.  A boost in the x-z plane keeps that pattern, so every
+    spin-spin matrix of the sweep commutes with sigma_y (x) sigma_y."""
+    psi = np.zeros((2, 2, 2, 2), dtype=complex)
+    for pa, pb in itertools.product((0, 1), repeat=2):
+        c = rng.normal(size=2) + 1j * rng.normal(size=2)
+        basis = EIGENBLOCKS[sign * (-1) ** (pa + pb)]
+        psi[pa, :, pb, :] = c[0] * basis[0] + c[1] * basis[1]
+    return psi.reshape(4, 4) / np.linalg.norm(psi)
+
+
+def _both_routes(psi, omegas, thetas):
+    """``_measure_chunk`` on the split tables of ``psi``, and on the same tables with their 8
+    off-block columns, all 0, put back, which takes the eigvalsh route."""
+    tables = kernel._tables(psi, kinematics._polar_directions(thetas))
+    assert tables.shape[2] == kernel._SPLIT
+    full = np.concatenate([tables, np.zeros(tables.shape[:2] + (29 - kernel._SPLIT,))], axis=2)
+    columns = np.arange(len(omegas)) % len(thetas)
+    points = (omegas, thetas[columns], columns)
+    return kernel._measure_chunk(tables, *points), kernel._measure_chunk(full, *points)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_split_route_matches_eigvalsh_on_drawn_symmetric_states(seed):
+    rng = np.random.default_rng(seed)
+    psi = _symmetric_state(rng, rng.choice([-1, 1]))
+    thetas = np.sort(rng.uniform(0.0, math.pi, 7))
+    split, solved = _both_routes(psi, rng.uniform(-10.0, 10.0, 300), thetas)
+    assert np.max(np.abs(split[2] - solved[2])) <= 1e-13
+    for got, want in zip(split[:2] + split[3:], solved[:2] + solved[3:]):
+        assert np.array_equal(got, want)  # only the spin-spin columns take another route
+
+
+@pytest.mark.parametrize("scenario", ["psi2", "psi3"])
+def test_split_route_matches_eigvalsh_on_the_paper_states(scenario):
+    psi = scenario_vector(SweepConfig(scenario=scenario, omega0=1.3)).reshape(4, 4)
+    omegas = np.repeat(np.linspace(0.0, 60.0, 61), 25)
+    split, solved = _both_routes(psi, omegas, np.linspace(0.0, math.pi, 25))
+    assert np.max(np.abs(split[2] - solved[2])) <= 1e-13
+
+
+TERMS = ((1.0, 0.0, 1, 1.0, 1, 2, 1.0, -1), (0.0, 0.5, 2, 1.3, -1, 1, 0.6, 1))
+ROUTES = (
+    # (scenario, chiral labels, custom terms, split on x-z directions, split on 3-D ones)
+    [("psi1", None, (), False, False), ("psi2", None, (), True, False),
+     ("psi3", None, (), True, False)]
+    + [("chiral-psi2", labels, (), False, False) for labels in LABELS]
+    # the chiral singlets are unchanged by every boost, so they split in every direction
+    + [("chiral-psi3", labels, (), labels[0] == labels[1], labels[0] == labels[1])
+       for labels in LABELS]
+    + [("custom", None, TERMS, False, False)]
+)
+
+
+@pytest.mark.parametrize("scenario,labels,terms,on_plane,in_space", ROUTES)
+def test_each_scenario_takes_its_measured_route(monkeypatch, scenario, labels, terms, on_plane,
+                                                in_space):
+    solve, calls = np.linalg.eigvalsh, []
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a) or solve(a))
+    rng = np.random.default_rng(5)
+    directions = rng.normal(size=(6, 3))
+    for omega0 in (0.3, 1.0, 2.0):
+        cfg = SweepConfig(scenario=scenario, omega0=omega0, chiral_labels=labels,
+                          custom_terms=terms, theta_grid=GridSpec(0.0, math.pi, 37),
+                          omega_grid=GridSpec(0.0, 4.0, 9))
+        calls.clear()
+        run_sweep(cfg)
+        assert (not calls) == on_plane, omega0
+        psi = scenario_vector(cfg).reshape(4, 4)
+        tables = kernel._tables(psi, directions / np.linalg.norm(directions, axis=1)[:, None])
+        assert (tables.shape[2] == kernel._SPLIT) == in_space, omega0
 
 
 # --------------------------------------------------------------------------
