@@ -100,7 +100,7 @@ _KEYS = {
 def load_config_file(path: str) -> dict:
     """Parse a line-oriented key=value config file; a repeated key's values form a list."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")  # a leading byte-order mark is dropped
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError("config", f"cannot read {path!r}: {exc}") from exc
     values: dict = {}

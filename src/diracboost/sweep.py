@@ -212,9 +212,9 @@ def _respelled_columns(block: np.ndarray) -> np.ndarray:
 def _format_chunks(columns: Sequence[str], blocks, output_format: str):
     """Yield the CSV or JSON bytes of ``blocks`` chunk by chunk; see :func:`emit`.
 
-    Each chunk is one ``%`` pass of a row template built per column: a column bit-equal over the
-    chunk is a literal, the grid columns (the first two) take tokens made once per value, and
-    any other column is ``%.12g`` or, in JSON where a cell may print differently, exact strings.
+    Each chunk is one ``%`` pass of a row template built per column from that chunk alone: a
+    column bit-equal over the chunk is a literal, and any other column is ``%.12g`` or, in JSON
+    where a cell may print differently, one exact string per distinct value in the chunk.
     """
     if output_format not in OUTPUT_FORMATS:
         raise ConfigError("format", f"unknown format {output_format!r}")
@@ -227,7 +227,6 @@ def _format_chunks(columns: Sequence[str], blocks, output_format: str):
     else:
         keys = [""] * len(columns)
         yield (",".join(columns) + "\n").encode("ascii")
-    grid = ({}, {})  # per grid column, the tokens of the values met so far, by their bits
     for i, block in enumerate(blocks):
         bits = block.view(np.int64)
         constant = (bits == bits[0]).all(axis=0)
@@ -236,19 +235,11 @@ def _format_chunks(columns: Sequence[str], blocks, output_format: str):
         varying = np.flatnonzero(~constant)
         args = block[:, varying].ravel().tolist()
         for k, j in enumerate(varying):
-            if j < 2:
-                memo, cells = grid[j], bits[:, j].tolist()
-                if len(memo) > 2048:  # keeps memory flat on grids of any size
-                    memo.clear()
-                new = list(set(cells).difference(memo))
-                memo.update(zip(new, map(token, np.array(new, np.int64).view(float).tolist())))
-                cells = list(map(memo.__getitem__, cells))
-            elif respelled[j]:
-                cells = [token(v) for v in block[:, j].tolist()]
-            else:
-                continue
-            fields[j] = keys[j] + "%s"
-            args[k :: len(varying)] = cells
+            if respelled[j]:  # one string per distinct value, by its bits: -0.0 is not 0.0
+                values, at = np.unique(bits[:, j], return_inverse=True)
+                strings = [token(v) for v in values.view(float).tolist()]
+                fields[j] = keys[j] + "%s"
+                args[k :: len(varying)] = [strings[n] for n in at.tolist()]
         if as_json:
             row = "{" + ",".join(fields) + "}"
             text = "," * (i > 0) + ",".join([row] * len(block))

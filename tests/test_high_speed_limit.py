@@ -17,13 +17,15 @@ chiral singlet and chiral-psi2 (0, 0) along z the boost leaves the measures wher
 The eigenvectors are written here, independently of the kernel's eigenbasis.
 """
 
+import itertools
 import math
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from diracboost.kernel import _measure_chunk, _tables
+from diracboost.kernel import _eigenbasis_amplitudes, _measure_chunk, _tables
 from diracboost.states import (
     assemble_state_vector,
     chiral_project_vector,
@@ -123,3 +125,44 @@ def test_chiral_psi2_keeps_its_negativity_along_z_only():
     for theta, phi in ((math.pi / 4, 0.0), (math.pi / 2, 0.0), (2.0, 4.0)):
         _, neg = kernel_measures(psi, [100.0, 300.0], direction(theta, phi))
         assert np.all(neg <= TOL)
+
+
+ANGLES = (0.0, math.pi / 4, math.pi / 2)
+#: psi1-psi3 and the eight chiral projections at omega0 = 1, named like the golden files.
+CLAIM_STATES = {
+    "psi1": assemble_state_vector(make_psi1(1.0)),
+    "psi2": assemble_state_vector(make_psi2(1.0)),
+    "psi3": assemble_state_vector(make_psi3(1.0)),
+    **{
+        f"chiral-{base}-{f}{g}": chiral_project_vector(make(1.0), f, g)
+        for (base, make), (f, g) in itertools.product(
+            (("psi2", make_psi2), ("psi3", make_psi3)), itertools.product((0, 1), repeat=2)
+        )
+    },
+}
+#: The angles of ANGLES along which a state's e^w level is empty; at the others it is occupied.
+EMPTY_TOP = {
+    "psi1": (0.0,),
+    "chiral-psi2-00": (0.0,),
+    "chiral-psi2-11": (0.0,),
+    "chiral-psi3-00": ANGLES,
+    "chiral-psi3-11": ANGLES,
+}
+
+
+@pytest.mark.parametrize("name", sorted(CLAIM_STATES))
+def test_negativity_degrades_exactly_when_the_top_level_is_occupied(name):
+    """The abstract's second and third claims as one rule.  Along ``n``, ``N`` goes to 0 at
+    large omega where ``Phi_top``, the top-left 2x2 block of the kernel's ``Phi``, is nonzero,
+    and keeps its rest value where ``Phi_top = 0``."""
+    psi = CLAIM_STATES[name]
+    for theta in ANGLES:
+        n = direction(theta)
+        _, phi = _eigenbasis_amplitudes(psi.reshape(4, 4), n[None, :])
+        empty = not phi[0, :2, :2].any()
+        assert empty == (theta in EMPTY_TOP.get(name, ())), theta
+        _, (rest, fast) = kernel_measures(psi, [0.0, 40.0], n)
+        if empty:
+            assert abs(fast - rest) <= TOL, theta
+        else:
+            assert fast <= TOL, theta

@@ -396,6 +396,12 @@ def test_load_config_file(tmp_path):
     assert values["term"] == ["1,0,1,1,1,2,1,-1", "0,0.5,2,1,-1,1,1,1"]
 
 
+def test_load_config_file_skips_a_byte_order_mark(tmp_path):
+    path = tmp_path / "bom.cfg"
+    path.write_bytes(b"\xef\xbb\xbfscenario = psi1\nomega = 0:1:2\n")
+    assert cli.load_config_file(str(path)) == {"scenario": "psi1", "omega": "0:1:2"}
+
+
 def test_load_config_file_rejects_bad_lines(tmp_path):
     unknown = tmp_path / "bad.cfg"
     unknown.write_text("volume = 11\n")
