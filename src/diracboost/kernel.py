@@ -45,6 +45,10 @@ _SPIN_SLOTS = [0, 5, 4, 1, 10, 15, 14, 11, 8, 9, 12, 13, 2, 3, 6, 7]
 _SPLIT = 21
 #: Grid points per :func:`_measure_chunk` call: few enough to keep peak memory small on any grid.
 _CHUNK = 256
+#: The columns :func:`_measure_grid` can yield; Bloch components in TWO_PARTICLE_LAYOUT order.
+_BLOCH_COLUMNS = tuple(f"bloch_{t}_{x}" for t in ("pa", "sa", "pb", "sb") for x in "xyz")
+_COLUMNS = ("omega", "theta", "eg", "delta_eg", "negativity", "delta_negativity", *_BLOCH_COLUMNS,
+            "nu")
 
 
 class SweepError(ValueError):
@@ -152,11 +156,13 @@ def _measure_chunk(tables, omegas, thetas, columns):
     return nu, eg, neg, bloch
 
 
-def _measure_grid(psi, directions, omega_points, theta_points):
+def _measure_grid(psi, directions, omega_points, theta_points, columns):
     """Boost the 4x4 ``psi`` to every point of the omega-major grid ``omega_points`` x
     ``theta_points`` (arrays), point (i, j) along ``directions[j]``, a :data:`_CHUNK`-point chunk
-    at a time.  Yields per chunk a dict of ``omega``, ``theta``, ``nu``, ``eg``, ``negativity``,
-    ``delta_eg``, ``delta_negativity`` (from ``omega = 0``) and ``bloch`` (n, 4, 3) arrays."""
+    at a time.  Yields per chunk one (n, len(columns)) block of the named :data:`_COLUMNS`, with
+    ``delta_*`` taken from ``omega = 0``.  A value that is not finite is a :class:`SweepError`
+    naming its point and column, the first in row-major order."""
+    fields = [_COLUMNS.index(name) for name in columns]
     tables = _tables(psi, directions)
     _, (eg0,), (neg0,), _ = _measure_chunk(tables, np.zeros(1), np.zeros(1), np.zeros(1, int))
     size = len(omega_points) * len(theta_points)
@@ -164,8 +170,14 @@ def _measure_grid(psi, directions, omega_points, theta_points):
         i, j = np.divmod(np.arange(start, min(start + _CHUNK, size)), len(theta_points))
         omegas, thetas = omega_points[i], theta_points[j]
         nu, eg, neg, bloch = _measure_chunk(tables, omegas, thetas, j)
-        yield dict(omega=omegas, theta=thetas, nu=nu, eg=eg, delta_eg=eg - eg0, negativity=neg,
-                   delta_negativity=neg - neg0, bloch=bloch)
+        record = (omegas, thetas, eg, eg - eg0, neg, neg - neg0, *bloch.reshape(-1, 12).T, nu)
+        block = np.stack([record[f] for f in fields], axis=1)
+        bad = ~np.isfinite(block)
+        if bad.any():
+            k, f = np.argwhere(bad)[0]
+            reason = f"non-finite value for {columns[f]!r}: {block[k, f]}"
+            raise _point_error(omegas[k], thetas[k], reason)
+        yield block
 
 
 def _boost_batch(psi, rapidities, directions) -> tuple[np.ndarray, np.ndarray]:

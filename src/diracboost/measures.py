@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .kernel import _clamp_residue, _measure_grid
+from .kernel import SweepError, _clamp_residue, _measure_grid
 from .kinematics import BOOST_GENERATORS, BoostSpec
 from .states import TWO_PARTICLE_LAYOUT, SuperpositionTerm, assemble_state_vector
 from .tensor import TRACE_TOL, _symmetrized_eigenvalues, _trace_labels, check_state
@@ -34,6 +34,7 @@ def _reduction(keep):
 
 _ONE_QUBIT = {tag: _reduction((tag,)) for tag in TWO_PARTICLE_LAYOUT}
 _SPIN_PAIR = _reduction(("SA", "SB"))
+_DELTAS = ("delta_eg", "delta_negativity")
 
 
 @dataclass(frozen=True)
@@ -104,10 +105,13 @@ def negativity(psi: np.ndarray) -> float:
 
 def _boost_deltas(terms: Sequence[SuperpositionTerm], b: BoostSpec) -> tuple[float, float]:
     """(E_G, N) at the boost minus at the origin: the sweep's delta_* of a one-point grid."""
-    theta = np.arccos(np.clip(b.direction[2], -1.0, 1.0))  # names a failed point
+    theta = np.arccos(np.clip(b.direction[2:], -1.0, 1.0))  # names a failed point
     psi = assemble_state_vector(terms).reshape(4, 4)
-    chunk = next(_measure_grid(psi, b.direction[None], np.array([b.rapidity]), theta[None]))
-    return float(chunk["delta_eg"][0]), float(chunk["delta_negativity"][0])
+    grid = _measure_grid(psi, b.direction[None], np.array([b.rapidity]), theta, _DELTAS)
+    try:
+        return tuple(next(grid)[0].tolist())
+    except SweepError as exc:  # theta alone names no direction off the x-z plane
+        raise SweepError(f"{exc}; boost direction n = {b.direction.tolist()}") from exc
 
 
 def delta_global(terms: Sequence[SuperpositionTerm], b: BoostSpec) -> float:

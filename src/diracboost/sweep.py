@@ -15,10 +15,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .kernel import SweepError, _measure_grid, _point_error
+from .kernel import _BLOCH_COLUMNS, SweepError, _measure_grid
 from .kinematics import _polar_directions, _unit_direction
 from .states import (
-    TWO_PARTICLE_LAYOUT,
     _z_axis_term,
     assemble_state_vector,
     chiral_project_vector,
@@ -34,8 +33,6 @@ DEFAULT_MEASURES = ("eg", "delta_eg", "negativity", "delta_negativity")
 DEFAULT_CHIRAL_LABELS = (0, 0)
 OUTPUT_FORMATS = ("csv", "json")
 TERM_FORM = "re,im,sA,omega0A,dirA,sB,omega0B,dirB"
-
-_BLOCH_COLUMNS = tuple(f"bloch_{t.lower()}_{x}" for t in TWO_PARTICLE_LAYOUT for x in "xyz")
 
 
 class ConfigError(ValueError):
@@ -167,10 +164,8 @@ def scenario_density(cfg: SweepConfig) -> np.ndarray:
 
 
 def _sweep_columns(cfg: SweepConfig):
-    """Columns ``omega, theta, <measures>, nu`` and an iterator of one ``(n, k)`` block per chunk.
-
-    Raises :class:`SweepError` naming the first point and column that is not finite.
-    """
+    """Columns ``omega, theta, <measures>, nu`` and the grid walk's iterator of one ``(n, k)``
+    block per chunk, which raises :class:`SweepError` at the first value that is not finite."""
     psi = scenario_vector(cfg).reshape(4, 4)  # validates cfg, so its grids are safe to expand
     omega_points, theta_points = cfg.omega_grid.points(), cfg.theta_grid.points()
     # one table per theta step, or for the fixed direction of a one-step theta grid
@@ -178,18 +173,7 @@ def _sweep_columns(cfg: SweepConfig):
     directions = _polar_directions(theta_points) if fixed is None else np.array([fixed], float)
     names = [n for m in cfg.measures for n in (_BLOCH_COLUMNS if m == "bloch" else (m,))]
     columns = ["omega", "theta", *names, "nu"]
-
-    def blocks():
-        for chunk in _measure_grid(psi, directions, omega_points, theta_points):
-            chunk.update(zip(_BLOCH_COLUMNS, chunk.pop("bloch").reshape(-1, 12).T))
-            block = np.stack([chunk[n] for n in columns], axis=1)
-            if not np.isfinite(block).all():
-                k, j = np.argwhere(~np.isfinite(block))[0]
-                reason = f"non-finite value for {columns[j]!r}: {block[k, j]}"
-                raise _point_error(block[k, 0], block[k, 1], reason)
-            yield block
-
-    return columns, blocks()
+    return columns, _measure_grid(psi, directions, omega_points, theta_points, columns)
 
 
 def run_sweep(cfg: SweepConfig) -> list[dict[str, float]]:

@@ -37,7 +37,7 @@ from .states import (
     make_psi2,
     make_psi3,
 )
-from .sweep import _BLOCH_COLUMNS, GridSpec, SweepConfig, _sweep_columns, scenario_vector
+from .sweep import GridSpec, SweepConfig, _sweep_columns, scenario_vector
 from .tensor import outer
 
 GRID_OMEGAS = GridSpec(0.0, 5.0, 20)
@@ -85,7 +85,7 @@ def _sweep_grid(scenario: str, omegas: GridSpec, thetas: GridSpec) -> dict[str, 
     columns, blocks = _sweep_columns(cfg)
     table = np.concatenate(list(blocks)).reshape(omegas.steps, thetas.steps, -1)
     grid = dict(zip(columns, np.moveaxis(table, 2, 0)))
-    grid["bloch"] = np.stack([grid[name] for name in _BLOCH_COLUMNS], -1).reshape(-1, 4, 3)
+    grid["bloch"] = table[..., 5:17].reshape(-1, 4, 3)  # after omega, theta, eg, delta_eg, N
     return grid
 
 

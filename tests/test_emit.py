@@ -20,6 +20,9 @@ from hypothesis import strategies as st
 
 from diracboost import cli, kernel
 from diracboost.kernel import _CHUNK
+from diracboost.kinematics import BoostSpec
+from diracboost.measures import delta_global
+from diracboost.states import make_psi3
 from diracboost.sweep import SweepError, _format_chunks, emit, run_sweep
 from test_golden import CASES
 
@@ -235,17 +238,23 @@ def test_failed_sweep_on_stdout_exits_1(output_format, capsysbinary):
     assert written == _CHUNK
 
 
-def test_non_finite_measure_names_point_and_column(monkeypatch):
+@pytest.mark.parametrize("run,column", [
+    (lambda: run_sweep(_config(["--scenario", "psi3", "--omega", "0:1:3", "--theta", "0:1:11",
+                                "--measures", "eg,bloch"])), "bloch_sa_z"),
+    (lambda: delta_global(make_psi3(1.0), BoostSpec.from_polar_angle(0.5, 0.5)), "delta_eg"),
+], ids=["sweep", "delta_global"])
+def test_non_finite_measure_names_point_and_column(monkeypatch, run, column):
+    """The grid walk checks the columns each caller asks for, the sweep's and delta_*'s alike."""
     exact = kernel._measure_chunk
 
     def corrupted(tables, omegas, thetas, columns):
         nu, eg, neg, bloch = exact(tables, omegas, thetas, columns)
         if len(omegas) > 1:
             bloch[16, 1, 2] = np.nan  # row 16 of the grid: omega = 0.5, theta = 0.5
+        elif omegas[0] > 0.0:
+            eg[0] = np.nan  # the boost of a delta_*, not its unboosted origin
         return nu, eg, neg, bloch
 
     monkeypatch.setattr(kernel, "_measure_chunk", corrupted)
-    cfg = _config(["--scenario", "psi3", "--omega", "0:1:3", "--theta", "0:1:11",
-                   "--measures", "eg,bloch"])
-    with pytest.raises(SweepError, match=r"omega=0\.5, theta=0\.5\).*'bloch_sa_z': nan"):
-        run_sweep(cfg)
+    with pytest.raises(SweepError, match=rf"omega=0\.5, theta=0\.5\).*'{column}': nan"):
+        run()

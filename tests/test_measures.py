@@ -321,9 +321,14 @@ def test_deltas_match_the_sweep_delta_columns(scenario):
 
 
 @pytest.mark.filterwarnings("error")
-def test_delta_overflow_names_the_boost():
-    with pytest.raises(SweepError, match=r"omega=400, theta=0\).*nu = inf"):
-        delta_global(make_psi2(1.0), BoostSpec(400.0, E_Z))
+@pytest.mark.parametrize("n,named", [
+    (E_Z, r"omega=400, theta=0\).*nu = inf.*n = \[0\.0, 0\.0, 1\.0\]"),
+    # theta = pi/2 also labels +x: only the direction tells the y axis apart
+    ([0.0, 1.0, 0.0], r"omega=400, theta=1\.5708\).*nu = inf.*n = \[0\.0, 1\.0, 0\.0\]"),
+], ids=["z", "y"])
+def test_delta_overflow_names_the_boost(n, named):
+    with pytest.raises(SweepError, match=named):
+        delta_global(make_psi2(1.0), BoostSpec(400.0, n))
 
 
 @pytest.mark.parametrize("delta", [delta_global, delta_negativity])

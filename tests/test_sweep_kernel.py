@@ -548,8 +548,10 @@ def test_chiral_projections_keep_n_nu_and_eg_from_n(omega0):
     for scenario, labels in itertools.product(("chiral-psi2", "chiral-psi3"), LABELS):
         cfg = SweepConfig(scenario=scenario, omega0=omega0, chiral_labels=labels)
         psi = scenario_vector(cfg).reshape(4, 4)
-        chunks = list(kernel._measure_grid(psi, n, omega_points, theta_points))
-        nu, eg, neg = (np.concatenate([c[k] for c in chunks]) for k in ("nu", "eg", "negativity"))
+        columns = ("nu", "eg", "negativity")
+        nu, eg, neg = np.concatenate(
+            list(kernel._measure_grid(psi, n, omega_points, theta_points, columns))
+        ).T
         neg0 = neg[0]  # the first point is omega = 0
         assert np.all(np.abs(neg * nu - neg0) <= TOL * np.maximum(nu, 1.0)), (scenario, labels)
         assert np.all(np.abs(eg - neg**2 / 2.0) <= TOL), (scenario, labels)
