@@ -1,7 +1,8 @@
 """Command-line interface: `diracboost sweep` and `diracboost verify`.
 
 Exit codes: 0 success, 1 validation error (bad flags, bad config file,
-unbuildable scenario, failed sweep point), 2 verification failure.
+unbuildable scenario, failed sweep point, unwritable ``--out``, a grid too
+large to allocate), 2 verification failure.
 """
 
 from __future__ import annotations
@@ -154,19 +155,24 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _write_out(chunks, out: str) -> None:
-    """Stream ``chunks`` into ``out``; a file is replaced only once every chunk is written."""
+    """Stream ``chunks`` into ``out``; a file is replaced only once every chunk is written.
+
+    An ``OSError`` is a :class:`ConfigError` naming ``out``, not the temporary file."""
     path = Path(out)
-    if path.exists() and not path.is_file():  # a device or pipe such as /dev/null
-        with open(path, "wb") as fh:
-            fh.writelines(chunks)
-        return
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        with open(tmp, "xb") as fh:
-            fh.writelines(chunks)
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
+        if path.exists() and not path.is_file():  # a device or pipe such as /dev/null
+            with open(path, "wb") as fh:
+                fh.writelines(chunks)
+            return
+        tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+        try:
+            with open(tmp, "xb") as fh:
+                fh.writelines(chunks)
+            os.replace(tmp, path)
+        finally:
+            tmp.unlink(missing_ok=True)
+    except OSError as exc:
+        raise ConfigError("out", f"cannot write {out!r}: {exc.strerror or exc}") from exc
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
@@ -177,7 +183,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             sys.stdout.buffer.writelines(chunks)
         else:
             _write_out(chunks, out)
-    except (ValueError, OSError) as exc:  # every error of the package is a ValueError
+    # every error of the package is a ValueError; a MemoryError is a grid too large to allocate
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

@@ -174,7 +174,7 @@ def helicity_spinor(p: FourMomentum, s: int) -> np.ndarray:
     s=1 gives |z+>, s=2 gives |z->.  The global phase is fixed by making the
     first nonzero component real positive.
     """
-    _check_helicity(s)
+    s = _check_helicity(s)
     kn = p.p_norm
     nx, ny, nz = (p.p3 / kn if kn else E_Z).tolist()
     # nx + i ny rounded as numpy does: Python 3.14 on keeps -0.0 imaginary parts of float + complex

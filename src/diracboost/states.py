@@ -23,7 +23,6 @@ from .kinematics import (
     E_Z,
     BoostSpec,
     FourMomentum,
-    _check_helicity,
     bispinor_u,
     chiral_projector,
 )
@@ -40,43 +39,41 @@ _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 @dataclass(frozen=True, eq=False)
 class SuperpositionTerm:
-    """One term of a superposition: coefficient and per-slot (momentum, helicity)."""
+    """One term of a superposition: coefficient and per-slot (momentum, helicity), checked by
+    :func:`assemble_state_vector`, which every consumer of a superposition calls."""
 
     coefficient: complex
     slot_a: SlotSpec
     slot_b: SlotSpec
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "coefficient", complex(self.coefficient))
-        if not cmath.isfinite(self.coefficient):
-            raise ValueError(f"coefficient must be finite, got {self.coefficient!r}")
-        for name, slot in (("slot_a", self.slot_a), ("slot_b", self.slot_b)):
-            momentum, helicity = slot
-            if not isinstance(momentum, FourMomentum):
-                raise TypeError(f"{name} must be (FourMomentum, helicity)")
-            _check_helicity(helicity)
-            object.__setattr__(self, name, (momentum, int(helicity)))
 
 
 def assemble_state_vector(terms: Sequence[SuperpositionTerm]) -> np.ndarray:
     """Assemble and normalize the 16-component state vector: ``Psi = sum_i c_i u(A_i) u(B_i)^T``
     as a 4x4 matrix, raveled.
 
-    ``terms``, any sequence, must be non-empty, and all slot masses must agree to 1e-12 relative.
-    One exact power of two first brings the largest coefficient part into [0.5, 1), so the state
-    does not depend on the coefficients' scale anywhere in the float range.  Raises if the
-    superposition cancels to (numerically) zero.
+    ``terms``, any sequence, must be non-empty, each coefficient finite, each slot a
+    ``(FourMomentum, helicity)`` pair with the label 1 or 2, and all slot masses must agree to
+    1e-12 relative.  One exact power of two first brings the largest coefficient part into
+    [0.5, 1), so the state does not depend on the coefficients' scale anywhere in the float range.
+    Raises if the superposition cancels to (numerically) zero.
     """
     if not terms:
         raise ValueError("superposition needs at least one term")
+    coefficients = [complex(t.coefficient) for t in terms]
+    for c, t in zip(coefficients, terms):
+        if not cmath.isfinite(c):
+            raise ValueError(f"coefficient must be finite, got {c!r}")
+        for name, (momentum, _) in (("slot_a", t.slot_a), ("slot_b", t.slot_b)):
+            if not isinstance(momentum, FourMomentum):
+                raise TypeError(f"{name} must be (FourMomentum, helicity)")
     masses = [momentum.mass for t in terms for momentum, _ in (t.slot_a, t.slot_b)]
     if max(masses) - min(masses) > 1e-12 * max(masses):
         raise ValueError(f"slot masses differ: {min(masses)!r} and {max(masses)!r}")
-    top = max(max(abs(t.coefficient.real), abs(t.coefficient.imag)) for t in terms)
+    top = max(max(abs(c.real), abs(c.imag)) for c in coefficients)
     shift = -math.frexp(top)[1]
     psi = np.zeros((4, 4), dtype=complex)
-    for t in terms:
-        c = complex(math.ldexp(t.coefficient.real, shift), math.ldexp(t.coefficient.imag, shift))
+    for c, t in zip(coefficients, terms):  # bispinor_u checks each helicity label
+        c = complex(math.ldexp(c.real, shift), math.ldexp(c.imag, shift))
         psi += c * np.outer(bispinor_u(*t.slot_a), bispinor_u(*t.slot_b))
     norm = float(np.linalg.norm(psi))
     if norm < _ZERO_NORM_TOL:

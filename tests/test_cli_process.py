@@ -34,7 +34,9 @@ def _without_seconds(text: str) -> dict:
       "--omega", "0:3:4", "--theta", "0:3.14159:3"], 0),
     (["verify", "--json"], 2),
     (["sweep", "--no-such-flag"], 1),
-], ids=["csv-sweep", "csv-sweep-eigvalsh", "json-sweep-with-bloch", "verify-json", "bad-flag"])
+    (["sweep", "--omega", "0:0:1", "--theta", "0:0:1", "--out", "/no/such/dir/x.csv"], 1),
+], ids=["csv-sweep", "csv-sweep-eigvalsh", "json-sweep-with-bloch", "verify-json", "bad-flag",
+        "unwritable-out"])
 def test_a_fresh_process_writes_what_main_writes(argv, code, capsysbinary):
     done = subprocess.run([sys.executable, "-W", "error", "-m", "diracboost.cli", *argv],
                           capture_output=True, env=ENV, timeout=60)

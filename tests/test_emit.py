@@ -228,6 +228,25 @@ def test_failed_sweep_leaves_out_file_untouched(output_format, tmp_path, capsys)
     assert sorted(p.name for p in tmp_path.iterdir()) == [out.name]
 
 
+def test_an_unwritable_out_names_the_path_given(tmp_path, capsys):
+    out = tmp_path / "no-such-dir" / "x.csv"
+    assert cli.main(["sweep", "--omega", "0:0:1", "--theta", "0:0:1", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: out: cannot write {str(out)!r}: No such file or directory\n"
+    assert ".tmp" not in err
+
+
+def test_a_failed_replace_names_out_and_removes_the_temporary_file(tmp_path, capsys, monkeypatch):
+    def refuse(src, dst):
+        raise PermissionError(13, "Permission denied", str(src))
+
+    monkeypatch.setattr(cli.os, "replace", refuse)
+    out = tmp_path / "x.csv"
+    assert cli.main(["sweep", "--omega", "0:0:1", "--theta", "0:0:1", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: out: cannot write {str(out)!r}: Permission denied\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("output_format", FORMATS)
 def test_failed_sweep_on_stdout_exits_1(output_format, capsysbinary):
     assert cli.main([*FAILING, "--format", output_format]) == 1

@@ -274,6 +274,16 @@ def test_bispinor_validation():
             make(rest, 0)
 
 
+@pytest.mark.parametrize("label", [1, 2])
+def test_a_float_helicity_label_gives_the_integer_labels_bits(label):
+    """``helicity_spinor`` works with the int its label check returns, so 1.0 and 2.0 are the
+    labels 1 and 2 in every function that takes one."""
+    moving = FourMomentum.from_rapidity(M, 0.7, np.array([0.48, 0.6, 0.64]))
+    for p in (FourMomentum(M, M, np.zeros(3)), moving):
+        for make in (helicity_spinor, bispinor_u, bispinor_v):
+            assert make(p, float(label)).tobytes() == make(p, label).tobytes(), make.__name__
+
+
 # --------------------------------------------------------------------------
 # four-vector boosts
 # --------------------------------------------------------------------------

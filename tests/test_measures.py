@@ -13,7 +13,6 @@ import diracboost.measures
 import diracboost.tensor
 from diracboost.kinematics import E_Z, BoostSpec, FourMomentum
 from diracboost.measures import (
-    BlochVector,
     _analytic_bloch_batch,
     analytic_boosted_bloch,
     bloch_vector,
@@ -172,13 +171,15 @@ def near_unit_states():
 @pytest.mark.parametrize("name", ["basis", "product", "bell-pairs", "drawn"])
 def test_a_norm_check_state_admits_keeps_every_measure_in_range(name, sign):
     """|psi|^2 may miss 1 by TRACE_TOL, which moves E_G by up to 4 TRACE_TOL and N by up to 2;
-    the snap onto [0, 1] absorbs that, and BlochVector's ball takes every reduction."""
+    the snap onto [0, 1] absorbs that, and every reduction's Bloch vector keeps
+    |r| <= 1 + 2 TRACE_TOL."""
     psi = near_unit_states()[name]
     psi = psi * math.sqrt(1.0 + sign * 0.99 * TRACE_TOL)  # just inside the rule
     check_state(psi)
     for measure in (global_entanglement, negativity):
         assert 0.0 <= measure(psi) <= 1.0, measure.__name__
-    bloch_vector(psi)  # no "unit ball" error
+    for tag, v in bloch_vector(psi).items():
+        assert math.sqrt(v.norm_sq) <= 1.0 + 2.0 * TRACE_TOL, tag
 
 
 def named_states():
@@ -217,12 +218,6 @@ def test_reductions_equal_partial_trace():
             assert np.max(np.abs(reduced - want)) <= 1e-15
         spin_pair = partial_trace(rho, TWO_PARTICLE_LAYOUT, ("SA", "SB"))
         assert np.max(np.abs(spin_spin_reduced(psi) - spin_pair)) <= 1e-15
-
-
-def test_bloch_vector_ball_constraint():
-    for outside in ((1.1, 0.0, 0.3), (0.0, 0.0, 1.0 + 3.0 * TRACE_TOL)):
-        with pytest.raises(ValueError, match="unit ball"):
-            BlochVector(*outside)
 
 
 # --------------------------------------------------------------------------
@@ -443,10 +438,18 @@ def test_analytic_bloch_shares_no_code_with_the_kernel(monkeypatch):
     np.testing.assert_array_equal(again_nu, nu)
 
 
-def test_bloch_vector_rejects_non_finite_components():
-    for bad in ((math.nan, 0.0, 0.0), (0.0, math.inf, 0.0), (0.0, 0.0, -math.inf)):
-        with pytest.raises(ValueError, match="finite"):
-            BlochVector(*bad)
+@pytest.mark.parametrize("make", [make_psi1, make_psi2, make_psi3], ids=lambda f: f.__name__)
+def test_analytic_bloch_stays_finite_and_in_the_ball(make):
+    """The oracle's nu check keeps its Bloch vectors finite, and a unit Psi' keeps them in the
+    ball: omega in [-40, 40] in 161 steps, 13 angles in [0, pi]."""
+    state = make(1.0)
+    for omega in np.linspace(-40.0, 40.0, 161).tolist():
+        for theta in np.linspace(0.0, math.pi, 13).tolist():
+            b = BoostSpec.from_polar_angle(omega, theta)
+            for tag, v in analytic_boosted_bloch(state, b).items():
+                point = (omega, theta, tag)
+                assert all(math.isfinite(c) for c in (v.x, v.y, v.z)), point
+                assert math.sqrt(v.norm_sq) <= 1.0 + 2.0 * TRACE_TOL, point
 
 
 @pytest.mark.filterwarnings("error")

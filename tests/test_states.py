@@ -14,7 +14,7 @@ from diracboost.kinematics import (
     bispinor_boost,
     bispinor_u,
 )
-from diracboost.measures import global_entanglement
+from diracboost.measures import analytic_boosted_bloch, delta_global, global_entanglement
 from diracboost.states import (
     _boost_batch,
     SuperpositionTerm,
@@ -53,11 +53,12 @@ def random_state(rng, n_terms=3):
 
 
 def test_term_validation():
+    """A term is checked where it is assembled, not where it is built."""
     p = momentum(1.0)
     with pytest.raises(ValueError, match="helicity label"):
-        SuperpositionTerm(1.0, (p, 3), (p, 1))
+        assemble_state_vector((SuperpositionTerm(1.0, (p, 3), (p, 1)),))
     with pytest.raises(TypeError, match="FourMomentum"):
-        SuperpositionTerm(1.0, ("p", 1), (p, 1))
+        assemble_state_vector((SuperpositionTerm(1.0, ("p", 1), (p, 1)),))
 
 
 @pytest.mark.filterwarnings("error")
@@ -65,7 +66,34 @@ def test_term_validation():
 def test_term_rejects_a_non_finite_coefficient(c):
     p = momentum(1.0)
     with pytest.raises(ValueError, match="coefficient must be finite"):
-        SuperpositionTerm(c, (p, 1), (p, 2))
+        assemble_state_vector((SuperpositionTerm(c, (p, 1), (p, 2)),))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bad, error, message", [
+    (lambda p: SuperpositionTerm(1.0, (p, 3), (p, 1)), ValueError,
+     "helicity label must be 1 or 2, got 3"),
+    (lambda p: SuperpositionTerm(1.0, ("p", 1), (p, 1)), TypeError,
+     "slot_a must be (FourMomentum, helicity)"),
+    (lambda p: SuperpositionTerm(math.nan, (p, 1), (p, 2)), ValueError,
+     "coefficient must be finite, got (nan+0j)"),
+], ids=["helicity", "slot", "coefficient"])
+def test_every_consumer_of_a_superposition_refuses_a_bad_term_as_assembly_does(bad, error, message):
+    """``assemble_state_vector`` is the superposition's one boundary: each consumer of the terms
+    goes through it, so each refuses a bad second term with the same error."""
+    p = momentum(1.0)
+    terms = (SuperpositionTerm(1.0, (p, 1), (p, 2)), bad(p))
+    b = BoostSpec.from_polar_angle(1.0, 0.5)
+    consumers = {
+        "assemble_state_vector": assemble_state_vector,
+        "chiral_project_vector": lambda t: chiral_project_vector(t, 0, 1),
+        "delta_global": lambda t: delta_global(t, b),
+        "analytic_boosted_bloch": lambda t: analytic_boosted_bloch(t, b),
+    }
+    for name, consume in consumers.items():
+        with pytest.raises(error) as info:
+            consume(terms)
+        assert str(info.value) == message, name
 
 
 def test_assembly_refuses_an_empty_or_mixed_mass_superposition():

@@ -96,6 +96,14 @@ def test_term_errors_name_their_slot(term, message):
     assert str(err.value) == f"term: cannot build scenario 'custom': {message}"
 
 
+def test_a_custom_sweep_with_helicity_3_names_the_term(capsys):
+    argv = ["sweep", "--scenario", "custom", "--term=1,0,3,1,1,2,1,1", "--omega", "0:0:1",
+            "--theta", "0:0:1"]
+    assert cli.main(argv) == 1
+    message = "cannot build scenario 'custom': helicity label must be 1 or 2, got 3"
+    assert capsys.readouterr().err == f"error: term: {message}\n"
+
+
 def test_config_refuses_a_term_without_eight_fields():
     cfg = tiny_config(scenario="custom", custom_terms=((1.0, 0.0, 1, 1.0, 1, 2, 1.0),))
     with pytest.raises(ConfigError) as err:
@@ -495,6 +503,19 @@ def test_cli_sweep_accepts_large_omega0(tmp_path):
     )
     assert code == 0
     assert len(out.read_text().splitlines()) == 7
+
+
+def test_cli_reports_a_grid_too_large_to_allocate_in_one_line(monkeypatch, capsys):
+    """numpy's ``MemoryError`` for an axis it cannot allocate is one ``error:`` line, exit 1.
+    The expansion is made to fail here, so that no large grid is ever requested."""
+    message = "Unable to allocate 7.28 TiB for an array with shape (1000000000000,)"
+
+    def points(self):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(GridSpec, "points", points)
+    assert cli.main(["sweep", "--omega", "0:1:3", "--theta", "0:0:1"]) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 @pytest.mark.filterwarnings("error")
